@@ -5,8 +5,10 @@ layer boundaries.
 A name ending in `_self_s` is the span durations minus the time of the
 wrapped calls inside them; any other `_s` is the whole span duration. A
 `_us` value is microseconds per call (per rollout for
-`diffusion.rollout_us`). Graph metrics come from the set-up span; all
-others are per traced round.
+`diffusion.rollout_us`). Graph metrics come from the set-up span, and
+`setup.imports_s` is the part of `setup_s` spent before the set-up span
+(interpreter imports of numpy, scipy and fairseed); all others are per
+traced round.
 """
 
 from __future__ import annotations
@@ -57,9 +59,10 @@ class LayerView:
     """Per-round access to span totals and counts."""
 
     def __init__(self, totals: dict, setup_totals: dict, counts: LayerCounts,
-                 rounds: int, overhead_s: float):
+                 rounds: int, overhead_s: float, imports_s: float):
         self.totals, self.setup_totals = totals, setup_totals
         self.counts, self.rounds, self.overhead_s = counts, rounds, overhead_s
+        self.imports_s = imports_s
 
     def _get(self, name: str, k: int) -> float:
         return self.totals.get(name, (0, 0.0, 0.0))[k] / self.rounds
@@ -93,6 +96,7 @@ LAYERS = (
      lambda v: v.setup("graph.build_instance_pool")),
     ("graph.graph_from_edges_s", "s", "lower",
      lambda v: v.setup("graph.graph_from_edges")),
+    ("setup.imports_s", "s", "lower", lambda v: v.imports_s),
     ("seeding.stream_at_calls", "count", "lower", lambda v: v.calls(AGGREGATED)),
     ("seeding.stream_at_us", "us", "lower", lambda v: v.us_per_call(AGGREGATED)),
     ("diffusion.rollout_masks_rollouts", "count", "lower",

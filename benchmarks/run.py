@@ -1,6 +1,6 @@
 """Run one fairseed benchmark workload and print its result as JSON.
 
-    python3 benchmarks/run.py --workload eval-ba500 --seed 1 --seconds 20 --trace 0
+    python3 benchmarks/run.py --workload eval-ba500 --seed 1 --seconds 30 --trace 0
 
 Run from the repository root, or from anywhere: fairseed is imported from
 the `src/` directory next to this one and from nowhere else. The workload
@@ -74,6 +74,7 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool,
     wl = workloads.WORKLOADS[name](seed, sizes or workloads.FULL)
     counts = layers.LayerCounts()
     tracer = spans.Tracer(observers=merge(wl.observers(), counts.observers()))
+    imports_s = time.perf_counter() - start
     if trace:
         with tracer, tracer.span("setup") as setup_id:
             wl.setup()
@@ -112,15 +113,16 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool,
             tracer.totals(traced_ids), tracer.totals({setup_id}), counts,
             len(traced_ids),
             statistics.median(r["seconds"] for r in rounds if r["traced"])
-            - statistics.median(r["seconds"] for r in plain))
+            - statistics.median(r["seconds"] for r in plain), imports_s)
         metrics = layers.layer_metrics(view)
         failures += wl.check_counts(view)
     else:
-        # every round does the same work and other load on a shared
-        # machine only adds time, so the fastest round is the steadiest
+        # the median round: steadier across runs than the fastest one on a
+        # machine whose speed drifts, and it passes over a warm-up round
         values = {
             "setup_s": setup_s,
-            "ms_per_op": min(1e3 * r["seconds"] / r["operations"] for r in plain),
+            "ms_per_op": statistics.median(
+                1e3 * r["seconds"] / r["operations"] for r in plain),
             "peak_rss_mb": rss,
         }
         metrics = {n: {"value": values[n], "unit": u} for n, u, _ in END_TO_END}

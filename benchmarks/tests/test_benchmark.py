@@ -89,7 +89,7 @@ def test_traced_counts_match_the_configuration():
     metrics = record["result"]["metrics"]
     sets = 6 * len(SMALL.budgets) * SMALL.eval_test
     assert metrics["diffusion.rollout_masks_rollouts"]["value"] == sets * SMALL.m
-    assert metrics["embedding.recompute_ratio"]["value"] == len(SMALL.budgets)
+    assert metrics["metrics.evaluate_seed_set_calls"]["value"] == sets
 
 
 def test_reference_simulator_on_a_certain_cascade():
