@@ -1,6 +1,6 @@
 """Run one fairseed benchmark workload and print its result as JSON.
 
-    python3 benchmarks/run.py --workload eval-ba500 --seed 1 --seconds 30 --trace 0
+    python3 benchmarks/run.py --workload eval-ba500 --seed 1 --seconds 20 --trace 0
 
 Run from the repository root, or from anywhere: fairseed is imported from
 the `src/` directory next to this one and from nowhere else. The workload
@@ -8,6 +8,9 @@ builds its inputs from --seed (set-up), then runs rounds of the same
 operation until the rounds have taken --seconds, and at least two. Every
 round after the first must reproduce the first round's output exactly, and
 the first round's output is checked against independent computations.
+Times are wall times scaled to a reference machine speed by a calibration
+kernel timed next to the work (clock.py); the run's `.bench_out` file also
+holds the wall times.
 
 With --trace 0 the last line of standard output holds the end-to-end
 metrics; with --trace 1 rounds alternate between untraced and traced, and
@@ -66,6 +69,7 @@ def peak_rss_mb() -> float:
 def run_workload(name: str, seed: int, seconds: float, trace: bool,
                  sizes=None, start: float | None = None) -> dict:
     """Set up, run and check one workload; returns the run's record."""
+    import clock
     import layers
     import spans
     import workloads
@@ -80,8 +84,10 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool,
             wl.setup()
     else:
         wl.setup()
-    setup_s = time.perf_counter() - start
+    setup_wall_s = time.perf_counter() - start
+    setup_speed = clock.speed()
 
+    timer = clock.Clock()
     rounds, traced_ids, failures = [], set(), []
     signature = None
     while (len(rounds) < MIN_ROUNDS
@@ -92,14 +98,23 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool,
         # round's output, so that cyclic GC costs the same in each
         out = None
         gc.collect()
+        # traced rounds run no kernel inside the work, so that their spans
+        # hold fairseed's time only
         if traced:
             with tracer, tracer.span("round") as round_id:
-                elapsed, ops, out = wl.round()
+                timer.start()
+                ops, out = wl.round()
+                wall, scaled = timer.stop()
             traced_ids.add(round_id)
         else:
-            with spans.Tracer(timing=False, observers=wl.observers()):
-                elapsed, ops, out = wl.round()
-        rounds.append({"seconds": elapsed, "operations": ops, "traced": traced})
+            observers = merge(wl.observers(), {wl.tick: timer.tick})
+            with spans.Tracer(timing=False, observers=observers):
+                timer.start()
+                ops, out = wl.round()
+                wall, scaled = timer.stop()
+        rounds.append({"seconds": wall, "scaled_seconds": scaled,
+                       "operations": ops, "traced": traced,
+                       "kernel_ms": 1e3 * statistics.median(timer.kernels)})
         if signature is None:
             signature = wl.signature(out)
             rss = peak_rss_mb()
@@ -117,12 +132,13 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool,
         metrics = layers.layer_metrics(view)
         failures += wl.check_counts(view)
     else:
-        # the median round: steadier across runs than the fastest one on a
-        # machine whose speed drifts, and it passes over a warm-up round
+        # times scaled to the reference speed (clock.py); the fastest round
+        # passes over a warm-up round and over slow stretches of the machine
+        # that the kernel missed, which only ever add time
         values = {
-            "setup_s": setup_s,
-            "ms_per_op": statistics.median(
-                1e3 * r["seconds"] / r["operations"] for r in plain),
+            "setup_s": setup_wall_s * setup_speed,
+            "ms_per_op": min(
+                1e3 * r["scaled_seconds"] / r["operations"] for r in plain),
             "peak_rss_mb": rss,
         }
         metrics = {n: {"value": values[n], "unit": u} for n, u, _ in END_TO_END}
@@ -133,6 +149,7 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool,
         "metrics": metrics,
     }
     return {"result": result, "failures": failures, "rounds": rounds,
+            "setup": {"wall_s": setup_wall_s, "speed": setup_speed},
             "tracer": tracer if trace else None}
 
 
@@ -195,7 +212,8 @@ def main(argv=None) -> int:
     with open(stem + ".json", "w") as fh:
         json.dump({"workload": args.workload, "seed": args.seed,
                    "seconds": args.seconds, "machine": machine(),
-                   "rounds": record["rounds"], "failures": record["failures"],
+                   "setup": record["setup"], "rounds": record["rounds"],
+                   "failures": record["failures"],
                    **record["result"]}, fh, indent=2)
     if record["tracer"] is not None:
         record["tracer"].write_jsonl(stem + "-spans.jsonl")

@@ -12,6 +12,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ BENCH = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ROOT = os.path.dirname(BENCH)
 sys.path[:0] = [BENCH, os.path.join(ROOT, "src")]
 
+import clock  # noqa: E402
 import fairseed.trainer  # noqa: E402
 import layers  # noqa: E402
 import reference  # noqa: E402
@@ -37,7 +39,7 @@ def small(name: str, seed: int = 3):
     wl = workloads.WORKLOADS[name](seed, SMALL)
     wl.setup()
     with spans.Tracer(timing=False, observers=wl.observers()):
-        _, _, out = wl.round()
+        _, out = wl.round()
     return wl, out
 
 
@@ -90,6 +92,22 @@ def test_traced_counts_match_the_configuration():
     sets = 6 * len(SMALL.budgets) * SMALL.eval_test
     assert metrics["diffusion.rollout_masks_rollouts"]["value"] == sets * SMALL.m
     assert metrics["metrics.evaluate_seed_set_calls"]["value"] == sets
+
+
+def test_clock_leaves_its_kernel_out_and_scales_each_segment():
+    timer = clock.Clock(gap=0.0)
+    begin = time.perf_counter()
+    for _ in range(3):
+        sum(i * i for i in range(20_000))
+        timer.tick()
+    wall, scaled = timer.stop()
+    total = time.perf_counter() - begin
+    assert len(timer.kernels) == 4
+    assert 0.0 < wall <= total - sum(timer.kernels)
+    # each segment is scaled by REFERENCE_S over the kernel after it
+    ratios = [clock.REFERENCE_S / k for k in timer.kernels]
+    lo, hi = min(ratios) * wall, max(ratios) * wall
+    assert lo * (1 - 1e-9) <= scaled <= hi * (1 + 1e-9)
 
 
 def test_reference_simulator_on_a_certain_cascade():

@@ -2,20 +2,20 @@
 fairseed work, and output checks against independent computations.
 
 A workload's `setup` builds its inputs; `round` runs the timed operation
-once and returns (seconds, operations, output); `signature` reduces an
-output to a value that must repeat exactly in every round of one run;
-`check` returns a list of failures, and `check_counts` the layer counts of
-a traced run that differ from the configuration. `observers` names the
-fairseed functions whose calls `round` records for the checks. Calls go
-through module attributes (`trainer.train`, not a bound name) so that the
-tracer's wrappers see them.
+once and returns (operations, output); `signature` reduces an output to a
+value that must repeat exactly in every round of one run; `check` returns
+a list of failures, and `check_counts` the layer counts of a traced run
+that differ from the configuration. `observers` names the fairseed
+functions whose calls `round` records for the checks, and `tick` one that
+a round calls many times, after which the runner's clock may time its
+calibration kernel. Calls go through module attributes (`trainer.train`,
+not a bound name) so that the tracer's wrappers see them.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from time import perf_counter
 
 import numpy as np
 
@@ -107,6 +107,7 @@ class TrainBA:
     """trainer.train on two instances sampled from a BA source graph."""
 
     name = "train-ba500"
+    tick = "trainer.run_episode"
 
     def __init__(self, seed: int, sizes: Sizes = FULL):
         self.seed, self.sizes = seed, sizes
@@ -123,11 +124,9 @@ class TrainBA:
 
     def round(self):
         self.episodes = []
-        t0 = perf_counter()
         policy = trainer.train(self.cfg.train, self.pool)
-        elapsed = perf_counter() - t0
         steps = sum(len(ts) for _, ts in self.episodes)
-        return elapsed, steps, (policy, self.episodes)
+        return steps, (policy, self.episodes)
 
     def signature(self, out) -> str:
         return policy_digest(out[0])
@@ -182,6 +181,7 @@ class EvalBA:
     instances, with an untrained policy from fixed-seed parameters."""
 
     name = "eval-ba500"
+    tick = "metrics.evaluate_seed_set"
 
     def __init__(self, seed: int, sizes: Sizes = FULL):
         self.seed, self.sizes = seed, sizes
@@ -204,11 +204,9 @@ class EvalBA:
 
     def round(self):
         self.evaluations = []
-        t0 = perf_counter()
         rows = experiment.run_experiment(self.cfg, pool=self.pool,
                                          policy=self.policy)
-        elapsed = perf_counter() - t0
-        return elapsed, len(rows), (rows, self.evaluations)
+        return len(rows), (rows, self.evaluations)
 
     def signature(self, out) -> tuple:
         return tuple((r.algorithm, r.budget, r.instance, r.profit_mean,
@@ -299,6 +297,7 @@ class MCTiny:
     """Exact oracle plus a Monte Carlo estimate on each of 50 tiny graphs."""
 
     name = "mc-tiny"
+    tick = "diffusion.estimate_spread_and_benefit"
 
     def __init__(self, seed: int, sizes: Sizes = FULL):
         self.seed, self.sizes = seed, sizes
@@ -319,15 +318,13 @@ class MCTiny:
     def round(self):
         m = self.sizes.tiny_rollouts
         out = []
-        t0 = perf_counter()
         for inst, s, stream in self.cases:
             exact = diffusion.exact_expected_profit(inst.graph, inst.attrs, s)
             _, mean_benefit, benefits = diffusion.estimate_spread_and_benefit(
                 inst.graph, inst.attrs, s, m, stream)
             out.append((exact, mean_benefit - s.total_cost,
                         float(benefits.std(ddof=1)) / np.sqrt(m)))
-        elapsed = perf_counter() - t0
-        return elapsed, len(self.cases), out
+        return len(self.cases), out
 
     def signature(self, out) -> tuple:
         return tuple(out)
