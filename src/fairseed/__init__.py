@@ -21,11 +21,10 @@ from .graph import (CommunityPartition, Graph, Instance, InstancePool,
                     graph_from_edges, load_edge_list, load_node_attributes,
                     sample_subgraph)
 from .metrics import (FairnessConfig, MetricReport, community_benefit_ratio,
-                      compute_report, earned_benefit, evaluate_seed_set,
-                      marginal_reward, maximin_fairness, selection_cost,
-                      shaped_reward)
-from .qnet import (QNetwork, adam_step, encode_state, encode_states, q_forward,
-                   q_forward_batch, q_loss_and_grad)
+                      earned_benefit, evaluate_seed_set, marginal_reward,
+                      maximin_fairness, shaped_reward)
+from .qnet import (QNetwork, adam_step, encode_states, hidden_table,
+                   q_forward_batch, q_forward_table, q_loss_and_grad)
 from .trainer import (CheckpointError, ReplayBuffer, TrainConfig,
                       TrainedPolicy, Transition, epsilon_greedy_select,
                       infer_seed_set, load_checkpoint, run_episode,

@@ -71,8 +71,10 @@ def pagerank(g: Graph, damping: float = 0.85, tol: float = 1e-8,
     return ScoreTable.from_scores(rank)
 
 
-def pagerank_seeds(g: Graph, attrs: NodeAttrs, budget: float) -> SeedSet:
-    table = pagerank(g)
+def pagerank_seeds(g: Graph, attrs: NodeAttrs, budget: float,
+                   table: ScoreTable | None = None) -> SeedSet:
+    if table is None:  # the caller may pass pagerank(g), computed once
+        table = pagerank(g)
     return SeedSet.build(_greedy_fill(table.order, attrs.cost, budget), attrs)
 
 
@@ -129,5 +131,7 @@ def parity_seeds(g: Graph, attrs: NodeAttrs, parts: CommunityPartition,
 
 
 def fair_pagerank_seeds(g: Graph, attrs: NodeAttrs, parts: CommunityPartition,
-                        budget: float) -> SeedSet:
-    return _parity_fill(pagerank(g).scores, g, attrs, parts, budget)
+                        budget: float, table: ScoreTable | None = None) -> SeedSet:
+    if table is None:  # the caller may pass pagerank(g), computed once
+        table = pagerank(g)
+    return _parity_fill(table.scores, g, attrs, parts, budget)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,14 +51,21 @@ class Graph:
         return self.num_arcs if self.directed else self.num_arcs // 2
 
     def out_degree(self) -> np.ndarray:
-        return np.diff(self.indptr)
+        """Out-arc count per node; computed once per graph, read-only."""
+        return self._out_degree
+
+    @cached_property
+    def _out_degree(self) -> np.ndarray:
+        degree = np.diff(self.indptr)
+        degree.flags.writeable = False
+        return degree
 
     def neighbors(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
 
     def arc_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Flat (src, dst, prob) arrays in CSR order."""
-        src = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        src = np.repeat(np.arange(self.n), self.out_degree())
         return src, self.indices, self.probs
 
     def validate(self) -> None:

@@ -33,10 +33,6 @@ class MetricReport:
     tau_ok: bool
 
 
-def selection_cost(s: SeedSet, attrs: NodeAttrs) -> float:
-    return float(attrs.cost[list(s.nodes)].sum()) if s.nodes else 0.0
-
-
 def earned_benefit(influenced: InfluencedSet, attrs: NodeAttrs) -> float:
     return float(attrs.benefit[influenced.mask].sum())
 
@@ -54,20 +50,6 @@ def maximin_fairness(influenced: InfluencedSet, attrs: NodeAttrs,
         community_benefit_ratio(i, influenced, attrs, parts)
         for i in range(parts.count)
     )
-
-
-def compute_report(influenced: InfluencedSet, s: SeedSet, attrs: NodeAttrs,
-                   parts: CommunityPartition, cfg: FairnessConfig) -> MetricReport:
-    benefit = earned_benefit(influenced, attrs)
-    cost = selection_cost(s, attrs)
-    ratios = tuple(
-        community_benefit_ratio(i, influenced, attrs, parts)
-        for i in range(parts.count)
-    )
-    fairness = min(ratios)
-    return MetricReport(profit=benefit - cost, benefit=benefit, cost=cost,
-                        community_ratios=ratios, fairness=fairness,
-                        tau_ok=fairness >= cfg.threshold)
 
 
 def shaped_reward(g: Graph, attrs: NodeAttrs, parts: CommunityPartition,

@@ -4,6 +4,12 @@ with analytic gradients and a self-contained Adam optimizer.
 The state is the candidate's embedding plus three scale-free scalars
 (candidate cost / budget, remaining budget / budget, seeds picked / max
 feasible seeds), 67 entries at the default embedding width of 64.
+
+The first layer is linear in s_v = [h_v, c_v/B, R/B, k/k_max]: its
+pre-activation is T[v] + (R/B) W1[:, d+1] + (k/k_max) W1[:, d+2], where the
+(n, hidden) table T = [h, c/B] W1[:, :d+1]^T + b1 (`hidden_table`) is fixed
+per instance and budget. A table is valid only until the next `adam_step`:
+build one per episode, selection or target batch, never across an update.
 """
 
 from __future__ import annotations
@@ -58,21 +64,11 @@ class QNetwork:
         return net
 
 
-def encode_state(candidate: int, h: NodeEmbeddings, seed_count: int,
-                 remaining_budget: float, attrs: NodeAttrs, budget: float,
-                 k_max: int) -> np.ndarray:
-    """Candidate embedding concatenated with normalized cost/budget/size."""
-    return np.concatenate([
-        h.vectors[candidate],
-        [attrs.cost[candidate] / budget, remaining_budget / budget,
-         seed_count / k_max],
-    ])
-
-
-def encode_states(candidates: np.ndarray, h: NodeEmbeddings, seed_count: int,
-                  remaining_budget: float, attrs: NodeAttrs, budget: float,
+def encode_states(candidates: np.ndarray, h: NodeEmbeddings, seed_count,
+                  remaining_budget, attrs: NodeAttrs, budget: float,
                   k_max: int) -> np.ndarray:
-    """Batch encode_state: one row per candidate."""
+    """One state row per candidate; `seed_count` and `remaining_budget` are
+    scalars or per-row arrays."""
     k = len(candidates)
     out = np.empty((k, h.dim + 3))
     out[:, : h.dim] = h.vectors[candidates]
@@ -82,12 +78,30 @@ def encode_states(candidates: np.ndarray, h: NodeEmbeddings, seed_count: int,
     return out
 
 
-def q_forward(net: QNetwork, s: np.ndarray) -> float:
-    return float(net.w2 @ np.maximum(net.w1 @ s + net.b1, 0.0) + net.b2[0])
-
-
 def q_forward_batch(net: QNetwork, states: np.ndarray) -> np.ndarray:
     return np.maximum(states @ net.w1.T + net.b1, 0.0) @ net.w2 + net.b2[0]
+
+
+def hidden_table(net: QNetwork, h: NodeEmbeddings, cost: np.ndarray,
+                 budget: float) -> np.ndarray:
+    """The table T above; valid until the next update of `net`."""
+    d = h.dim
+    table = np.column_stack((h.vectors, cost / budget)) @ net.w1[:, : d + 1].T
+    table += net.b1  # in place: a second (n, hidden) array costs page faults
+    return table
+
+
+def q_forward_table(net: QNetwork, table: np.ndarray, candidates: np.ndarray,
+                    seed_count: int, remaining_budget: float, budget: float,
+                    k_max: int) -> np.ndarray:
+    """q_forward_batch over the candidates' encode_states rows, computed as
+    relu(T[v] + s) . w2 = max(T[v], -s) . w2 + s . w2 for the step's shift s."""
+    d = net.in_dim - 3
+    shift = (remaining_budget / budget) * net.w1[:, d + 1] \
+        + (seed_count / k_max) * net.w1[:, d + 2]
+    z = table[candidates]
+    np.maximum(z, -shift, out=z)
+    return z @ net.w2 + (shift @ net.w2 + net.b2[0])
 
 
 def q_loss_and_grad(net: QNetwork, states: np.ndarray, targets: np.ndarray

@@ -13,10 +13,10 @@ import numpy as np
 from .diffusion import SeedSet
 from .embedding import (EmbeddingParams, NodeEmbeddings, compute_embeddings,
                         init_embedding_params)
-from .graph import Graph, Instance, InstancePool, NodeAttrs
+from .graph import Instance, InstancePool, NodeAttrs
 from .metrics import FairnessConfig, MetricReport, evaluate_seed_set, shaped_reward
-from .qnet import QNetwork, adam_step, encode_state, encode_states, \
-    q_forward_batch, q_loss_and_grad
+from .qnet import QNetwork, adam_step, encode_states, hidden_table, \
+    q_forward_table, q_loss_and_grad
 from .seeding import derive_seed
 
 CHECKPOINT_VERSION = 1
@@ -113,35 +113,51 @@ class TrainedPolicy:
                                   self.t_emb)
 
 
-def feasible_candidates(n: int, selected: set[int], excluded: set[int],
-                        cost: np.ndarray, remaining: float) -> np.ndarray:
-    """Unselected, unexcluded nodes whose cost fits the remaining budget."""
+def feasible_candidates(selected: set[int], cost: np.ndarray,
+                        remaining: float) -> np.ndarray:
+    """Unselected nodes whose cost fits the remaining budget."""
     mask = cost <= remaining
-    blocked = list(selected | excluded)
-    if blocked:
-        mask = mask.copy()
-        mask[blocked] = False
+    mask[list(selected)] = False
     return np.flatnonzero(mask)
 
 
-def epsilon_greedy_select(net: QNetwork, g: Graph, selected: set[int],
-                          excluded: set[int], epsilon: float,
-                          h: NodeEmbeddings, remaining: float,
-                          attrs: NodeAttrs, budget: float, k_max: int,
+def epsilon_greedy_select(net: QNetwork, table: np.ndarray, selected: set[int],
+                          epsilon: float, remaining: float, attrs: NodeAttrs,
+                          budget: float, k_max: int,
                           rng: np.random.Generator) -> int | None:
     """Pick a feasible candidate, or None when no candidate fits.
 
     With probability epsilon a uniform random candidate, otherwise the
-    Q-argmax (ties to the lowest node id).
+    Q-argmax (ties to the lowest node id). `table` is `net`'s
+    `hidden_table` for this instance and budget.
     """
-    cands = feasible_candidates(g.n, selected, excluded, attrs.cost, remaining)
+    cands = feasible_candidates(selected, attrs.cost, remaining)
     if len(cands) == 0:
         return None
     if epsilon > 0.0 and rng.random() < epsilon:
         return int(cands[rng.integers(len(cands))])
-    states = encode_states(cands, h, len(selected), remaining, attrs, budget, k_max)
-    qvals = q_forward_batch(net, states)
+    qvals = q_forward_table(net, table, cands, len(selected), remaining,
+                            budget, k_max)
     return int(cands[int(np.argmax(qvals))])  # argmax takes the first (lowest id) tie
+
+
+def _steps(net: QNetwork, h: NodeEmbeddings, attrs: NodeAttrs, budget: float,
+           epsilon: float, rng: np.random.Generator):
+    """Yield (action, remaining budget after it) while a candidate fits."""
+    # the network is not updated between the steps, so one table serves them
+    table = hidden_table(net, h, attrs.cost, budget)
+    c_min = float(attrs.cost.min())
+    k_max = max(1, int(budget // c_min))
+    selected: set[int] = set()
+    remaining = budget
+    while remaining >= c_min:
+        action = epsilon_greedy_select(net, table, selected, epsilon,
+                                       remaining, attrs, budget, k_max, rng)
+        if action is None:
+            return
+        remaining -= float(attrs.cost[action])
+        selected.add(action)
+        yield action, remaining
 
 
 def run_episode(net: QNetwork, instance: Instance, h: NodeEmbeddings,
@@ -149,32 +165,14 @@ def run_episode(net: QNetwork, instance: Instance, h: NodeEmbeddings,
                 rng: np.random.Generator) -> list[Transition]:
     """One seed-construction episode; returns the emitted transitions."""
     g, attrs, parts = instance.graph, instance.attrs, instance.parts
-    budget = config.budget
-    c_min = float(attrs.cost.min())
-    k_max = max(1, int(budget // c_min))
     selected: list[int] = []
-    selected_set: set[int] = set()
-    excluded: set[int] = set()
-    remaining = budget
     r_prev = 0.0
     transitions: list[Transition] = []
-    while remaining >= c_min:
-        action = epsilon_greedy_select(net, g, selected_set, excluded, epsilon,
-                                       h, remaining, attrs, budget, k_max, rng)
-        if action is None:
-            break
-        if attrs.cost[action] > remaining:
-            # the selector filters on feasibility, so this only fires if
-            # feasibility shifted mid-evaluation; kept for exactness
-            excluded.add(action)
-            continue
-        remaining -= float(attrs.cost[action])
+    for action, remaining in _steps(net, h, attrs, config.budget, epsilon, rng):
         assert remaining >= 0.0, "budget overdraw"
         before = tuple(selected)
         selected.append(action)
-        selected_set.add(action)
-        new_set = SeedSet.build(selected, attrs)
-        r_total = shaped_reward(g, attrs, parts, new_set,
+        r_total = shaped_reward(g, attrs, parts, SeedSet.build(selected, attrs),
                                 config.fairness_weight, rng)
         transitions.append(Transition(
             instance_id=instance.id,
@@ -192,34 +190,36 @@ def run_episode(net: QNetwork, instance: Instance, h: NodeEmbeddings,
 def _bellman_targets(net: QNetwork, batch: list[Transition],
                      instances: dict[str, Instance],
                      embeddings: dict[str, NodeEmbeddings],
-                     k_max_by_id: dict[str, int],
                      config: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
     """Encode batch states and compute one-step bootstrapped targets.
 
     The next-state max ranges over unselected candidates feasible under the
     transition's stored remaining budget; when that set is empty the
-    transition is treated as terminal.
+    transition is treated as terminal. Rows keep the batch order.
     """
-    states = []
-    targets = []
-    for t in batch:
-        inst = instances[t.instance_id]
-        h = embeddings[t.instance_id]
-        k_max = k_max_by_id[t.instance_id]
+    states = np.empty((len(batch), net.in_dim))
+    targets = np.array([t.reward for t in batch])
+    for inst_id in sorted({t.instance_id for t in batch}):
+        inst, h = instances[inst_id], embeddings[inst_id]
         cost = inst.attrs.cost
-        pre_budget = t.budget_after + float(cost[t.action])
-        states.append(encode_state(t.action, h, len(t.seeds_before), pre_budget,
-                                   inst.attrs, config.budget, k_max))
-        y = t.reward
-        if not t.terminal:
-            cands = feasible_candidates(inst.graph.n, set(t.seeds_after), set(),
-                                        cost, t.budget_after)
+        k_max = max(1, int(config.budget // float(cost.min())))
+        rows = [i for i, t in enumerate(batch) if t.instance_id == inst_id]
+        actions = np.array([batch[i].action for i in rows])
+        states[rows] = encode_states(
+            actions, h, np.array([len(batch[i].seeds_before) for i in rows]),
+            np.array([batch[i].budget_after for i in rows]) + cost[actions],
+            inst.attrs, config.budget, k_max)
+        table = hidden_table(net, h, cost, config.budget)
+        for i in rows:
+            t = batch[i]
+            if t.terminal:
+                continue
+            cands = feasible_candidates(set(t.seeds_after), cost, t.budget_after)
             if len(cands):
-                nxt = encode_states(cands, h, len(t.seeds_after), t.budget_after,
-                                    inst.attrs, config.budget, k_max)
-                y += config.discount * float(q_forward_batch(net, nxt).max())
-        targets.append(y)
-    return np.array(states), np.array(targets)
+                q = q_forward_table(net, table, cands, len(t.seeds_after),
+                                    t.budget_after, config.budget, k_max)
+                targets[i] += config.discount * float(q.max())
+    return states, targets
 
 
 def train(config: TrainConfig, pool: InstancePool,
@@ -240,10 +240,6 @@ def train(config: TrainConfig, pool: InstancePool,
         inst.id: compute_embeddings(inst.graph, inst.attrs, embed, config.t_emb)
         for inst in pool.train
     }
-    k_max_by_id = {
-        inst.id: max(1, int(config.budget // float(inst.attrs.cost.min())))
-        for inst in pool.train
-    }
     in_dim = config.d_emb + 3
     net = QNetwork.init(in_dim, derive_seed(config.seed, "qnet"))
     buffer = ReplayBuffer(config.replay_capacity)
@@ -260,7 +256,7 @@ def train(config: TrainConfig, pool: InstancePool,
         if episode % config.update_period == 0 and len(buffer) >= config.batch_size:
             batch = buffer.sample(config.batch_size, rng)
             states, targets = _bellman_targets(net, batch, instances, embeddings,
-                                               k_max_by_id, config)
+                                               config)
             loss, grads = q_loss_and_grad(net, states, targets)
             adam_step(net, grads, config.learning_rate)
         if progress is not None:
@@ -274,26 +270,14 @@ def train(config: TrainConfig, pool: InstancePool,
     return TrainedPolicy(net=net, embed=embed, t_emb=config.t_emb)
 
 
-def select_seed_set(policy: TrainedPolicy, instance: Instance,
-                    budget: float) -> SeedSet:
-    """Greedy (epsilon=0) budget-constrained selection; deterministic."""
-    g, attrs = instance.graph, instance.attrs
-    h = policy.embeddings_for(instance)
-    c_min = float(attrs.cost.min())
-    k_max = max(1, int(budget // c_min))
+def select_seed_set(policy: TrainedPolicy, instance: Instance, budget: float,
+                    h: NodeEmbeddings | None = None) -> SeedSet:
+    """Greedy (epsilon=0) budget-constrained selection; deterministic. `h`,
+    when given, is `policy.embeddings_for(instance)`, computed by the caller."""
+    h = policy.embeddings_for(instance) if h is None else h
     rng = np.random.default_rng(0)  # unused at epsilon=0
-    selected: list[int] = []
-    selected_set: set[int] = set()
-    remaining = budget
-    while remaining >= c_min:
-        action = epsilon_greedy_select(policy.net, g, selected_set, set(), 0.0,
-                                       h, remaining, attrs, budget, k_max, rng)
-        if action is None:
-            break
-        remaining -= float(attrs.cost[action])
-        selected.append(action)
-        selected_set.add(action)
-    return SeedSet.build(selected, attrs)
+    steps = _steps(policy.net, h, instance.attrs, budget, 0.0, rng)
+    return SeedSet.build([action for action, _ in steps], instance.attrs)
 
 
 def infer_seed_set(policy: TrainedPolicy, instance: Instance, budget: float,

@@ -93,7 +93,8 @@ class TestComputeEmbeddings:
 
     def test_cost_scales_linearly_in_edges(self, rng):
         # doubling |E| should roughly double the per-iteration cost; just
-        # check it does not blow up super-linearly
+        # check it does not blow up super-linearly; the best of a few repeats
+        # keeps a stall on a shared machine out of either sample
         def timed(n_edges):
             edges = [(int(rng.integers(400)), int(rng.integers(400)), 0.5)
                      for _ in range(n_edges)]
@@ -101,10 +102,13 @@ class TestComputeEmbeddings:
             attrs = make_attrs(400, cost=rng.uniform(1, 9, 400),
                                benefit=rng.uniform(1, 9, 400))
             params = init_embedding_params(64, seed=0)
-            t0 = time.perf_counter()
+            best = float("inf")
             for _ in range(5):
-                compute_embeddings(g, attrs, params, 3)
-            return time.perf_counter() - t0
+                t0 = time.perf_counter()
+                for _ in range(5):
+                    compute_embeddings(g, attrs, params, 3)
+                best = min(best, time.perf_counter() - t0)
+            return best
 
         t1, t2 = timed(2000), timed(4000)
         assert t2 < 8 * max(t1, 1e-4)

@@ -3,10 +3,12 @@ import os
 import numpy as np
 import pytest
 
-from fairseed.experiment import (ExperimentConfig, ExperimentResult,
-                                 build_pool, emit_report, run_experiment)
+from fairseed import baselines, embedding, trainer
+from fairseed.experiment import (ALGORITHMS, ExperimentConfig,
+                                 ExperimentResult, build_pool, emit_report,
+                                 run_experiment)
 from fairseed.graph import InstancePool, UniformProbabilities
-from fairseed.trainer import TrainConfig
+from fairseed.trainer import TrainConfig, select_seed_set, train
 
 from conftest import make_instance
 
@@ -62,6 +64,38 @@ class TestRunExperiment:
         results = run_experiment(cfg, pool=small_pool())
         assert len(results) == 1
         assert results[0].algorithm == "rl"
+
+    def test_instance_work_shared_across_budgets(self, monkeypatch):
+        cfg = small_config(algorithms=ALGORITHMS, budgets=(2.0, 4.0, 6.0))
+        pool = small_pool()
+        policy = train(cfg.train, pool)
+        inst = pool.test[0]
+        calls = {"pagerank": 0, "embed": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(baselines, "pagerank",
+                            counted("pagerank", baselines.pagerank))
+        monkeypatch.setattr(trainer, "compute_embeddings",
+                            counted("embed", embedding.compute_embeddings))
+        results = run_experiment(cfg, pool=pool, policy=policy)
+        assert calls == {"pagerank": 1, "embed": 1}
+        # each row's seed set is the one a standalone selection picks
+        g, attrs, parts = inst.graph, inst.attrs, inst.parts
+        standalone = {
+            "rl": lambda b: select_seed_set(policy, inst, b),
+            "pagerank": lambda b: baselines.pagerank_seeds(g, attrs, b),
+            "fairpagerank": lambda b: baselines.fair_pagerank_seeds(
+                g, attrs, parts, b),
+        }
+        for r in results:
+            if r.algorithm in standalone:
+                s = standalone[r.algorithm](r.budget)
+                assert (r.seed_size, r.seed_cost) == (len(s), s.total_cost)
 
     def test_repeat_identical(self):
         cfg = small_config()

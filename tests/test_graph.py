@@ -63,6 +63,16 @@ class TestLoadEdgeList:
             assert table[(v, u)] == w
 
 
+def test_out_degree_computed_once_and_read_only():
+    g = graph_from_edges(4, [(0, 1, 0.5), (0, 2, 0.5), (2, 3, 0.5)],
+                         directed=True)
+    degree = g.out_degree()
+    assert degree.tolist() == [2, 0, 1, 0]
+    assert g.out_degree() is degree
+    with pytest.raises(ValueError):
+        degree[0] = 5
+
+
 class TestProbabilities:
     def test_uniform_sets_every_edge(self):
         g = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)], directed=True)

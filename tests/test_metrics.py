@@ -4,9 +4,8 @@ import pytest
 from fairseed.diffusion import InfluencedSet, SeedSet, simulate_ic
 from fairseed.graph import CommunityPartition, graph_from_edges
 from fairseed.metrics import (FairnessConfig, community_benefit_ratio,
-                              compute_report, earned_benefit,
-                              evaluate_seed_set, marginal_reward,
-                              maximin_fairness, selection_cost, shaped_reward)
+                              earned_benefit, evaluate_seed_set,
+                              marginal_reward, maximin_fairness, shaped_reward)
 from fairseed.seeding import rollout_rng
 
 from conftest import make_attrs, make_instance
@@ -21,9 +20,9 @@ def influenced(n, nodes):
 class TestBasicMetrics:
     def test_selection_cost(self):
         attrs = make_attrs(3, cost=[3.0, 7.0, 1.0])
-        assert selection_cost(SeedSet.empty(), attrs) == 0.0
-        assert selection_cost(SeedSet.build([0, 1], attrs), attrs) == 10.0
-        assert selection_cost(SeedSet.build([2], attrs), attrs) == 1.0
+        assert SeedSet.empty().total_cost == 0.0
+        assert SeedSet.build([0, 1], attrs).total_cost == 10.0
+        assert SeedSet.build([2], attrs).total_cost == 1.0
 
     def test_earned_benefit(self):
         attrs = make_attrs(3, benefit=[5.0, 6.0, 7.0])
@@ -65,10 +64,12 @@ class TestReport:
         attrs = make_attrs(6, cost=rng.uniform(1, 5, 6),
                            benefit=rng.uniform(1, 10, 6), labels=[0, 0, 1, 1, 1, 1])
         parts = CommunityPartition.from_labels(attrs.community, attrs.benefit)
-        s = SeedSet.build([0, 3], attrs)
-        infl = influenced(6, [0, 3, 4])
-        rep = compute_report(infl, s, attrs, parts, FairnessConfig(threshold=0.4))
-        assert rep.profit == rep.benefit - rep.cost
+        g = graph_from_edges(6, [(3, 4, 1.0)], directed=True)
+        s = SeedSet.build([0, 3], attrs)  # reaches exactly {0, 3, 4}
+        rep, _, _ = evaluate_seed_set(g, attrs, parts, s, 3, 0,
+                                      FairnessConfig(threshold=0.4))
+        # profit is the mean of per-rollout profits, benefit adds the cost back
+        assert rep.profit == pytest.approx(rep.benefit - rep.cost, abs=1e-12)
         assert rep.fairness == min(rep.community_ratios)
         assert all(0.0 <= r <= 1.0 for r in rep.community_ratios)
         assert rep.tau_ok == (rep.fairness >= 0.4)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from fairseed.embedding import NodeEmbeddings
-from fairseed.qnet import (QNetwork, adam_step, encode_state, encode_states,
-                           q_forward, q_forward_batch, q_loss_and_grad)
+from fairseed.qnet import (QNetwork, adam_step, encode_states, hidden_table,
+                           q_forward_batch, q_forward_table, q_loss_and_grad)
 
 from conftest import make_attrs
 
@@ -44,8 +44,9 @@ class TestEncodeState:
     def test_fresh_episode_tail(self):
         h = tiny_embeddings()
         attrs = make_attrs(5, cost=[10, 20, 30, 40, 50])
-        s = encode_state(1, h, seed_count=0, remaining_budget=100.0,
-                         attrs=attrs, budget=100.0, k_max=10)
+        [s] = encode_states(np.array([1]), h, seed_count=0,
+                            remaining_budget=100.0, attrs=attrs, budget=100.0,
+                            k_max=10)
         assert len(s) == 67
         assert np.allclose(s[-3:], [0.2, 1.0, 0.0])
         assert np.array_equal(s[:64], h.vectors[1])
@@ -53,8 +54,9 @@ class TestEncodeState:
     def test_exhausted_budget_tail(self):
         h = tiny_embeddings()
         attrs = make_attrs(5, cost=np.full(5, 10.0))
-        s = encode_state(0, h, seed_count=5, remaining_budget=0.0,
-                         attrs=attrs, budget=100.0, k_max=10)
+        [s] = encode_states(np.array([0]), h, seed_count=5,
+                            remaining_budget=0.0, attrs=attrs, budget=100.0,
+                            k_max=10)
         assert s[-2] == 0.0
         assert s[-1] == 0.5
 
@@ -64,7 +66,19 @@ class TestEncodeState:
         cands = np.array([0, 2, 4])
         batch = encode_states(cands, h, 1, 50.0, attrs, 100.0, 20)
         for row, c in zip(batch, cands):
-            single = encode_state(int(c), h, 1, 50.0, attrs, 100.0, 20)
+            [single] = encode_states(np.array([c]), h, 1, 50.0, attrs, 100.0, 20)
+            assert np.array_equal(row, single)
+
+    def test_per_row_counts_and_budgets(self):
+        h = tiny_embeddings()
+        attrs = make_attrs(5, cost=[1, 2, 3, 4, 5])
+        cands = np.array([4, 0, 2])
+        counts = np.array([0, 3, 7])
+        remaining = np.array([90.0, 40.0, 5.0])
+        batch = encode_states(cands, h, counts, remaining, attrs, 100.0, 20)
+        for row, c, k, r in zip(batch, cands, counts, remaining):
+            [single] = encode_states(np.array([c]), h, int(k), float(r), attrs,
+                                     100.0, 20)
             assert np.array_equal(row, single)
 
 
@@ -73,7 +87,7 @@ class TestForward:
         net = QNetwork.init(IN_DIM, seed=0)
         for name in net.PARAM_NAMES:
             getattr(net, name)[:] = 0.0
-        assert q_forward(net, np.ones(IN_DIM)) == 0.0
+        assert q_forward_batch(net, np.ones((1, IN_DIM)))[0] == 0.0
 
     def test_forced_arithmetic(self):
         net = QNetwork.init(IN_DIM, seed=0)
@@ -81,19 +95,71 @@ class TestForward:
         net.b1[:] = 1.0
         net.w2[:] = 1.0
         net.b2[:] = 0.0
-        assert q_forward(net, np.zeros(IN_DIM)) == 128.0
+        assert q_forward_batch(net, np.zeros((1, IN_DIM)))[0] == 128.0
 
     def test_pure(self, rng):
         net = QNetwork.init(IN_DIM, seed=1)
-        s = rng.normal(size=IN_DIM)
-        assert q_forward(net, s) == q_forward(net, s)
+        s = rng.normal(size=(3, IN_DIM))
+        assert np.array_equal(q_forward_batch(net, s), q_forward_batch(net, s))
 
     def test_batch_matches_single(self, rng):
         net = QNetwork.init(IN_DIM, seed=2)
         states = random_states(rng, 6)
         batch = q_forward_batch(net, states)
         for i in range(6):
-            assert batch[i] == pytest.approx(q_forward(net, states[i]))
+            single = net.w2 @ np.maximum(net.w1 @ states[i] + net.b1, 0.0) \
+                + net.b2[0]
+            assert batch[i] == pytest.approx(single)
+
+
+class TestHiddenTable:
+    """The table scorer against the full-state reference path."""
+
+    @staticmethod
+    def reference(net, h, attrs, cands, seed_count, remaining, budget, k_max):
+        states = encode_states(cands, h, seed_count, remaining, attrs, budget,
+                               k_max)
+        return q_forward_batch(net, states)
+
+    def test_matches_full_forward(self, rng):
+        for trial in range(20):
+            n = int(rng.integers(1, 40))
+            d = int(rng.integers(1, 16))
+            net = QNetwork.init(d + 3, seed=trial, hidden=int(rng.integers(1, 64)))
+            h = NodeEmbeddings(vectors=rng.normal(size=(n, d)), dim=d,
+                               iterations=3)
+            attrs = make_attrs(n, cost=rng.uniform(1, 100, n))
+            budget = float(rng.uniform(10, 1000))
+            k_max = int(rng.integers(1, 50))
+            table = hidden_table(net, h, attrs.cost, budget)
+            for _ in range(5):
+                cands = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)),
+                                           replace=False))
+                seed_count = int(rng.integers(0, k_max + 1))
+                remaining = float(rng.uniform(0, budget))
+                got = q_forward_table(net, table, cands, seed_count, remaining,
+                                      budget, k_max)
+                want = self.reference(net, h, attrs, cands, seed_count,
+                                      remaining, budget, k_max)
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+                assert cands[np.argmax(got)] == cands[np.argmax(want)]
+
+    def test_tie_goes_to_lowest_candidate(self):
+        # nodes 1 and 3 share an embedding and a cost, so their Q-values tie
+        h = tiny_embeddings()
+        h.vectors[3] = h.vectors[1]
+        attrs = make_attrs(5, cost=[5, 2, 9, 2, 7])
+        net = QNetwork.init(IN_DIM, seed=9)
+        # make the tied pair the maximum: their shared features drive Q up
+        net.w2[:] = np.abs(net.w2)
+        net.w1[:, :64] = np.abs(net.w1[:, :64]) * np.sign(
+            h.vectors[1] - h.vectors.mean(axis=0))
+        table = hidden_table(net, h, attrs.cost, 100.0)
+        cands = np.array([0, 1, 2, 3, 4])
+        got = q_forward_table(net, table, cands, 2, 60.0, 100.0, 10)
+        want = self.reference(net, h, attrs, cands, 2, 60.0, 100.0, 10)
+        assert got[1] == got[3] == got.max()
+        assert int(np.argmax(got)) == int(np.argmax(want)) == 1
 
 
 class TestLossAndGrad:

@@ -4,11 +4,14 @@ from scipy.stats import chisquare
 
 from fairseed.embedding import compute_embeddings, init_embedding_params
 from fairseed.graph import InstancePool
-from fairseed.qnet import QNetwork
+from fairseed import trainer
+from fairseed.qnet import (QNetwork, adam_step, encode_states, hidden_table,
+                           q_forward_batch)
 from fairseed.trainer import (CheckpointError, ReplayBuffer, TrainConfig,
-                              TrainedPolicy, Transition, epsilon_greedy_select,
-                              infer_seed_set, load_checkpoint, run_episode,
-                              save_checkpoint, select_seed_set, train)
+                              TrainedPolicy, Transition, _bellman_targets,
+                              epsilon_greedy_select, infer_seed_set,
+                              load_checkpoint, run_episode, save_checkpoint,
+                              select_seed_set, train)
 
 from conftest import make_instance
 
@@ -80,11 +83,12 @@ class TestEpsilonGreedy:
         inst = toy_instance()
         cfg = toy_config()
         policy, h = toy_policy(inst, cfg)
-        got = epsilon_greedy_select(policy.net, inst.graph, set(range(6)), set(),
-                                    0.5, h, 100.0, inst.attrs, 100.0, 10, rng)
+        table = hidden_table(policy.net, h, inst.attrs.cost, 100.0)
+        got = epsilon_greedy_select(policy.net, table, set(range(6)), 0.5,
+                                    100.0, inst.attrs, 100.0, 10, rng)
         assert got is None
-        got = epsilon_greedy_select(policy.net, inst.graph, set(), set(), 0.5,
-                                    h, 0.5, inst.attrs, 100.0, 10, rng)
+        got = epsilon_greedy_select(policy.net, table, set(), 0.5, 0.5,
+                                    inst.attrs, 100.0, 10, rng)
         assert got is None  # cheapest node costs 1
 
     def test_zero_net_tie_breaks_to_lowest_id(self, rng):
@@ -93,27 +97,30 @@ class TestEpsilonGreedy:
         policy, h = toy_policy(inst, cfg)
         for name in policy.net.PARAM_NAMES:
             getattr(policy.net, name)[:] = 0.0
-        got = epsilon_greedy_select(policy.net, inst.graph, set(), set(), 0.0,
-                                    h, 10.0, inst.attrs, 10.0, 10, rng)
+        table = hidden_table(policy.net, h, inst.attrs.cost, 10.0)
+        got = epsilon_greedy_select(policy.net, table, set(), 0.0, 10.0,
+                                    inst.attrs, 10.0, 10, rng)
         assert got == 0
 
-    def test_excluded_respected(self, rng):
+    def test_selected_skipped(self, rng):
         inst = toy_instance()
         cfg = toy_config()
         policy, h = toy_policy(inst, cfg)
         for name in policy.net.PARAM_NAMES:
             getattr(policy.net, name)[:] = 0.0
-        got = epsilon_greedy_select(policy.net, inst.graph, {0}, {1}, 0.0,
-                                    h, 10.0, inst.attrs, 10.0, 10, rng)
+        table = hidden_table(policy.net, h, inst.attrs.cost, 10.0)
+        got = epsilon_greedy_select(policy.net, table, {0, 1}, 0.0, 10.0,
+                                    inst.attrs, 10.0, 10, rng)
         assert got == 2
 
     def test_epsilon_one_uniform(self, rng):
         inst = toy_instance()
         cfg = toy_config()
         policy, h = toy_policy(inst, cfg)
+        table = hidden_table(policy.net, h, inst.attrs.cost, 100.0)
         draws = [
-            epsilon_greedy_select(policy.net, inst.graph, set(), set(), 1.0,
-                                  h, 100.0, inst.attrs, 100.0, 10, rng)
+            epsilon_greedy_select(policy.net, table, set(), 1.0, 100.0,
+                                  inst.attrs, 100.0, 10, rng)
             for _ in range(10_000)
         ]
         counts = np.bincount(draws, minlength=6)
@@ -206,6 +213,87 @@ class TestTrain:
                                rollout_rng(3, 0))
         infl = simulate_ic(inst.graph, s, rollout_rng(3, 0))
         assert reward == earned_benefit(infl, inst.attrs) - s.total_cost
+
+
+class TestTableLifetime:
+    """Q-values scored from hidden-layer tables equal the full-state
+    reference on the network as it stands right after a parameter update."""
+
+    @staticmethod
+    def update(net, rng):
+        grads = {n: rng.normal(size=getattr(net, n).shape)
+                 for n in net.PARAM_NAMES}
+        adam_step(net, grads, lr=0.05)
+
+    def test_episode_after_update(self, rng, monkeypatch):
+        inst = toy_instance()
+        cfg = toy_config(budget=8.0)
+        policy, h = toy_policy(inst, cfg)
+        net = policy.net
+        scored = []  # per call: (table Q-values, reference Q-values)
+        original = trainer.q_forward_table
+
+        def checked(net_, table, cands, seed_count, remaining, budget, k_max):
+            got = original(net_, table, cands, seed_count, remaining, budget,
+                           k_max)
+            states = encode_states(cands, h, seed_count, remaining, inst.attrs,
+                                   budget, k_max)
+            scored.append((got, q_forward_batch(net, states)))
+            return got
+
+        monkeypatch.setattr(trainer, "q_forward_table", checked)
+        run_episode(net, inst, h, cfg, 0.0, rng)
+        first = len(scored)
+        self.update(net, rng)
+        run_episode(net, inst, h, cfg, 0.0, rng)
+        assert 0 < first < len(scored)
+        for got, want in scored[first:]:
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        # both episodes open on the same state, so a table kept across the
+        # update would have repeated the first episode's opening values
+        assert np.abs(scored[first][0] - scored[0][0]).max() > 1e-6
+
+    def test_bellman_targets_after_update(self, rng):
+        insts = {"a": toy_instance("a"),
+                 "b": toy_instance("b", cost=[1, 2, 2, 3, 1, 4])}
+        cfg = toy_config(budget=8.0)
+        policy, _ = toy_policy(insts["a"], cfg)
+        net = policy.net
+        embeddings = {k: policy.embeddings_for(i) for k, i in insts.items()}
+        batch = [t for _ in range(4) for k in ("a", "b")
+                 for t in run_episode(net, insts[k], embeddings[k], cfg, 0.7,
+                                      rng)]
+
+        def reference():
+            states, targets = [], []
+            for t in batch:
+                inst, h = insts[t.instance_id], embeddings[t.instance_id]
+                cost = inst.attrs.cost
+                km = max(1, int(cfg.budget // cost.min()))
+                pre = t.budget_after + float(cost[t.action])
+                states.append(encode_states(np.array([t.action]), h,
+                                            len(t.seeds_before), pre,
+                                            inst.attrs, cfg.budget, km)[0])
+                y = t.reward
+                cands = np.array([v for v in range(inst.graph.n)
+                                  if v not in t.seeds_after
+                                  and cost[v] <= t.budget_after])
+                if not t.terminal and len(cands):
+                    nxt = encode_states(cands, h, len(t.seeds_after),
+                                        t.budget_after, inst.attrs, cfg.budget,
+                                        km)
+                    y += cfg.discount * q_forward_batch(net, nxt).max()
+                targets.append(y)
+            return np.array(states), np.array(targets)
+
+        args = (batch, insts, embeddings, cfg)
+        _, before = _bellman_targets(net, *args)
+        self.update(net, rng)
+        states, targets = _bellman_targets(net, *args)
+        want_states, want_targets = reference()
+        assert np.array_equal(states, want_states)
+        np.testing.assert_allclose(targets, want_targets, rtol=0, atol=1e-12)
+        assert np.abs(targets - before).max() > 1e-6
 
 
 class TestInference:
