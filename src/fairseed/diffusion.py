@@ -3,11 +3,13 @@
 Under IC each arc is tried at most once, so a rollout is one draw of live
 arcs followed by reachability from the seeds (the live-edge equivalence of
 Kempe, Kleinberg and Tardos, 2003). Every rollout draws one uniform per arc,
-in CSR order, from its own stream; `_reach` turns a batch of such draws into
-reached masks. simulate_ic runs one rollout; rollout_masks runs m of them on
-counter-derived streams, in chunks; estimate_spread_and_benefit averages
-them. The exact_* functions enumerate every live-arc realization (feasible
-up to 20 arcs) and serve as test oracles for the Monte Carlo path.
+in CSR order; `_reach` turns a batch of such draws into reached masks.
+simulate_ic runs one rollout on a caller's generator. rollout_masks runs m
+of them on the flat layout of `seeding`: rollout i takes draws
+[i*E, (i+1)*E) of the one Philox stream keyed by the seed, so each chunk
+of rollouts is filled by one contiguous draw. estimate_spread_and_benefit
+averages them. The exact_* functions enumerate every live-arc realization
+(feasible up to 20 arcs) and serve as test oracles for the Monte Carlo path.
 """
 
 from __future__ import annotations
@@ -116,8 +118,11 @@ def simulate_ic(g: Graph, s: SeedSet, rng: np.random.Generator) -> InfluencedSet
 def rollout_masks(g: Graph, s: SeedSet, m: int, seed: int):
     """Reached masks of rollouts 0..m-1, yielded as (R, n) chunks in order.
 
-    Rollout i draws its arc uniforms from rollout_rng(seed, i), so its mask
-    equals simulate_ic(g, s, rollout_rng(seed, i)).mask whatever the chunking.
+    Rollout i reads draws [i*E, (i+1)*E) of the Philox stream keyed by
+    `seed` (E = g.num_arcs), so its mask equals
+    simulate_ic(g, s, RolloutStreams(seed).at(i * E)).mask whatever the
+    chunking. A chunk of rows lo.. is one contiguous run of draws, filled by
+    a single call from position lo * E.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -125,8 +130,7 @@ def rollout_masks(g: Graph, s: SeedSet, m: int, seed: int):
     step = _chunk_rows(g)
     for lo in range(0, m, step):
         uniforms = np.empty((min(step, m - lo), g.num_arcs))
-        for j, row in enumerate(uniforms):
-            streams.at(lo + j).random(out=row)
+        streams.at(lo * g.num_arcs).random(out=uniforms)
         yield _reach(g, s, uniforms)
 
 
@@ -136,8 +140,8 @@ def estimate_spread_and_benefit(g: Graph, attrs: NodeAttrs, s: SeedSet,
     """Monte Carlo means of spread and earned benefit over m rollouts.
 
     Returns (mean spread, mean benefit, per-rollout benefits). Rollout i
-    always uses rollout_rng(seed, i), so results do not depend on execution
-    order.
+    always reads the same draws of the stream keyed by `seed` (see
+    rollout_masks), so results do not depend on execution order.
     """
     spreads, benefits = [], []
     for masks in rollout_masks(g, s, m, seed):

@@ -55,9 +55,9 @@ class ExperimentConfig:
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if unknown:
             raise ValueError(f"unknown algorithms: {sorted(unknown)}")
-        if any(b <= 0 for b in self.budgets) or \
+        if not all(0 < b < np.inf for b in self.budgets) or \
                 list(self.budgets) != sorted(self.budgets):
-            raise ValueError("budgets must be positive and ascending")
+            raise ValueError("budgets must be positive, finite and ascending")
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,8 @@ def _select(algorithm: str, instance: Instance, budget: float,
         return select_seed_set(policy, instance, budget, embeddings())
     if algorithm == "random":
         rng = np.random.default_rng(
-            derive_seed(cfg.seed, "random-baseline", instance.id, int(budget)))
+            derive_seed(cfg.seed, "random-baseline", instance.id,
+                        repr(float(budget))))
         return baselines.random_seeds(g, attrs, budget, rng)
     if algorithm == "highdegree":
         return baselines.high_degree_seeds(g, attrs, budget)
@@ -113,11 +114,11 @@ def run_experiment(cfg: ExperimentConfig, pool: InstancePool | None = None,
                    ) -> list[ExperimentResult]:
     """Evaluate each (algorithm, budget, test instance) triple.
 
-    Rollout streams are derived from (seed, instance, budget) only, so all
-    algorithms are compared under common random numbers. Timing covers seed
-    selection only; Monte Carlo evaluation is shared and excluded. Work that
-    depends on the instance alone (embeddings, PageRank) is done once per
-    instance and timed with the first selection that uses it.
+    Rollout streams are derived from (seed, instance, exact budget) only, so
+    all algorithms are compared under common random numbers. Timing covers
+    seed selection only; Monte Carlo evaluation is shared and excluded. Work
+    that depends on the instance alone (embeddings, PageRank) is done once
+    per instance and timed with the first selection that uses it.
     """
     cfg.validate()
     if pool is None:
@@ -129,7 +130,8 @@ def run_experiment(cfg: ExperimentConfig, pool: InstancePool | None = None,
         embeddings = cache(lambda: policy.embeddings_for(instance))
         ranking = cache(lambda: baselines.pagerank(instance.graph))
         for budget in cfg.budgets:
-            eval_seed = derive_seed(cfg.seed, "eval", instance.id, int(budget))
+            eval_seed = derive_seed(cfg.seed, "eval", instance.id,
+                                    repr(float(budget)))
             for algorithm in cfg.algorithms:
                 t0 = time.perf_counter()
                 seeds = _select(algorithm, instance, budget, policy, cfg,

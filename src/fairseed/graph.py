@@ -87,8 +87,11 @@ class NodeAttrs:
     community: np.ndarray  # int label per node
 
     def validate(self) -> None:
-        if np.any(self.cost <= 0) or np.any(self.benefit <= 0):
-            raise ValueError("costs and benefits must be positive")
+        # "not all valid" rather than "any invalid": NaN fails every comparison
+        for x in (self.cost, self.benefit):
+            if not np.all((x > 0) & (x < np.inf)):
+                raise ValueError(
+                    "costs and benefits must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -401,5 +404,8 @@ def load_node_attributes(path: str, g: Graph) -> tuple[NodeAttrs, CommunityParti
         missing = g.original_ids[~seen][:5].tolist()
         raise AttributeFileError(f"{path}: missing attributes for nodes {missing}")
     attrs = NodeAttrs(cost=cost, benefit=benefit, community=labels)
-    attrs.validate()
+    try:
+        attrs.validate()
+    except ValueError as exc:
+        raise AttributeFileError(f"{path}: {exc}") from None
     return attrs, CommunityPartition.from_labels(labels, benefit)

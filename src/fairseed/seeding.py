@@ -1,9 +1,12 @@
-"""Deterministic seed derivation and per-rollout RNG streams.
+"""Deterministic seed derivation and the Monte Carlo rollout stream.
 
 Every stochastic component takes an explicit integer seed. Sub-seeds are
-derived with SeedSequence so independent stages never share a stream, and
-Monte Carlo rollouts use counter-addressed Philox streams so rollout i is
-the same whether rollouts run sequentially or in parallel.
+derived with SeedSequence so independent stages never share a stream.
+Monte Carlo rollouts under one seed read a single Philox stream keyed by
+that seed, laid out flat: on a graph with E arcs, rollout i takes draws
+[i*E, (i+1)*E), one uniform per arc in CSR order. A run of rollouts is a
+contiguous run of draws, and rollout i is the same whether rollouts run one
+at a time, in chunks of any size, or in any order.
 """
 
 from __future__ import annotations
@@ -21,19 +24,16 @@ def derive_seed(*parts: int | str) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
-def rollout_rng(base_seed: int, index: int) -> np.random.Generator:
-    """Independent generator for rollout `index` of stream `base_seed`."""
-    return np.random.Generator(
-        np.random.Philox(key=base_seed, counter=[0, 0, 0, index])
-    )
-
-
 class RolloutStreams:
-    """Fast sequential access to the rollout_rng(seed, i) family.
+    """Random access into the single Philox stream keyed by `base_seed`.
 
-    Reuses a single Philox bit generator and repositions its counter, which
-    is ~5x cheaper than constructing a fresh Generator per rollout while
-    producing identical draws.
+    `at(position)` returns a generator whose next draw is draw `position`
+    of that stream, counting one 64-bit draw (one `random()` float64) per
+    position. Philox4x64 makes four draws per counter value and steps the
+    counter before it fills its buffer, so draws 4b..4b+3 come from counter
+    b + 1: `at` puts b = position // 4 into counter word 0, empties the
+    buffer and discards position % 4 draws. One bit generator is reused
+    and repositioned, which is much cheaper than constructing one per call.
     """
 
     def __init__(self, base_seed: int):
@@ -41,9 +41,12 @@ class RolloutStreams:
         self._gen = np.random.Generator(self._bg)
         self._state = self._bg.state
 
-    def at(self, index: int) -> np.random.Generator:
+    def at(self, position: int) -> np.random.Generator:
+        block, offset = divmod(position, 4)
         st = self._state
-        st["state"]["counter"][:] = (0, 0, 0, index)
+        st["state"]["counter"][:] = (block, 0, 0, 0)
         st["buffer_pos"] = st["buffer"].shape[0]  # discard buffered draws
         self._bg.state = st
+        if offset:
+            self._bg.random_raw(offset)
         return self._gen

@@ -44,16 +44,16 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.budget <= 0:
-            raise ValueError("budget must be positive")
+        if not 0 < self.budget < np.inf:
+            raise ValueError("budget must be positive and finite")
         if not 0.0 <= self.discount < 1.0:
             raise ValueError("discount must lie in [0, 1)")
         if not 0.0 < self.epsilon_min <= self.epsilon_start <= 1.0:
             raise ValueError("need 0 < epsilon_min <= epsilon_start <= 1")
         if not 0.0 < self.epsilon_decay <= 1.0:
             raise ValueError("epsilon_decay must lie in (0, 1]")
-        if self.batch_size > self.replay_capacity:
-            raise ValueError("batch_size exceeds replay capacity")
+        if not 1 <= self.batch_size <= self.replay_capacity:
+            raise ValueError("batch_size must lie in [1, replay_capacity]")
         if self.update_period < 1:
             raise ValueError("update_period must be >= 1")
         if self.fairness_weight < 0:

@@ -93,6 +93,17 @@ class TestOracleCommand:
         # unit benefits: E = 1 + 0.5, unit cost: profit 0.5
         assert "0.5" in out
 
+    def test_nan_attribute_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "tiny.txt"
+        path.write_text("0 1\n")
+        attrs = tmp_path / "attrs.csv"
+        attrs.write_text("node_id,cost,benefit,community\n"
+                         "0,1,nan,0\n1,1,1,0\n")
+        code = main(["oracle", "--dataset", str(path), "--attrs", str(attrs),
+                     "--seeds", "0"])
+        assert code == EXIT_DATA
+        assert "nan" not in capsys.readouterr().out
+
     def test_unknown_seed_node(self, tmp_path):
         path = tmp_path / "tiny.txt"
         path.write_text("0 1\n")

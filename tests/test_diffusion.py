@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from fairseed import diffusion
 from fairseed.diffusion import (InfluencedSet, SeedSet, _chunk_rows,
                                 estimate_spread_and_benefit,
                                 exact_expected_profit,
                                 exact_expected_shaped_objective, simulate_ic)
 from fairseed.graph import CommunityPartition, graph_from_edges
 from fairseed.metrics import FairnessConfig, evaluate_seed_set
-from fairseed.seeding import rollout_rng
+from fairseed.seeding import RolloutStreams
 
 from conftest import make_attrs, make_instance, random_tiny_instance
 
@@ -53,8 +54,8 @@ class TestSimulateIc:
         # 2-node path, p=0.5: activation frequency matches the Bernoulli rate
         g, attrs = two_node_path(0.5)
         s = SeedSet.build([0], attrs)
-        hits = sum(
-            simulate_ic(g, s, rollout_rng(99, i)).mask[1] for i in range(10_000))
+        rng = np.random.default_rng(99)
+        hits = sum(simulate_ic(g, s, rng).mask[1] for _ in range(10_000))
         assert abs(hits / 10_000 - 0.5) <= 0.02
 
     def test_contains_seeds_and_only_reachable(self, rng):
@@ -80,8 +81,8 @@ class TestSimulateIc:
     def test_deterministic_given_stream(self):
         g, attrs = two_node_path(0.5)
         s = SeedSet.build([0], attrs)
-        a = simulate_ic(g, s, rollout_rng(7, 3)).mask
-        b = simulate_ic(g, s, rollout_rng(7, 3)).mask
+        a = simulate_ic(g, s, RolloutStreams(7).at(3 * g.num_arcs)).mask
+        b = simulate_ic(g, s, RolloutStreams(7).at(3 * g.num_arcs)).mask
         assert np.array_equal(a, b)
 
 
@@ -109,12 +110,12 @@ class TestEstimate:
         assert abs(benefit - 15.0) <= 0.5
 
     def test_rollouts_independent_of_order(self):
-        # rollout i of the estimator equals a standalone stream at index i
+        # rollout i of the estimator equals a standalone stream at draw i*E
         g, attrs = two_node_path(0.5)
         s = SeedSet.build([0], attrs)
         _, _, per = estimate_spread_and_benefit(g, attrs, s, 8, seed=42)
         for i in range(8):
-            infl = simulate_ic(g, s, rollout_rng(42, i))
+            infl = simulate_ic(g, s, RolloutStreams(42).at(i * g.num_arcs))
             assert per[i] == attrs.benefit[infl.mask].sum()
 
     def test_monotone_in_expectation(self, rng):
@@ -153,11 +154,50 @@ class TestChunkedRollouts:
         _, profits, _ = evaluate_seed_set(g, attrs, inst.parts, s, m, 11,
                                           FairnessConfig())
         assert len(set(benefits)) > 1  # the cascades are not all trivial
+        stream = RolloutStreams(11)
         for i in (0, 1, rows - 2, rows - 1, rows, rows + 1, m - 1):
-            mask = simulate_ic(g, s, rollout_rng(11, i)).mask
+            mask = simulate_ic(g, s, stream.at(i * g.num_arcs)).mask
             expected = attrs.benefit[mask].sum()
             assert benefits[i] == expected
             assert profits[i] == expected - s.total_cost
+
+    @staticmethod
+    def odd_arc_instance():
+        # 27 arcs (E % 4 == 3); distinct powers of two as benefits, so a
+        # rollout's benefit is exact and identifies its reached set
+        rng = np.random.default_rng(8)
+        n = 12
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        edges = [(*pairs[k], float(rng.uniform(0.2, 0.6)))
+                 for k in rng.choice(len(pairs), size=27, replace=False)]
+        inst = make_instance("odd", n, edges, directed=True,
+                             benefit=2.0 ** np.arange(n),
+                             labels=[0] * 6 + [1] * 6)
+        return inst.graph, inst.attrs, SeedSet.build([0, 5], inst.attrs)
+
+    def test_chunk_boundary_inside_a_philox_block(self, monkeypatch):
+        g, attrs, s = self.odd_arc_instance()
+        arcs = g.num_arcs
+        monkeypatch.setattr(diffusion, "CHUNK_ENTRIES", 5 * arcs)
+        rows, m = _chunk_rows(g), 13
+        # Philox makes four draws per block: chunks 2 and 3 start mid-block
+        assert rows == 5 and (rows * arcs) % 4 and (2 * rows * arcs) % 4
+        _, _, benefits = estimate_spread_and_benefit(g, attrs, s, m, seed=23)
+        assert len(set(benefits)) > 1
+        stream = RolloutStreams(23)
+        for i in range(m):
+            mask = simulate_ic(g, s, stream.at(i * arcs)).mask
+            assert benefits[i] == attrs.benefit[mask].sum()
+
+    def test_rollouts_independent_of_chunk_size(self, monkeypatch):
+        g, attrs, s = self.odd_arc_instance()
+        runs = []
+        for entries in (1, 7 * g.num_arcs, diffusion.CHUNK_ENTRIES):
+            monkeypatch.setattr(diffusion, "CHUNK_ENTRIES", entries)
+            _, _, per = estimate_spread_and_benefit(g, attrs, s, 40, seed=4)
+            runs.append(per)
+        assert len(set(runs[0])) > 1
+        assert all(np.array_equal(runs[0], other) for other in runs[1:])
 
     def test_graph_without_arcs_reaches_only_seeds(self):
         inst = make_instance("empty", 5, [], directed=True,
@@ -166,7 +206,7 @@ class TestChunkedRollouts:
         g, attrs = inst.graph, inst.attrs
         s = SeedSet.build([1, 3], attrs)
         assert g.num_arcs == 0
-        mask = simulate_ic(g, s, rollout_rng(5, 0)).mask
+        mask = simulate_ic(g, s, RolloutStreams(5).at(0)).mask
         assert list(np.flatnonzero(mask)) == [1, 3]
         spread, benefit, per = estimate_spread_and_benefit(g, attrs, s, 10, 5)
         assert spread == 2.0 and benefit == 10.0

@@ -105,6 +105,26 @@ class TestRunExperiment:
             assert ra.profit_mean == rb.profit_mean
             assert ra.seed_size == rb.seed_size
 
+    def test_streams_keyed_on_exact_budget(self, monkeypatch):
+        # 3.2 and 3.7 share int(budget) but must not share random streams
+        states = {}
+
+        def recorded(g, attrs, budget, rng):
+            states[budget] = rng.bit_generator.state["state"]["state"]
+            return random_seeds(g, attrs, budget, rng)
+
+        random_seeds = baselines.random_seeds
+        monkeypatch.setattr(baselines, "random_seeds", recorded)
+        cfg = small_config(algorithms=("random", "highdegree"),
+                           budgets=(3.2, 3.7))
+        rows = {(r.algorithm, r.budget): r
+                for r in run_experiment(cfg, pool=small_pool())}
+        assert states[3.2] != states[3.7]
+        # one seed set at both budgets, scored on different eval streams
+        a, b = rows["highdegree", 3.2], rows["highdegree", 3.7]
+        assert (a.seed_size, a.seed_cost) == (b.seed_size, b.seed_cost)
+        assert a.profit_mean != b.profit_mean
+
     def test_validation(self):
         with pytest.raises(ValueError):
             small_config(budgets=(5.0, 1.0)).validate()
@@ -112,6 +132,8 @@ class TestRunExperiment:
             small_config(algorithms=("nope",)).validate()
         with pytest.raises(ValueError):
             small_config(m=0).validate()
+        with pytest.raises(ValueError):
+            small_config(budgets=(float("nan"),)).validate()
 
 
 class TestEmitReport:

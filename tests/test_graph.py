@@ -7,7 +7,7 @@ from fairseed.graph import (CommunityPartition, EdgeListError,
                             assign_edge_probabilities, assign_node_attributes,
                             build_instance_pool, graph_from_edges,
                             induced_subgraph, load_edge_list,
-                            load_node_attributes, sample_subgraph)
+                            NodeAttrs, load_node_attributes, sample_subgraph)
 
 from conftest import make_attrs
 
@@ -251,6 +251,23 @@ class TestAttributeCsv:
                      name="attrs.csv")
         with pytest.raises(AttributeFileError, match="missing"):
             load_node_attributes(path, g)
+
+    def test_nan_benefit_is_a_file_error(self, tmp_path):
+        g = graph_from_edges(2, [(0, 1)], directed=False)
+        path = write(tmp_path, "node_id,cost,benefit,community\n"
+                               "0,1,nan,0\n1,1,1,0\n", name="attrs.csv")
+        with pytest.raises(AttributeFileError, match="finite"):
+            load_node_attributes(path, g)
+
+
+@pytest.mark.parametrize("field", ["cost", "benefit"])
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+def test_attrs_reject_non_positive_or_non_finite(field, bad):
+    values = {"cost": np.ones(3), "benefit": np.ones(3)}
+    values[field][1] = bad
+    attrs = NodeAttrs(community=np.zeros(3, dtype=np.int64), **values)
+    with pytest.raises(ValueError, match="positive and finite"):
+        attrs.validate()
 
 
 def test_partition_requires_positive_benefit():

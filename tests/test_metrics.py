@@ -6,7 +6,6 @@ from fairseed.graph import CommunityPartition, graph_from_edges
 from fairseed.metrics import (FairnessConfig, community_benefit_ratio,
                               earned_benefit, evaluate_seed_set,
                               marginal_reward, maximin_fairness, shaped_reward)
-from fairseed.seeding import rollout_rng
 
 from conftest import make_attrs, make_instance
 
@@ -88,8 +87,8 @@ class TestShapedReward:
                              labels=[0, 0, 1, 1])
         s = SeedSet.build([0], inst.attrs)
         got = shaped_reward(inst.graph, inst.attrs, inst.parts, s, 0.0,
-                            rollout_rng(5, 0))
-        infl = simulate_ic(inst.graph, s, rollout_rng(5, 0))
+                            np.random.default_rng(5))
+        infl = simulate_ic(inst.graph, s, np.random.default_rng(5))
         assert got == earned_benefit(infl, inst.attrs) - s.total_cost
 
     def test_deterministic_cascade(self):

@@ -69,6 +69,8 @@ class TestConfigValidation:
         dict(epsilon_start=1.5), dict(epsilon_decay=0.0),
         dict(batch_size=20000), dict(update_period=0),
         dict(fairness_weight=-1.0), dict(episodes=0),
+        dict(budget=float("nan")), dict(budget=float("inf")),
+        dict(batch_size=0),
     ])
     def test_invalid(self, kw):
         with pytest.raises(ValueError):
@@ -207,11 +209,10 @@ class TestTrain:
                              labels=[0, 0, 0, 0])
         from fairseed.diffusion import SeedSet, simulate_ic
         from fairseed.metrics import earned_benefit, shaped_reward
-        from fairseed.seeding import rollout_rng
         s = SeedSet.build([0, 2], inst.attrs)
         reward = shaped_reward(inst.graph, inst.attrs, inst.parts, s, 0.0,
-                               rollout_rng(3, 0))
-        infl = simulate_ic(inst.graph, s, rollout_rng(3, 0))
+                               np.random.default_rng(3))
+        infl = simulate_ic(inst.graph, s, np.random.default_rng(3))
         assert reward == earned_benefit(infl, inst.attrs) - s.total_cost
 
 
