@@ -7,7 +7,7 @@ classic baselines, and a reproducible experiment harness.
 
 from .baselines import (fair_pagerank_seeds, high_degree_seeds, pagerank,
                         pagerank_seeds, parity_seeds, random_seeds)
-from .diffusion import (InfluencedSet, SeedSet, estimate_spread_and_benefit,
+from .diffusion import (SeedSet, estimate_spread_and_benefit,
                         exact_expected_profit, exact_expected_shaped_objective,
                         simulate_ic)
 from .embedding import (EmbeddingParams, NodeEmbeddings, compute_embeddings,
@@ -20,14 +20,13 @@ from .graph import (CommunityPartition, Graph, Instance, InstancePool,
                     assign_node_attributes, build_instance_pool,
                     graph_from_edges, load_edge_list, load_node_attributes,
                     sample_subgraph)
-from .metrics import (FairnessConfig, MetricReport, community_benefit_ratio,
-                      earned_benefit, evaluate_seed_set, marginal_reward,
-                      maximin_fairness, shaped_reward)
+from .metrics import (FairnessConfig, MetricReport, community_ratios,
+                      evaluate_seed_set, shaped_reward)
 from .qnet import (QNetwork, adam_step, encode_states, hidden_table,
                    q_forward_batch, q_forward_table, q_loss_and_grad)
 from .trainer import (CheckpointError, ReplayBuffer, TrainConfig,
                       TrainedPolicy, Transition, epsilon_greedy_select,
-                      infer_seed_set, load_checkpoint, run_episode,
-                      save_checkpoint, select_seed_set, train)
+                      load_checkpoint, run_episode, save_checkpoint,
+                      select_seed_set, train)
 
 __version__ = "0.1.0"

@@ -198,7 +198,7 @@ def _experiment_config(args, algorithms=None, budgets=None, m=1,
         nodes_per_instance=args.nodes_per_instance,
         cost_range=args.cost_range, benefit_range=args.benefit_range,
         minority_fraction=args.minority_fraction,
-        fairness=FairnessConfig(weight=args.phi, threshold=tau),
+        fairness=FairnessConfig(threshold=tau),
         out_dir=out_dir, seed=args.seed)
 
 

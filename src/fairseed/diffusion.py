@@ -43,19 +43,6 @@ class SeedSet:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def __contains__(self, v: int) -> bool:
-        return v in self.nodes
-
-
-@dataclass(frozen=True)
-class InfluencedSet:
-    mask: np.ndarray  # bool over V
-    count: int
-
-    @classmethod
-    def from_mask(cls, mask: np.ndarray) -> "InfluencedSet":
-        return cls(mask=mask, count=int(mask.sum()))
-
 
 # Size of one chunk of rollouts, in matrix entries: a chunk has
 # CHUNK_ENTRIES // max(E, n) rows, so its (R, E) live-arc matrix and its
@@ -106,13 +93,14 @@ def _reach(g: Graph, s: SeedSet, uniforms: np.ndarray) -> np.ndarray:
     return reached.reshape(rows, n)
 
 
-def simulate_ic(g: Graph, s: SeedSet, rng: np.random.Generator) -> InfluencedSet:
-    """One cascade rollout: the one-row call of the live-arc kernel.
+def simulate_ic(g: Graph, s: SeedSet, rng: np.random.Generator) -> np.ndarray:
+    """One cascade rollout: the (n,) bool mask of reached nodes, from the
+    one-row call of the live-arc kernel.
 
     Draws one uniform per arc, in CSR order, from `rng` (even when the seed
     set is empty), so the rollout is a pure function of the generator state.
     """
-    return InfluencedSet.from_mask(_reach(g, s, rng.random((1, g.num_arcs)))[0])
+    return _reach(g, s, rng.random((1, g.num_arcs)))[0]
 
 
 def rollout_masks(g: Graph, s: SeedSet, m: int, seed: int):
@@ -120,7 +108,7 @@ def rollout_masks(g: Graph, s: SeedSet, m: int, seed: int):
 
     Rollout i reads draws [i*E, (i+1)*E) of the Philox stream keyed by
     `seed` (E = g.num_arcs), so its mask equals
-    simulate_ic(g, s, RolloutStreams(seed).at(i * E)).mask whatever the
+    simulate_ic(g, s, RolloutStreams(seed).at(i * E)) whatever the
     chunking. A chunk of rows lo.. is one contiguous run of draws, filled by
     a single call from position lo * E.
     """

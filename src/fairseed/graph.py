@@ -72,12 +72,13 @@ class Graph:
         src, dst, p = self.arc_arrays()
         if np.any(src == dst):
             raise ValueError("self-loop present")
-        if np.any((p <= 0.0) | (p > 1.0)):
+        # "not all valid" rather than "any invalid": NaN fails every comparison
+        if not np.all((p > 0.0) & (p <= 1.0)):
             raise ValueError("edge probability outside (0, 1]")
-        for v in range(self.n):
-            nb = self.neighbors(v)
-            if np.any(np.diff(nb) <= 0):
-                raise ValueError(f"adjacency of node {v} not strictly sorted")
+        # within a source's row targets strictly increase; a repeat is a
+        # parallel arc
+        if np.any(np.diff(dst)[src[1:] == src[:-1]] <= 0):
+            raise ValueError("adjacency has parallel or unsorted arcs")
 
 
 @dataclass(frozen=True)
@@ -100,16 +101,22 @@ class CommunityPartition:
     labels: np.ndarray
     members: tuple[np.ndarray, ...]
     total_benefit: np.ndarray
+    weights: np.ndarray  # (n, count): weights[v, labels[v]] = benefit[v], else 0
 
     @classmethod
     def from_labels(cls, labels: np.ndarray, benefit: np.ndarray) -> "CommunityPartition":
         labels = np.asarray(labels, dtype=np.int64)
+        if len(labels) and labels.min() < 0:
+            raise ValueError("community labels must be nonnegative")
         count = int(labels.max()) + 1 if len(labels) else 0
         members = tuple(np.flatnonzero(labels == i) for i in range(count))
         totals = np.array([benefit[m].sum() for m in members])
         if np.any(totals <= 0.0):
             raise ValueError("every community needs positive total benefit")
-        return cls(count=count, labels=labels, members=members, total_benefit=totals)
+        weights = np.zeros((len(labels), count))
+        weights[np.arange(len(labels)), labels] = benefit
+        return cls(count=count, labels=labels, members=members,
+                   total_benefit=totals, weights=weights)
 
 
 @dataclass(frozen=True)
@@ -172,7 +179,12 @@ def _build_graph(n: int, src: np.ndarray, dst: np.ndarray, probs: np.ndarray,
 def graph_from_edges(n: int, edges, directed: bool,
                      original_ids: np.ndarray | None = None,
                      default_prob: float = 1.0) -> Graph:
-    """Build a Graph from (u, v) or (u, v, p) tuples over dense node ids."""
+    """Build a Graph from (u, v) or (u, v, p) tuples over dense node ids.
+
+    Self-loops are dropped and repeated (u, v, p) arcs kept once. Raises
+    ValueError when a probability lies outside (0, 1] or one arc is given
+    two probabilities.
+    """
     arcs = set()
     for e in edges:
         u, v = int(e[0]), int(e[1])
@@ -189,8 +201,10 @@ def graph_from_edges(n: int, edges, directed: bool,
         probs = np.zeros(0)
     if original_ids is None:
         original_ids = np.arange(n)
-    return _build_graph(n, src.astype(np.int64), dst.astype(np.int64),
-                        probs, directed, original_ids)
+    g = _build_graph(n, src.astype(np.int64), dst.astype(np.int64),
+                     probs, directed, original_ids)
+    g.validate()
+    return g
 
 
 def load_edge_list(path: str, directed: bool) -> Graph:
@@ -406,6 +420,7 @@ def load_node_attributes(path: str, g: Graph) -> tuple[NodeAttrs, CommunityParti
     attrs = NodeAttrs(cost=cost, benefit=benefit, community=labels)
     try:
         attrs.validate()
+        parts = CommunityPartition.from_labels(labels, benefit)
     except ValueError as exc:
         raise AttributeFileError(f"{path}: {exc}") from None
-    return attrs, CommunityPartition.from_labels(labels, benefit)
+    return attrs, parts

@@ -1,5 +1,5 @@
-"""Cost, benefit, profit, community benefit ratios, maximin fairness, and
-the single-rollout shaped reward used by training."""
+"""Profit and community fairness of reached masks: the single-rollout shaped
+reward used by training and the Monte Carlo evaluation of a seed set."""
 
 from __future__ import annotations
 
@@ -7,18 +7,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import InfluencedSet, SeedSet, rollout_masks, simulate_ic
+from .diffusion import SeedSet, rollout_masks, simulate_ic
 from .graph import CommunityPartition, Graph, NodeAttrs
 
 
 @dataclass(frozen=True)
 class FairnessConfig:
-    weight: float = 1.0     # reward-shaping multiplier, >= 0
     threshold: float = 0.0  # reported pass/fail cutoff only, in [0, 1]
 
     def __post_init__(self):
-        if self.weight < 0:
-            raise ValueError("fairness weight must be nonnegative")
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError("fairness threshold must lie in [0, 1]")
 
@@ -28,28 +25,21 @@ class MetricReport:
     profit: float
     benefit: float
     cost: float
-    community_ratios: tuple[float, ...]
-    fairness: float
+    community_ratios: tuple[float, ...]  # E[ratio_c] for each community c
+    fairness: float                      # E[min_c ratio_c]
     tau_ok: bool
 
 
-def earned_benefit(influenced: InfluencedSet, attrs: NodeAttrs) -> float:
-    return float(attrs.benefit[influenced.mask].sum())
+def community_ratios(masks: np.ndarray, parts: CommunityPartition) -> np.ndarray:
+    """Community benefit ratios of reached masks: (n,) -> (C,), (R, n) -> (R, C).
 
-
-def community_benefit_ratio(community_index: int, influenced: InfluencedSet,
-                            attrs: NodeAttrs, parts: CommunityPartition) -> float:
-    members = parts.members[community_index]
-    realized = attrs.benefit[members[influenced.mask[members]]].sum()
-    return float(realized / parts.total_benefit[community_index])
-
-
-def maximin_fairness(influenced: InfluencedSet, attrs: NodeAttrs,
-                     parts: CommunityPartition) -> float:
-    return min(
-        community_benefit_ratio(i, influenced, attrs, parts)
-        for i in range(parts.count)
-    )
+    ratio_c is the benefit that community c's reached members realize over
+    the total benefit of c. Its minimum over c is the maximin fairness of
+    one rollout, the per-community criterion of group-fair influence
+    maximization (Tsang et al., IJCAI 2019). Apart from the exact oracle in
+    `diffusion`, this is the one place that computes the ratios.
+    """
+    return (masks @ parts.weights) / parts.total_benefit
 
 
 def shaped_reward(g: Graph, attrs: NodeAttrs, parts: CommunityPartition,
@@ -61,14 +51,9 @@ def shaped_reward(g: Graph, attrs: NodeAttrs, parts: CommunityPartition,
     """
     if weight < 0:
         raise ValueError("fairness weight must be nonnegative")
-    influenced = simulate_ic(g, s, rng)
-    profit = earned_benefit(influenced, attrs) - s.total_cost
-    return profit + weight * maximin_fairness(influenced, attrs, parts)
-
-
-def marginal_reward(r_t: float, r_prev: float) -> float:
-    """Step reward as the increment of the shaped return; may be negative."""
-    return r_t - r_prev
+    mask = simulate_ic(g, s, rng)
+    return float(mask @ attrs.benefit - s.total_cost
+                 + weight * community_ratios(mask, parts).min())
 
 
 def evaluate_seed_set(g: Graph, attrs: NodeAttrs, parts: CommunityPartition,
@@ -76,19 +61,18 @@ def evaluate_seed_set(g: Graph, attrs: NodeAttrs, parts: CommunityPartition,
                       ) -> tuple[MetricReport, np.ndarray, np.ndarray]:
     """Monte Carlo evaluation over m rollouts on counter-derived streams.
 
-    Returns the aggregate report (mean benefit/profit/fairness; tau flag on
-    the fairness mean) plus per-rollout profit and fairness arrays.
+    Returns the aggregate report plus per-rollout profits and per-rollout
+    fairness min_c ratio_c. The report's `fairness` (and the tau flag on it)
+    is E[min_c ratio_c], the mean over rollouts of the per-rollout minimum;
+    its `community_ratios` holds E[ratio_c] for each community, whose
+    minimum min_c E[ratio_c] is never smaller. The paper's abstract alone
+    does not settle which of the two its fairness constraint bounds.
     """
-    # benefit-weighted community indicator: (masks @ weights)[r, c] is the
-    # benefit community c realized in rollout r
-    weights = np.zeros((g.n, parts.count))
-    for c, members in enumerate(parts.members):
-        weights[members, c] = attrs.benefit[members]
     cost = s.total_cost
     profits, ratios = [], []
     for masks in rollout_masks(g, s, m, seed):
         profits.append(masks @ attrs.benefit - cost)
-        ratios.append((masks @ weights) / parts.total_benefit)
+        ratios.append(community_ratios(masks, parts))
     profits, ratios = np.concatenate(profits), np.concatenate(ratios)
     fairs = ratios.min(axis=1)
     fairness = float(fairs.mean())

@@ -14,7 +14,7 @@ from .diffusion import SeedSet
 from .embedding import (EmbeddingParams, NodeEmbeddings, compute_embeddings,
                         init_embedding_params)
 from .graph import Instance, InstancePool, NodeAttrs
-from .metrics import FairnessConfig, MetricReport, evaluate_seed_set, shaped_reward
+from .metrics import shaped_reward
 from .qnet import QNetwork, adam_step, encode_states, hidden_table, \
     q_forward_table, q_loss_and_grad
 from .seeding import derive_seed
@@ -280,18 +280,6 @@ def select_seed_set(policy: TrainedPolicy, instance: Instance, budget: float,
     return SeedSet.build([action for action, _ in steps], instance.attrs)
 
 
-def infer_seed_set(policy: TrainedPolicy, instance: Instance, budget: float,
-                   m: int = 1000, eval_seed: int = 0,
-                   fairness: FairnessConfig = FairnessConfig()
-                   ) -> tuple[SeedSet, MetricReport]:
-    """Greedy selection plus a Monte Carlo metric report for the result."""
-    seeds = select_seed_set(policy, instance, budget)
-    report, _, _ = evaluate_seed_set(instance.graph, instance.attrs,
-                                     instance.parts, seeds, m, eval_seed,
-                                     fairness)
-    return seeds, report
-
-
 def save_checkpoint(path: str, policy: TrainedPolicy, config: TrainConfig) -> None:
     """Versioned npz dump of the net, Adam state, and embedding parameters."""
     net = policy.net
@@ -322,28 +310,36 @@ def save_checkpoint(path: str, policy: TrainedPolicy, config: TrainConfig) -> No
 def load_checkpoint(path: str, expect_d_emb: int | None = None
                     ) -> tuple[TrainedPolicy, dict]:
     """Load a checkpoint; raises CheckpointError on any mismatch."""
+    params = QNetwork.PARAM_NAMES
+    names = ["meta", "step", "embed_w_feat", "embed_w_agg", "embed_w_edge",
+             *params, *(f"adam_{mv}_{p}" for p in params for mv in "mv")]
     try:
-        data = np.load(path)
-        meta = json.loads(bytes(data["meta"]).decode())
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in names}
+        meta = json.loads(bytes(arrays["meta"]).decode())
     except (OSError, KeyError, ValueError) as exc:
         raise CheckpointError(f"cannot load checkpoint {path}: {exc}") from exc
     if meta.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {meta.get('version')}")
-    w1 = data["w1"]
-    if w1.shape != (meta["hidden"], meta["in_dim"]):
-        raise CheckpointError("parameter shapes disagree with recorded dims")
-    if meta["in_dim"] != meta["d_emb"] + 3:
+    hidden, in_dim, d = meta["hidden"], meta["in_dim"], meta["d_emb"]
+    shapes = {"w1": (hidden, in_dim), "b1": (hidden,), "w2": (hidden,),
+              "b2": (1,)}
+    shapes.update({f"adam_{mv}_{p}": shapes[p] for p in params for mv in "mv"})
+    shapes.update(embed_w_feat=(d, 2), embed_w_agg=(d, d), embed_w_edge=(d,))
+    for name, shape in shapes.items():
+        if arrays[name].shape != shape:
+            raise CheckpointError(f"{name} has shape {arrays[name].shape}, "
+                                  f"recorded dims give {shape}")
+    if in_dim != d + 3:
         raise CheckpointError("state width inconsistent with embedding dim")
-    if expect_d_emb is not None and meta["d_emb"] != expect_d_emb:
-        raise CheckpointError(
-            f"embedding dim {meta['d_emb']} != expected {expect_d_emb}")
-    net = QNetwork(w1=w1, b1=data["b1"], w2=data["w2"], b2=data["b2"],
-                   step=int(data["step"][0]))
+    if expect_d_emb is not None and d != expect_d_emb:
+        raise CheckpointError(f"embedding dim {d} != expected {expect_d_emb}")
+    net = QNetwork(w1=arrays["w1"], b1=arrays["b1"], w2=arrays["w2"],
+                   b2=arrays["b2"], step=int(arrays["step"][0]))
     net.moments = {
-        name: (data[f"adam_m_{name}"], data[f"adam_v_{name}"])
-        for name in QNetwork.PARAM_NAMES
+        p: (arrays[f"adam_m_{p}"], arrays[f"adam_v_{p}"]) for p in params
     }
-    embed = EmbeddingParams(w_feat=data["embed_w_feat"],
-                            w_agg=data["embed_w_agg"],
-                            w_edge=data["embed_w_edge"])
+    embed = EmbeddingParams(w_feat=arrays["embed_w_feat"],
+                            w_agg=arrays["embed_w_agg"],
+                            w_edge=arrays["embed_w_edge"])
     return TrainedPolicy(net=net, embed=embed, t_emb=int(meta["t_emb"])), meta

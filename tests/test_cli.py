@@ -1,5 +1,6 @@
 import os
 
+import numpy as np
 import pytest
 
 from fairseed.cli import EXIT_CHECKPOINT, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
@@ -68,6 +69,19 @@ class TestEvalCommand:
                      "--out", str(tmp_path / "r")])
         assert code == EXIT_CHECKPOINT
 
+    def test_wrong_parameter_shape_is_checkpoint_error(self, dataset,
+                                                       tmp_path):
+        code, ckpt = run_train(dataset, tmp_path)
+        assert code == EXIT_OK
+        with np.load(ckpt) as data:
+            arrays = dict(data)
+        arrays["b1"] = np.zeros(3)
+        np.savez(ckpt, **arrays)
+        code = main(["eval", "--dataset", dataset, "--checkpoint-in", ckpt,
+                     "--seed", "7", *FAST_TRAIN, "--m", "5",
+                     "--algorithms", "rl", "--out", str(tmp_path / "r")])
+        assert code == EXIT_CHECKPOINT
+
     def test_baselines_without_checkpoint(self, dataset, tmp_path):
         out = str(tmp_path / "r2")
         code = main(["eval", "--dataset", dataset, "--seed", "3", *FAST_TRAIN,
@@ -103,6 +117,19 @@ class TestOracleCommand:
                      "--seeds", "0"])
         assert code == EXIT_DATA
         assert "nan" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("labels", [(-1, 0, 0), (0, 2, 2)])
+    def test_bad_community_labels_are_data_errors(self, tmp_path, labels):
+        # -1 would leave node 0 in no community; 0, 2, 2 leaves community 1
+        # empty
+        path = tmp_path / "path.txt"
+        path.write_text("0 1\n1 2\n")
+        attrs = tmp_path / "attrs.csv"
+        attrs.write_text("node_id,cost,benefit,community\n" + "".join(
+            f"{v},1,1,{c}\n" for v, c in enumerate(labels)))
+        code = main(["oracle", "--dataset", str(path), "--attrs", str(attrs),
+                     "--seeds", "0"])
+        assert code == EXIT_DATA
 
     def test_unknown_seed_node(self, tmp_path):
         path = tmp_path / "tiny.txt"

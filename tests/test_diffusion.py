@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fairseed import diffusion
-from fairseed.diffusion import (InfluencedSet, SeedSet, _chunk_rows,
+from fairseed.diffusion import (SeedSet, _chunk_rows,
                                 estimate_spread_and_benefit,
                                 exact_expected_profit,
                                 exact_expected_shaped_objective, simulate_ic)
@@ -40,22 +40,22 @@ class TestSeedSet:
 class TestSimulateIc:
     def test_empty_seed_set(self, rng):
         g, attrs = two_node_path()
-        infl = simulate_ic(g, SeedSet.empty(), rng)
-        assert infl.count == 0
+        mask = simulate_ic(g, SeedSet.empty(), rng)
+        assert mask.shape == (g.n,) and mask.sum() == 0
 
     def test_p_one_reaches_all_reachable(self, rng):
         g = graph_from_edges(5, [(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0)],
                              directed=True)
         attrs = make_attrs(5)
-        infl = simulate_ic(g, SeedSet.build([0], attrs), rng)
-        assert list(np.flatnonzero(infl.mask)) == [0, 1, 2]
+        mask = simulate_ic(g, SeedSet.build([0], attrs), rng)
+        assert list(np.flatnonzero(mask)) == [0, 1, 2]
 
     def test_bernoulli_edge(self):
         # 2-node path, p=0.5: activation frequency matches the Bernoulli rate
         g, attrs = two_node_path(0.5)
         s = SeedSet.build([0], attrs)
         rng = np.random.default_rng(99)
-        hits = sum(simulate_ic(g, s, rng).mask[1] for _ in range(10_000))
+        hits = sum(simulate_ic(g, s, rng)[1] for _ in range(10_000))
         assert abs(hits / 10_000 - 0.5) <= 0.02
 
     def test_contains_seeds_and_only_reachable(self, rng):
@@ -65,8 +65,8 @@ class TestSimulateIc:
             seeds = SeedSet.build(
                 rng.choice(n, size=rng.integers(1, n + 1), replace=False),
                 inst.attrs)
-            infl = simulate_ic(inst.graph, seeds, rng)
-            assert all(infl.mask[v] for v in seeds.nodes)
+            mask = simulate_ic(inst.graph, seeds, rng)
+            assert all(mask[v] for v in seeds.nodes)
             # reachability bound: cascade never leaves the reachable set
             reach = set(seeds.nodes)
             frontier = list(seeds.nodes)
@@ -76,13 +76,13 @@ class TestSimulateIc:
                     if u not in reach:
                         reach.add(int(u))
                         frontier.append(int(u))
-            assert set(np.flatnonzero(infl.mask)) <= reach
+            assert set(np.flatnonzero(mask)) <= reach
 
     def test_deterministic_given_stream(self):
         g, attrs = two_node_path(0.5)
         s = SeedSet.build([0], attrs)
-        a = simulate_ic(g, s, RolloutStreams(7).at(3 * g.num_arcs)).mask
-        b = simulate_ic(g, s, RolloutStreams(7).at(3 * g.num_arcs)).mask
+        a = simulate_ic(g, s, RolloutStreams(7).at(3 * g.num_arcs))
+        b = simulate_ic(g, s, RolloutStreams(7).at(3 * g.num_arcs))
         assert np.array_equal(a, b)
 
 
@@ -115,8 +115,8 @@ class TestEstimate:
         s = SeedSet.build([0], attrs)
         _, _, per = estimate_spread_and_benefit(g, attrs, s, 8, seed=42)
         for i in range(8):
-            infl = simulate_ic(g, s, RolloutStreams(42).at(i * g.num_arcs))
-            assert per[i] == attrs.benefit[infl.mask].sum()
+            mask = simulate_ic(g, s, RolloutStreams(42).at(i * g.num_arcs))
+            assert per[i] == attrs.benefit[mask].sum()
 
     def test_monotone_in_expectation(self, rng):
         # S subset T implies E[benefit(T)] >= E[benefit(S)], within noise
@@ -156,7 +156,7 @@ class TestChunkedRollouts:
         assert len(set(benefits)) > 1  # the cascades are not all trivial
         stream = RolloutStreams(11)
         for i in (0, 1, rows - 2, rows - 1, rows, rows + 1, m - 1):
-            mask = simulate_ic(g, s, stream.at(i * g.num_arcs)).mask
+            mask = simulate_ic(g, s, stream.at(i * g.num_arcs))
             expected = attrs.benefit[mask].sum()
             assert benefits[i] == expected
             assert profits[i] == expected - s.total_cost
@@ -186,7 +186,7 @@ class TestChunkedRollouts:
         assert len(set(benefits)) > 1
         stream = RolloutStreams(23)
         for i in range(m):
-            mask = simulate_ic(g, s, stream.at(i * arcs)).mask
+            mask = simulate_ic(g, s, stream.at(i * arcs))
             assert benefits[i] == attrs.benefit[mask].sum()
 
     def test_rollouts_independent_of_chunk_size(self, monkeypatch):
@@ -206,7 +206,7 @@ class TestChunkedRollouts:
         g, attrs = inst.graph, inst.attrs
         s = SeedSet.build([1, 3], attrs)
         assert g.num_arcs == 0
-        mask = simulate_ic(g, s, RolloutStreams(5).at(0)).mask
+        mask = simulate_ic(g, s, RolloutStreams(5).at(0))
         assert list(np.flatnonzero(mask)) == [1, 3]
         spread, benefit, per = estimate_spread_and_benefit(g, attrs, s, 10, 5)
         assert spread == 2.0 and benefit == 10.0

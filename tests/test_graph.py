@@ -73,6 +73,17 @@ def test_out_degree_computed_once_and_read_only():
         degree[0] = 5
 
 
+@pytest.mark.parametrize("edges", [
+    [(0, 1, float("nan"))],
+    [(0, 1, 1.5)],
+    [(0, 1, 0.5), (0, 1, 0.7)],  # one arc, two probabilities
+])
+@pytest.mark.parametrize("directed", [True, False])
+def test_graph_from_edges_rejects_bad_arcs(edges, directed):
+    with pytest.raises(ValueError):
+        graph_from_edges(2, edges, directed=directed)
+
+
 class TestProbabilities:
     def test_uniform_sets_every_edge(self):
         g = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)], directed=True)
@@ -273,3 +284,8 @@ def test_attrs_reject_non_positive_or_non_finite(field, bad):
 def test_partition_requires_positive_benefit():
     with pytest.raises(ValueError):
         CommunityPartition.from_labels(np.array([0, 1]), np.array([1.0, 0.0]))
+
+
+def test_partition_rejects_negative_labels():
+    with pytest.raises(ValueError, match="nonnegative"):
+        CommunityPartition.from_labels(np.array([-1, 0, 0]), np.ones(3))

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fairseed.diffusion import InfluencedSet, SeedSet, simulate_ic
+from fairseed.diffusion import SeedSet, simulate_ic
 from fairseed.graph import CommunityPartition, graph_from_edges
-from fairseed.metrics import (FairnessConfig, community_benefit_ratio,
-                              earned_benefit, evaluate_seed_set,
-                              marginal_reward, maximin_fairness, shaped_reward)
+from fairseed.metrics import (FairnessConfig, community_ratios,
+                              evaluate_seed_set, shaped_reward)
 
 from conftest import make_attrs, make_instance
 
@@ -13,7 +13,7 @@ from conftest import make_attrs, make_instance
 def influenced(n, nodes):
     mask = np.zeros(n, dtype=bool)
     mask[list(nodes)] = True
-    return InfluencedSet.from_mask(mask)
+    return mask
 
 
 class TestBasicMetrics:
@@ -24,27 +24,34 @@ class TestBasicMetrics:
         assert SeedSet.build([2], attrs).total_cost == 1.0
 
     def test_earned_benefit(self):
-        attrs = make_attrs(3, benefit=[5.0, 6.0, 7.0])
-        assert earned_benefit(influenced(3, []), attrs) == 0.0
-        assert earned_benefit(influenced(3, [0, 1, 2]), attrs) == 18.0
-        assert earned_benefit(influenced(3, [0, 2]), attrs) == 12.0
+        # no arcs: every rollout reaches exactly the seeds
+        attrs = make_attrs(3, cost=[1.0, 2.0, 4.0], benefit=[5.0, 6.0, 7.0])
+        parts = CommunityPartition.from_labels(attrs.community, attrs.benefit)
+        g = graph_from_edges(3, [], directed=True)
+        for nodes, benefit in (([], 0.0), ([0, 1, 2], 18.0), ([0, 2], 12.0)):
+            s = SeedSet.build(nodes, attrs)
+            rep, profits, _ = evaluate_seed_set(g, attrs, parts, s, 3, 0,
+                                                FairnessConfig())
+            assert rep.benefit == benefit
+            assert np.all(profits == benefit - s.total_cost)
 
     def test_community_benefit_ratio(self):
         attrs = make_attrs(2, benefit=[2.0, 8.0], labels=[0, 0])
         parts = CommunityPartition.from_labels(attrs.community, attrs.benefit)
-        assert community_benefit_ratio(0, influenced(2, []), attrs, parts) == 0.0
-        assert community_benefit_ratio(0, influenced(2, [0, 1]), attrs, parts) == 1.0
-        assert community_benefit_ratio(0, influenced(2, [0]), attrs, parts) \
+        assert community_ratios(influenced(2, []), parts).tolist() == [0.0]
+        assert community_ratios(influenced(2, [0, 1]), parts).tolist() == [1.0]
+        assert community_ratios(influenced(2, [0]), parts)[0] \
             == pytest.approx(0.2)
 
     def test_maximin_fairness(self):
         attrs = make_attrs(4, benefit=[2.0, 8.0, 1.0, 9.0], labels=[0, 0, 1, 1])
         parts = CommunityPartition.from_labels(attrs.community, attrs.benefit)
-        assert maximin_fairness(influenced(4, []), attrs, parts) == 0.0
-        assert maximin_fairness(influenced(4, range(4)), attrs, parts) == 1.0
+        assert community_ratios(influenced(4, []), parts).min() == 0.0
+        assert community_ratios(influenced(4, range(4)), parts).min() == 1.0
         # ratios 0.2 and 0.9
-        got = maximin_fairness(influenced(4, [0, 3]), attrs, parts)
-        assert got == pytest.approx(0.2)
+        got = community_ratios(influenced(4, [0, 3]), parts)
+        assert got == pytest.approx([0.2, 0.9])
+        assert got.min() == pytest.approx(0.2)
 
     def test_fairness_monotone_in_influenced_set(self, rng):
         attrs = make_attrs(8, benefit=rng.uniform(1, 10, 8),
@@ -53,9 +60,63 @@ class TestBasicMetrics:
         nodes = list(rng.permutation(8))
         prev = 0.0
         for k in range(9):
-            f = maximin_fairness(influenced(8, nodes[:k]), attrs, parts)
+            f = community_ratios(influenced(8, nodes[:k]), parts).min()
             assert f >= prev
             prev = f
+
+
+@st.composite
+def partition_and_masks(draw):
+    """Integer benefits, labels covering 0..k-1, and an (R, n) mask chunk."""
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(1, n))
+    extra = draw(st.lists(st.integers(0, k - 1), min_size=n - k,
+                          max_size=n - k))
+    labels = draw(st.permutations(list(range(k)) + extra))
+    benefit = draw(st.lists(st.integers(1, 100), min_size=n, max_size=n))
+    rows = draw(st.integers(1, 6))
+    masks = draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n),
+                          min_size=rows, max_size=rows))
+    added = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return (np.array(labels), np.array(benefit, dtype=float),
+            np.array(masks, dtype=bool), np.array(added, dtype=bool))
+
+
+class TestCommunityRatiosProperties:
+    # integer benefits keep every sum exact, so equality is exact
+
+    @settings(deadline=None)
+    @given(partition_and_masks())
+    def test_rows_equal_single_mask_calls(self, case):
+        labels, benefit, masks, _ = case
+        parts = CommunityPartition.from_labels(labels, benefit)
+        got = community_ratios(masks, parts)
+        assert got.shape == (len(masks), parts.count)
+        for row, mask in zip(got, masks):
+            assert np.array_equal(row, community_ratios(mask, parts))
+
+    @settings(deadline=None)
+    @given(partition_and_masks())
+    def test_rows_equal_pure_python_sums(self, case):
+        labels, benefit, masks, _ = case
+        parts = CommunityPartition.from_labels(labels, benefit)
+        got = community_ratios(masks, parts)
+        b, lab = benefit.tolist(), labels.tolist()
+        for row, mask in zip(got.tolist(), masks.tolist()):
+            for c in range(parts.count):
+                total = sum(x for x, l in zip(b, lab) if l == c)
+                realized = sum(x for x, l, hit in zip(b, lab, mask)
+                               if l == c and hit)
+                assert row[c] == realized / total
+
+    @settings(deadline=None)
+    @given(partition_and_masks())
+    def test_min_never_falls_when_nodes_are_added(self, case):
+        labels, benefit, masks, added = case
+        parts = CommunityPartition.from_labels(labels, benefit)
+        before = community_ratios(masks, parts).min(axis=1)
+        after = community_ratios(masks | added, parts).min(axis=1)
+        assert np.all(after >= before)
 
 
 class TestReport:
@@ -88,8 +149,8 @@ class TestShapedReward:
         s = SeedSet.build([0], inst.attrs)
         got = shaped_reward(inst.graph, inst.attrs, inst.parts, s, 0.0,
                             np.random.default_rng(5))
-        infl = simulate_ic(inst.graph, s, np.random.default_rng(5))
-        assert got == earned_benefit(infl, inst.attrs) - s.total_cost
+        mask = simulate_ic(inst.graph, s, np.random.default_rng(5))
+        assert got == mask @ inst.attrs.benefit - s.total_cost
 
     def test_deterministic_cascade(self):
         inst = make_instance("t", 3, [(0, 1, 1.0), (1, 2, 1.0)],
@@ -105,13 +166,6 @@ class TestShapedReward:
         with pytest.raises(ValueError):
             shaped_reward(inst.graph, inst.attrs, inst.parts,
                           SeedSet.empty(), -1.0, rng)
-
-
-def test_marginal_reward():
-    assert marginal_reward(4.0, 4.0) == 0.0
-    assert marginal_reward(10.0, 4.0) == 6.0
-    assert marginal_reward(1.0, 4.0) == -3.0  # negatives stored as-is
-    assert marginal_reward(7.5, 0.0) == 7.5  # first step bootstraps from 0
 
 
 class TestEvaluateSeedSet:
@@ -130,6 +184,6 @@ class TestEvaluateSeedSet:
 
     def test_fairness_config_validation(self):
         with pytest.raises(ValueError):
-            FairnessConfig(weight=-0.5)
+            FairnessConfig(threshold=-0.5)
         with pytest.raises(ValueError):
             FairnessConfig(threshold=1.5)

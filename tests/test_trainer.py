@@ -4,13 +4,13 @@ from scipy.stats import chisquare
 
 from fairseed.embedding import compute_embeddings, init_embedding_params
 from fairseed.graph import InstancePool
+from fairseed.metrics import FairnessConfig, evaluate_seed_set
 from fairseed import trainer
 from fairseed.qnet import (QNetwork, adam_step, encode_states, hidden_table,
                            q_forward_batch)
 from fairseed.trainer import (CheckpointError, ReplayBuffer, TrainConfig,
                               TrainedPolicy, Transition, _bellman_targets,
-                              epsilon_greedy_select, infer_seed_set,
-                              load_checkpoint, run_episode, save_checkpoint,
+                              epsilon_greedy_select, load_checkpoint, run_episode, save_checkpoint,
                               select_seed_set, train)
 
 from conftest import make_instance
@@ -146,6 +146,19 @@ class TestRunEpisode:
         assert transitions[0].terminal
         assert transitions[0].action == 0
 
+    def test_step_rewards_are_increments(self, rng, monkeypatch):
+        # each step's reward is the shaped return of the seeds so far minus
+        # that of the step before; negatives are stored as-is and the first
+        # step bootstraps from 0
+        returns = iter([7.5, 10.0, 4.0, 4.0, 9.0, 1.0])
+        monkeypatch.setattr(trainer, "shaped_reward",
+                            lambda *args: next(returns))
+        inst = toy_instance(cost=[1] * 6)
+        cfg = toy_config(budget=6.0)
+        policy, h = toy_policy(inst, cfg)
+        ts = run_episode(policy.net, inst, h, cfg, 0.0, rng)
+        assert [t.reward for t in ts] == [7.5, 2.5, -6.0, 0.0, 5.0, -8.0]
+
     def test_horizon_bound_and_chain(self, rng):
         inst = toy_instance()
         cfg = toy_config(budget=8.0)
@@ -208,12 +221,12 @@ class TestTrain:
                              cost=[1, 1, 1, 1], benefit=[2, 3, 4, 5],
                              labels=[0, 0, 0, 0])
         from fairseed.diffusion import SeedSet, simulate_ic
-        from fairseed.metrics import earned_benefit, shaped_reward
+        from fairseed.metrics import shaped_reward
         s = SeedSet.build([0, 2], inst.attrs)
         reward = shaped_reward(inst.graph, inst.attrs, inst.parts, s, 0.0,
                                np.random.default_rng(3))
-        infl = simulate_ic(inst.graph, s, np.random.default_rng(3))
-        assert reward == earned_benefit(infl, inst.attrs) - s.total_cost
+        mask = simulate_ic(inst.graph, s, np.random.default_rng(3))
+        assert reward == mask @ inst.attrs.benefit - s.total_cost
 
 
 class TestTableLifetime:
@@ -302,7 +315,9 @@ class TestInference:
         inst = toy_instance()
         cfg = toy_config()
         policy, _ = toy_policy(inst, cfg)
-        seeds, report = infer_seed_set(policy, inst, budget=0.5, m=10)
+        seeds = select_seed_set(policy, inst, budget=0.5)
+        report, _, _ = evaluate_seed_set(inst.graph, inst.attrs, inst.parts,
+                                         seeds, 10, 0, FairnessConfig())
         assert len(seeds) == 0
         assert report.profit == 0.0
 
@@ -343,6 +358,21 @@ class TestCheckpoint:
         save_checkpoint(path, policy, cfg)
         with pytest.raises(CheckpointError):
             load_checkpoint(path, expect_d_emb=64)
+
+    @pytest.mark.parametrize("name", ["b1", "w2", "b2", "adam_m_w1",
+                                      "adam_v_b2", "embed_w_agg"])
+    def test_wrong_parameter_shape_rejected(self, tmp_path, name):
+        cfg = toy_config(episodes=2)
+        policy = train(cfg, InstancePool(train=(toy_instance("a"),),
+                                         test=(), seed=0))
+        path = str(tmp_path / "ckpt.npz")
+        save_checkpoint(path, policy, cfg)
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays[name] = np.zeros(3)
+        np.savez(path, **arrays)
+        with pytest.raises(CheckpointError, match=name):
+            load_checkpoint(path)
 
     def test_garbage_rejected(self, tmp_path):
         path = tmp_path / "bad.npz"
