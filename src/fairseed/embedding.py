@@ -28,7 +28,6 @@ class EmbeddingParams:
 class NodeEmbeddings:
     vectors: np.ndarray  # (n, d)
     dim: int
-    iterations: int
 
 
 def init_embedding_params(d_emb: int, seed: int) -> EmbeddingParams:
@@ -55,17 +54,16 @@ def compute_embeddings(g: Graph, attrs: NodeAttrs, params: EmbeddingParams,
                        t_emb: int) -> NodeEmbeddings:
     """Run t_emb message-passing iterations from all-zero embeddings.
 
-    Aggregation is over in-neighbors for directed graphs (who can influence
-    the node); for undirected graphs the reverse CSR equals the forward one.
+    Aggregation is over in-neighbors (who can influence the node); on an
+    undirected graph these are simply the neighbors.
     """
     if t_emb < 1:
         raise ValueError("t_emb must be >= 1")
     n, d = g.n, params.dim
     # in-neighbor aggregation matrix: row v sums over sources u with (u, v) in E
-    agg = sp.csr_matrix(
-        (np.ones(len(g.rev_indices)), g.rev_indices, g.rev_indptr), shape=(n, n))
-    in_prob = np.zeros(n)
-    np.add.at(in_prob, np.repeat(np.arange(n), np.diff(g.rev_indptr)), g.rev_probs)
+    src, dst, probs = g.arc_arrays()
+    agg = sp.csr_matrix((np.ones(g.num_arcs), (dst, src)), shape=(n, n))
+    in_prob = np.bincount(dst, weights=probs, minlength=n)
 
     feats = np.column_stack([_minmax(attrs.cost), _minmax(attrs.benefit)])
     feat_term = feats @ params.w_feat.T          # (n, d)
@@ -73,4 +71,4 @@ def compute_embeddings(g: Graph, attrs: NodeAttrs, params: EmbeddingParams,
     h = np.zeros((n, d))
     for _ in range(t_emb):
         h = np.maximum(feat_term + (agg @ h) @ params.w_agg.T + edge_term, 0.0)
-    return NodeEmbeddings(vectors=h, dim=d, iterations=t_emb)
+    return NodeEmbeddings(vectors=h, dim=d)

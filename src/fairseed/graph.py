@@ -1,9 +1,9 @@
 """Graph representation, ingestion, attribute assignment, and instance sampling.
 
-Graphs use dense 0..n-1 node ids with CSR adjacency. Undirected edges are
-stored in both directions (each stored arc is an independent activation
-attempt under the cascade model). A reverse CSR is kept for directed graphs
-so PageRank and in-neighborhood aggregation stay cheap.
+Graphs use dense 0..n-1 node ids and one CSR adjacency over directed arcs.
+Undirected edges are stored in both directions (each stored arc is an
+independent activation attempt under the cascade model). Every graph is
+built from flat (src, dst, prob) arc arrays.
 """
 
 from __future__ import annotations
@@ -32,9 +32,6 @@ class Graph:
     indptr: np.ndarray      # int64, len n+1
     indices: np.ndarray     # int64 arc targets, sorted within each source
     probs: np.ndarray       # float64 in (0,1], parallel to indices
-    rev_indptr: np.ndarray  # in-edge CSR (equals forward CSR if undirected)
-    rev_indices: np.ndarray
-    rev_probs: np.ndarray
     original_ids: np.ndarray  # original id of each dense node
 
     @property
@@ -44,11 +41,6 @@ class Graph:
     @property
     def num_arcs(self) -> int:
         return len(self.indices)
-
-    @property
-    def num_edges(self) -> int:
-        """Edge count in the input's convention (undirected pairs counted once)."""
-        return self.num_arcs if self.directed else self.num_arcs // 2
 
     def out_degree(self) -> np.ndarray:
         """Out-arc count per node; computed once per graph, read-only."""
@@ -98,7 +90,6 @@ class NodeAttrs:
 @dataclass(frozen=True)
 class CommunityPartition:
     count: int
-    labels: np.ndarray
     members: tuple[np.ndarray, ...]
     total_benefit: np.ndarray
     weights: np.ndarray  # (n, count): weights[v, labels[v]] = benefit[v], else 0
@@ -115,8 +106,7 @@ class CommunityPartition:
             raise ValueError("every community needs positive total benefit")
         weights = np.zeros((len(labels), count))
         weights[np.arange(len(labels)), labels] = benefit
-        return cls(count=count, labels=labels, members=members,
-                   total_benefit=totals, weights=weights)
+        return cls(count=count, members=members, total_benefit=totals, weights=weights)
 
 
 @dataclass(frozen=True)
@@ -149,62 +139,52 @@ class UniformProbabilities:
 class TrivalencyProbabilities:
     choices: tuple[float, ...] = (0.1, 0.01, 0.001)
 
+    def __post_init__(self):
+        # "not all valid" rather than "any invalid": NaN fails every comparison
+        if not self.choices or not all(0.0 < p <= 1.0 for p in self.choices):
+            raise ValueError("trivalency choices must be non-empty and lie in "
+                             f"(0, 1], got {self.choices}")
+
 
 ProbabilityModel = UniformProbabilities | TrivalencyProbabilities
 
 
-def _build_graph(n: int, src: np.ndarray, dst: np.ndarray, probs: np.ndarray,
-                 directed: bool, original_ids: np.ndarray) -> Graph:
+def _graph_from_arcs(n: int, src: np.ndarray, dst: np.ndarray,
+                     probs: np.ndarray, directed: bool,
+                     original_ids: np.ndarray) -> Graph:
+    """The one place an adjacency is built, from unsorted int64 arc ends and
+    float64 probabilities: undirected edges are mirrored, self-loops dropped,
+    each repeated (u, v, p) arc kept once and the arcs put in CSR order."""
+    if not directed:
+        src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+        probs = np.concatenate([probs, probs])
     order = np.lexsort((dst, src))
     src, dst, probs = src[order], dst[order], probs[order]
+    # an arc given two probabilities stays twice, and validate rejects it
+    keep = src != dst
+    keep[1:] &= (src[1:] != src[:-1]) | (dst[1:] != dst[:-1]) | \
+        (probs[1:] != probs[:-1])
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, src + 1, 1)
-    indptr = np.cumsum(indptr)
-    rorder = np.lexsort((src, dst))
-    rev_indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(rev_indptr, dst + 1, 1)
-    rev_indptr = np.cumsum(rev_indptr)
-    return Graph(
-        directed=directed,
-        indptr=indptr,
-        indices=dst.astype(np.int64),
-        probs=probs.astype(np.float64),
-        rev_indptr=rev_indptr,
-        rev_indices=src[rorder].astype(np.int64),
-        rev_probs=probs[rorder].astype(np.float64),
-        original_ids=np.asarray(original_ids, dtype=np.int64),
-    )
-
-
-def graph_from_edges(n: int, edges, directed: bool,
-                     original_ids: np.ndarray | None = None,
-                     default_prob: float = 1.0) -> Graph:
-    """Build a Graph from (u, v) or (u, v, p) tuples over dense node ids.
-
-    Self-loops are dropped and repeated (u, v, p) arcs kept once. Raises
-    ValueError when a probability lies outside (0, 1] or one arc is given
-    two probabilities.
-    """
-    arcs = set()
-    for e in edges:
-        u, v = int(e[0]), int(e[1])
-        p = float(e[2]) if len(e) > 2 else default_prob
-        if u == v:
-            continue
-        arcs.add((u, v, p))
-        if not directed:
-            arcs.add((v, u, p))
-    if arcs:
-        src, dst, probs = (np.array(a) for a in zip(*sorted(arcs)))
-    else:
-        src = dst = np.zeros(0, dtype=np.int64)
-        probs = np.zeros(0)
-    if original_ids is None:
-        original_ids = np.arange(n)
-    g = _build_graph(n, src.astype(np.int64), dst.astype(np.int64),
-                     probs, directed, original_ids)
+    np.cumsum(np.bincount(src[keep], minlength=n), out=indptr[1:])
+    g = Graph(directed=directed, indptr=indptr, indices=dst[keep],
+              probs=probs[keep], original_ids=original_ids)
     g.validate()
     return g
+
+
+def graph_from_edges(n: int, edges, directed: bool) -> Graph:
+    """Build a Graph from (u, v) or (u, v, p) tuples over dense node ids.
+
+    p defaults to 1.0. Self-loops are dropped and repeated (u, v, p) arcs
+    kept once. Raises ValueError when a node id lies outside [0, n), a
+    probability outside (0, 1], or one arc is given two probabilities.
+    """
+    edges = list(edges)
+    ends = np.array([(e[0], e[1]) for e in edges], dtype=np.int64).reshape(-1, 2)
+    if ends.size and (ends.min() < 0 or ends.max() >= n):
+        raise ValueError(f"node id outside [0, {n})")
+    probs = np.array([e[2] if len(e) > 2 else 1.0 for e in edges], dtype=np.float64)
+    return _graph_from_arcs(n, ends[:, 0], ends[:, 1], probs, directed, np.arange(n))
 
 
 def load_edge_list(path: str, directed: bool) -> Graph:
@@ -214,8 +194,7 @@ def load_edge_list(path: str, directed: bool) -> Graph:
     self-loops and duplicate edges are dropped. Edge probabilities are
     initialized to 1.0 pending assign_edge_probabilities.
     """
-    pairs = set()
-    nodes = set()
+    pairs = []
     try:
         with open(path) as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -227,23 +206,19 @@ def load_edge_list(path: str, directed: bool) -> Graph:
                     raise EdgeListError(
                         f"{path}:{lineno}: expected two node ids, got {line!r}")
                 try:
-                    u, v = int(fields[0]), int(fields[1])
+                    pairs.append((int(fields[0]), int(fields[1])))
                 except ValueError:
                     raise EdgeListError(
                         f"{path}:{lineno}: non-integer node id in {line!r}") from None
-                nodes.add(u)
-                nodes.add(v)
-                if u == v:
-                    continue
-                pairs.add((u, v) if directed else (min(u, v), max(u, v)))
     except OSError as exc:
         raise EdgeListError(f"cannot read {path}: {exc}") from exc
-    if not nodes:
+    if not pairs:
         raise EdgeListError(f"{path}: empty graph")
-    original = np.array(sorted(nodes), dtype=np.int64)
-    remap = {orig: i for i, orig in enumerate(original)}
-    edges = [(remap[u], remap[v]) for u, v in pairs]
-    return graph_from_edges(len(original), edges, directed, original_ids=original)
+    # a node seen only in a self-loop still counts as a node
+    original, dense = np.unique(np.array(pairs, dtype=np.int64).ravel(),
+                                return_inverse=True)
+    return _graph_from_arcs(len(original), dense[0::2], dense[1::2],
+                            np.ones(len(pairs)), directed, original)
 
 
 def assign_edge_probabilities(g: Graph, model: ProbabilityModel, seed: int) -> Graph:
@@ -252,7 +227,6 @@ def assign_edge_probabilities(g: Graph, model: ProbabilityModel, seed: int) -> G
     Undirected graphs get symmetric probabilities (one draw per edge).
     Deterministic given the seed.
     """
-    src, dst, _ = g.arc_arrays()
     if isinstance(model, UniformProbabilities):
         probs = np.full(g.num_arcs, model.p)
     else:
@@ -260,15 +234,15 @@ def assign_edge_probabilities(g: Graph, model: ProbabilityModel, seed: int) -> G
         if g.directed:
             probs = rng.choice(model.choices, size=g.num_arcs)
         else:
-            # one draw per undirected edge, mirrored onto both stored arcs
+            # one draw per edge, made on its u < v arc in CSR order; in
+            # (dst, src) order the k-th arc is the mirror of CSR arc k
+            src, dst, _ = g.arc_arrays()
             canon = src < dst
-            edge_probs = rng.choice(model.choices, size=int(canon.sum()))
-            key = np.minimum(src, dst) * g.n + np.maximum(src, dst)
-            canon_keys = key[canon]
-            order = np.argsort(canon_keys)
-            probs = edge_probs[order[np.searchsorted(canon_keys[order], key)]]
-    return _build_graph(g.n, src.copy(), dst.copy(), probs, g.directed,
-                        g.original_ids)
+            draws = rng.choice(model.choices, size=int(canon.sum()))
+            probs = np.empty(g.num_arcs)
+            probs[canon] = draws
+            probs[np.lexsort((src, dst))[canon]] = draws
+    return dataclasses.replace(g, probs=probs)
 
 
 def assign_node_attributes(g: Graph, cost_range: tuple[float, float],
@@ -295,6 +269,9 @@ def assign_communities(g: Graph, attrs: NodeAttrs, minority_fraction: float,
         raise ValueError(f"minority_fraction must lie in (0, 1), got {minority_fraction}")
     n = g.n
     k = int(np.ceil(minority_fraction * n))
+    if k == n:
+        raise ValueError(f"minority_fraction {minority_fraction} puts all {n} "
+                         "nodes in the minority; a split needs two communities")
     rng = np.random.default_rng(seed)
     minority = rng.choice(n, size=k, replace=False)
     labels = np.ones(n, dtype=np.int64)
@@ -314,23 +291,20 @@ def sample_subgraph(g: Graph, target_nodes: int, seed: int,
     unvisited_hint = rng.permutation(g.n)
     hint_pos = 0
 
-    def next_unvisited() -> int:
+    def visit_unvisited() -> int:
         nonlocal hint_pos
         while unvisited_hint[hint_pos] in visited:
             hint_pos += 1
+        visited.add(int(unvisited_hint[hint_pos]))
         return int(unvisited_hint[hint_pos])
 
-    start = next_unvisited()
-    visited.add(start)
-    current = start
+    start = current = visit_unvisited()
     stall_limit = max(100, 10 * target_nodes)
     since_new = 0
     while len(visited) < target_nodes:
         nb = g.neighbors(current)
         if len(nb) == 0 or since_new > stall_limit:
-            start = next_unvisited()
-            visited.add(start)
-            current = start
+            start = current = visit_unvisited()
             since_new = 0
             continue
         if rng.random() < restart_prob:
@@ -352,8 +326,8 @@ def induced_subgraph(g: Graph, nodes: np.ndarray) -> Graph:
     remap[nodes] = np.arange(len(nodes))
     src, dst, probs = g.arc_arrays()
     keep = (remap[src] >= 0) & (remap[dst] >= 0)
-    return _build_graph(len(nodes), remap[src[keep]], remap[dst[keep]],
-                        probs[keep], g.directed, g.original_ids[nodes])
+    return _graph_from_arcs(len(nodes), remap[src[keep]], remap[dst[keep]],
+                            probs[keep], g.directed, g.original_ids[nodes])
 
 
 def build_instance_pool(g: Graph, n_train: int, n_test: int,

@@ -321,7 +321,11 @@ def load_checkpoint(path: str, expect_d_emb: int | None = None
         raise CheckpointError(f"cannot load checkpoint {path}: {exc}") from exc
     if meta.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {meta.get('version')}")
-    hidden, in_dim, d = meta["hidden"], meta["in_dim"], meta["d_emb"]
+    try:
+        hidden, in_dim, d, t_emb = (meta[k] for k in
+                                    ("hidden", "in_dim", "d_emb", "t_emb"))
+    except KeyError as exc:
+        raise CheckpointError(f"checkpoint metadata lacks {exc}") from None
     shapes = {"w1": (hidden, in_dim), "b1": (hidden,), "w2": (hidden,),
               "b2": (1,)}
     shapes.update({f"adam_{mv}_{p}": shapes[p] for p in params for mv in "mv"})
@@ -342,4 +346,4 @@ def load_checkpoint(path: str, expect_d_emb: int | None = None
     embed = EmbeddingParams(w_feat=arrays["embed_w_feat"],
                             w_agg=arrays["embed_w_agg"],
                             w_edge=arrays["embed_w_edge"])
-    return TrainedPolicy(net=net, embed=embed, t_emb=int(meta["t_emb"])), meta
+    return TrainedPolicy(net=net, embed=embed, t_emb=int(t_emb)), meta

@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -41,6 +42,12 @@ class TestTrainCommand:
         code, _ = run_train(str(tmp_path / "nope.txt"), tmp_path)
         assert code == EXIT_DATA
 
+    def test_single_community_split_is_usage_error(self, dataset, tmp_path):
+        # ceil(0.95 * 12) == 12: every node would be in the minority
+        code, _ = run_train(dataset, tmp_path,
+                            extra=["--minority-fraction", "0.95"])
+        assert code == EXIT_USAGE
+
     def test_no_dataset_is_usage_error(self, tmp_path):
         code = main(["train", "--checkpoint-out", str(tmp_path / "x.npz")])
         assert code == EXIT_USAGE
@@ -76,6 +83,22 @@ class TestEvalCommand:
         with np.load(ckpt) as data:
             arrays = dict(data)
         arrays["b1"] = np.zeros(3)
+        np.savez(ckpt, **arrays)
+        code = main(["eval", "--dataset", dataset, "--checkpoint-in", ckpt,
+                     "--seed", "7", *FAST_TRAIN, "--m", "5",
+                     "--algorithms", "rl", "--out", str(tmp_path / "r")])
+        assert code == EXIT_CHECKPOINT
+
+    @pytest.mark.parametrize("key", ["hidden", "in_dim", "d_emb", "t_emb"])
+    def test_missing_metadata_key_is_checkpoint_error(self, dataset, tmp_path,
+                                                      key):
+        code, ckpt = run_train(dataset, tmp_path)
+        assert code == EXIT_OK
+        with np.load(ckpt) as data:
+            arrays = dict(data)
+        meta = json.loads(bytes(arrays["meta"]).decode())
+        del meta[key]
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         np.savez(ckpt, **arrays)
         code = main(["eval", "--dataset", dataset, "--checkpoint-in", ckpt,
                      "--seed", "7", *FAST_TRAIN, "--m", "5",

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fairseed.graph import (CommunityPartition, EdgeListError,
                             AttributeFileError, TrivalencyProbabilities,
@@ -22,16 +23,15 @@ class TestLoadEdgeList:
     def test_basic_undirected(self, tmp_path):
         g = load_edge_list(write(tmp_path, "0 1\n1 2\n"), directed=False)
         assert g.n == 3
-        assert g.num_edges == 2
         assert g.num_arcs == 4
 
     def test_comments_skipped(self, tmp_path):
         g = load_edge_list(write(tmp_path, "# comment\n0 1\n"), directed=False)
-        assert g.n == 2 and g.num_edges == 1
+        assert g.n == 2 and g.num_arcs == 2
 
     def test_self_loops_and_duplicates_dropped(self, tmp_path):
         g = load_edge_list(write(tmp_path, "0 0\n0 1\n0 1\n1 0\n"), directed=False)
-        assert g.n == 2 and g.num_edges == 1
+        assert g.n == 2 and g.num_arcs == 2
 
     def test_ids_remapped_dense(self, tmp_path):
         g = load_edge_list(write(tmp_path, "10 30\n30 20\n"), directed=True)
@@ -77,11 +77,70 @@ def test_out_degree_computed_once_and_read_only():
     [(0, 1, float("nan"))],
     [(0, 1, 1.5)],
     [(0, 1, 0.5), (0, 1, 0.7)],  # one arc, two probabilities
+    [(-1, 0, 0.5)],              # node ids outside [0, n)
+    [(0, 5, 0.5)],
 ])
 @pytest.mark.parametrize("directed", [True, False])
 def test_graph_from_edges_rejects_bad_arcs(edges, directed):
     with pytest.raises(ValueError):
         graph_from_edges(2, edges, directed=directed)
+
+
+@st.composite
+def edge_lists(draw):
+    """Edge lists over n <= 6 nodes with repeats, self-loops, both
+    directions, and mixed (u, v) and (u, v, p) tuples."""
+    n = draw(st.integers(1, 6))
+    node = st.integers(0, n - 1)
+    prob = st.sampled_from([0.25, 0.5, 1.0])
+    edge = st.tuples(node, node) | st.tuples(node, node, prob)
+    return n, draw(st.lists(edge, max_size=20)), draw(st.booleans())
+
+
+def reference_arcs(edges, directed):
+    """The sorted set of (u, v, p) arcs, built tuple by tuple."""
+    arcs = set()
+    for e in edges:
+        u, v, p = e[0], e[1], e[2] if len(e) > 2 else 1.0
+        if u != v:
+            arcs.add((u, v, p))
+            if not directed:
+                arcs.add((v, u, p))
+    return sorted(arcs)
+
+
+class TestGraphFromEdgesProperties:
+    @settings(deadline=None)
+    @given(edge_lists())
+    def test_matches_set_of_tuples_reference(self, case):
+        n, edges, directed = case
+        arcs = reference_arcs(edges, directed)
+        if len({(u, v) for u, v, _ in arcs}) < len(arcs):
+            with pytest.raises(ValueError, match="parallel"):
+                graph_from_edges(n, edges, directed=directed)
+            return
+        g = graph_from_edges(n, edges, directed=directed)
+        indptr = [0] * (n + 1)
+        for u, _, _ in arcs:
+            indptr[u + 1] += 1
+        for i in range(n):
+            indptr[i + 1] += indptr[i]
+        assert g.indptr.tolist() == indptr
+        assert list(zip(*(a.tolist() for a in g.arc_arrays()))) == arcs
+        assert g.original_ids.tolist() == list(range(n))
+
+    @settings(deadline=None)
+    @given(edge_lists(), st.integers(0, 2**32 - 1))
+    def test_undirected_trivalency_is_symmetric(self, case, seed):
+        n, edges, _ = case
+        g = graph_from_edges(n, [e[:2] for e in edges], directed=False)
+        t = assign_edge_probabilities(g, TrivalencyProbabilities(), seed)
+        assert np.array_equal(t.indptr, g.indptr)
+        assert np.array_equal(t.indices, g.indices)
+        table = dict(zip(zip(*t.arc_arrays()[:2]), t.probs))
+        for (u, v), p in table.items():
+            assert table[(v, u)] == p
+        assert set(table.values()) <= {0.1, 0.01, 0.001}
 
 
 class TestProbabilities:
@@ -102,6 +161,12 @@ class TestProbabilities:
         a = assign_edge_probabilities(g, TrivalencyProbabilities(), seed=11)
         b = assign_edge_probabilities(g, TrivalencyProbabilities(), seed=11)
         assert np.array_equal(a.probs, b.probs)
+
+    @pytest.mark.parametrize("choices", [(), (1.5,), (0.1, float("nan")),
+                                         (0.0, 0.1), (-0.1,)])
+    def test_invalid_trivalency_choices(self, choices):
+        with pytest.raises(ValueError, match="trivalency"):
+            TrivalencyProbabilities(choices)
 
     def test_invalid_uniform_p(self):
         with pytest.raises(ValueError):
@@ -170,6 +235,13 @@ class TestCommunities:
         g = graph_from_edges(4, [(0, 1)], directed=False)
         with pytest.raises(ValueError):
             assign_communities(g, make_attrs(4), 1.0, seed=0)
+
+    @pytest.mark.parametrize("n, fraction", [(3, 0.9), (1, 0.2)])
+    def test_minority_taking_every_node_rejected(self, n, fraction):
+        # ceil(fraction * n) == n would leave a single community
+        g = graph_from_edges(n, [], directed=False)
+        with pytest.raises(ValueError, match="two communities"):
+            assign_communities(g, make_attrs(n), fraction, seed=0)
 
 
 class TestSampling:

@@ -12,7 +12,7 @@ IN_DIM = 67
 
 def tiny_embeddings(n=5, d=64, seed=0):
     rng = np.random.default_rng(seed)
-    return NodeEmbeddings(vectors=rng.uniform(0, 1, (n, d)), dim=d, iterations=3)
+    return NodeEmbeddings(vectors=rng.uniform(0, 1, (n, d)), dim=d)
 
 
 def random_states(rng, k, in_dim=IN_DIM):
@@ -126,8 +126,7 @@ class TestHiddenTable:
             n = int(rng.integers(1, 40))
             d = int(rng.integers(1, 16))
             net = QNetwork.init(d + 3, seed=trial, hidden=int(rng.integers(1, 64)))
-            h = NodeEmbeddings(vectors=rng.normal(size=(n, d)), dim=d,
-                               iterations=3)
+            h = NodeEmbeddings(vectors=rng.normal(size=(n, d)), dim=d)
             attrs = make_attrs(n, cost=rng.uniform(1, 100, n))
             budget = float(rng.uniform(10, 1000))
             k_max = int(rng.integers(1, 50))
