@@ -16,6 +16,11 @@ import scipy.sparse as sp
 from .diffusion import SeedSet
 from .graph import CommunityPartition, Graph, NodeAttrs
 
+# PageRank power iteration: damping, L1 convergence tolerance, iteration cap
+DAMPING = 0.85
+TOL = 1e-8
+MAX_ITER = 200
+
 
 @dataclass(frozen=True)
 class ScoreTable:
@@ -50,8 +55,7 @@ def high_degree_seeds(g: Graph, attrs: NodeAttrs, budget: float) -> SeedSet:
     return SeedSet.build(_greedy_fill(table.order, attrs.cost, budget), attrs)
 
 
-def pagerank(g: Graph, damping: float = 0.85, tol: float = 1e-8,
-             max_iter: int = 200) -> ScoreTable:
+def pagerank(g: Graph) -> ScoreTable:
     """Power iteration with uniform teleport; dangling mass spread uniformly."""
     n = g.n
     outdeg = g.out_degree().astype(float)
@@ -61,10 +65,10 @@ def pagerank(g: Graph, damping: float = 0.85, tol: float = 1e-8,
     transition = sp.csr_matrix((weights, (dst, src)), shape=(n, n))
     dangling = outdeg == 0
     rank = np.full(n, 1.0 / n)
-    teleport = (1.0 - damping) / n
-    for _ in range(max_iter):
-        nxt = damping * (transition @ rank + rank[dangling].sum() / n) + teleport
-        if np.abs(nxt - rank).sum() < tol:
+    teleport = (1.0 - DAMPING) / n
+    for _ in range(MAX_ITER):
+        nxt = DAMPING * (transition @ rank + rank[dangling].sum() / n) + teleport
+        if np.abs(nxt - rank).sum() < TOL:
             rank = nxt
             break
         rank = nxt

@@ -18,15 +18,16 @@ import csv
 import json
 import os
 import sys
+from dataclasses import asdict, fields
 
 import numpy as np
 
 from .diffusion import SeedSet, exact_expected_profit
-from .graph import (AttributeFileError, EdgeListError, TrivalencyProbabilities,
-                    UniformProbabilities, assign_edge_probabilities,
-                    load_edge_list, load_node_attributes)
-from .experiment import (ALGORITHMS, ExperimentConfig, build_pool, emit_report,
-                         run_experiment)
+from .graph import (AttributeFileError, EdgeListError, NodeAttrs,
+                    TrivalencyProbabilities, UniformProbabilities,
+                    assign_edge_probabilities, load_edge_list,
+                    load_node_attributes)
+from .experiment import ExperimentConfig, build_pool, emit_report, run_experiment
 from .metrics import FairnessConfig
 from .trainer import (CheckpointError, TrainConfig, load_checkpoint,
                       save_checkpoint, train)
@@ -61,77 +62,80 @@ def _parse_ints(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
 
 
+# Flags that set a config field carry no default: absent ones stay out of
+# the parsed namespace (argument_default=SUPPRESS), so each dataclass fills
+# in its own default. A flag's dest is the field it sets.
 def _add_data_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--dataset", help="edge-list file (SNAP format)")
-    p.add_argument("--directed", action=argparse.BooleanOptionalAction,
-                   default=False)
-    p.add_argument("--prob-model", choices=["uniform", "trivalency"],
-                   default="uniform")
-    p.add_argument("--p", type=float, default=0.1,
+    p.add_argument("--directed", action=argparse.BooleanOptionalAction)
+    p.add_argument("--prob-model", choices=["uniform", "trivalency"])
+    p.add_argument("--p", type=float,
                    help="edge probability for the uniform model")
-    p.add_argument("--n-train", type=int, default=12)
-    p.add_argument("--n-test", type=int, default=8)
-    p.add_argument("--nodes-per-instance", type=int, default=500)
-    p.add_argument("--cost-range", type=_parse_range, default=(1.0, 100.0))
-    p.add_argument("--benefit-range", type=_parse_range, default=(1.0, 100.0))
-    p.add_argument("--minority-fraction", type=float, default=0.2)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n-train", type=int)
+    p.add_argument("--n-test", type=int)
+    p.add_argument("--nodes-per-instance", type=int)
+    p.add_argument("--cost-range", type=_parse_range)
+    p.add_argument("--benefit-range", type=_parse_range)
+    p.add_argument("--minority-fraction", type=float)
+    p.add_argument("--seed", type=int)
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--budget", type=float, default=1000.0)
-    p.add_argument("--episodes", type=int, default=720)
-    p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--gamma", type=float, default=0.95)
-    p.add_argument("--eps-start", type=float, default=1.0)
-    p.add_argument("--eps-min", type=float, default=0.05)
-    p.add_argument("--eps-decay", type=float, default=0.995)
-    p.add_argument("--replay-capacity", type=int, default=10_000)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--update-period", type=int, default=2)
-    p.add_argument("--phi", type=float, default=1.0,
+    p.add_argument("--budget", type=float)
+    p.add_argument("--episodes", type=int)
+    p.add_argument("--lr", dest="learning_rate", type=float)
+    p.add_argument("--gamma", dest="discount", type=float)
+    p.add_argument("--eps-start", dest="epsilon_start", type=float)
+    p.add_argument("--eps-min", dest="epsilon_min", type=float)
+    p.add_argument("--eps-decay", dest="epsilon_decay", type=float)
+    p.add_argument("--replay-capacity", type=int)
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--update-period", type=int)
+    p.add_argument("--phi", dest="fairness_weight", type=float,
                    help="fairness reward-shaping weight")
-    p.add_argument("--d-emb", type=int, default=64)
-    p.add_argument("--t-emb", type=int, default=3)
+    p.add_argument("--d-emb", type=int)
+    p.add_argument("--t-emb", type=int)
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="fairseed")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_train = sub.add_parser("train", help="train a seed-selection policy")
+    def add_parser(name: str, help: str) -> _Parser:
+        return sub.add_parser(name, help=help,
+                              argument_default=argparse.SUPPRESS)
+
+    p_train = add_parser("train", "train a seed-selection policy")
     _add_data_flags(p_train)
     _add_train_flags(p_train)
     p_train.add_argument("--checkpoint-out", required=True)
     p_train.add_argument("--log", help="per-episode progress CSV path")
 
-    p_eval = sub.add_parser("eval", help="run the experiment grid")
+    p_eval = add_parser("eval", "run the experiment grid")
     _add_data_flags(p_eval)
     _add_train_flags(p_eval)
     p_eval.add_argument("--checkpoint-in",
                         help="trained policy; omitting it trains first when "
                              "'rl' is among the algorithms")
-    p_eval.add_argument("--budgets", type=_parse_floats,
-                        default=(500, 1000, 1500, 2000, 2500, 3000))
-    p_eval.add_argument("--m", type=int, default=1000)
-    p_eval.add_argument("--algorithms", default=",".join(ALGORITHMS))
-    p_eval.add_argument("--tau", type=float, default=0.0)
-    p_eval.add_argument("--out", default="results")
+    p_eval.add_argument("--budgets", type=_parse_floats)
+    p_eval.add_argument("--m", type=int)
+    p_eval.add_argument("--algorithms",
+                        type=lambda text: tuple(filter(None, text.split(","))))
+    p_eval.add_argument("--tau", dest="threshold", type=float)
+    p_eval.add_argument("--out", dest="out_dir")
 
-    p_oracle = sub.add_parser("oracle",
-                              help="exact expected profit on a tiny graph")
+    p_oracle = add_parser("oracle", "exact expected profit on a tiny graph")
     p_oracle.add_argument("--config", help="flat key=value config file")
     p_oracle.add_argument("--dataset", required=True)
-    p_oracle.add_argument("--directed", action=argparse.BooleanOptionalAction,
-                          default=False)
-    p_oracle.add_argument("--p", type=float, default=0.1)
+    p_oracle.add_argument("--directed", action=argparse.BooleanOptionalAction)
+    p_oracle.add_argument("--p", type=float)
     p_oracle.add_argument("--attrs",
                           help="node attribute CSV; defaults to unit cost/benefit")
     p_oracle.add_argument("--seeds", type=_parse_ints, required=True,
                           help="comma-separated seed node ids (original ids)")
 
-    p_sample = sub.add_parser("sample", help="write an instance pool to disk")
+    p_sample = add_parser("sample", "write an instance pool to disk")
     _add_data_flags(p_sample)
     _add_train_flags(p_sample)
     p_sample.add_argument("--out", default="pool")
@@ -139,13 +143,19 @@ def build_parser() -> _Parser:
 
 
 def _load_config_tokens(argv: list[str]) -> list[str]:
-    """Expand --config FILE into flag tokens placed before the explicit ones."""
-    if "--config" not in argv:
+    """Expand --config FILE or --config=FILE into flag tokens placed before
+    the explicit ones."""
+    for i, token in enumerate(argv):
+        flag, eq, path = token.partition("=")
+        if flag == "--config":
+            break
+    else:
         return argv
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
-        raise UsageError("--config requires a file path")
-    path = argv[i + 1]
+    rest = argv[i + 1:]
+    if not eq:
+        if not rest:
+            raise UsageError("--config requires a file path")
+        path, rest = rest[0], rest[1:]
     tokens = []
     try:
         with open(path) as fh:
@@ -165,54 +175,39 @@ def _load_config_tokens(argv: list[str]) -> list[str]:
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     # keep the subcommand first, then config tokens, then explicit flags
-    return argv[:1] + tokens + argv[1:i] + argv[i + 2:]
+    return argv[:1] + tokens + argv[1:i] + rest
 
 
-def _prob_model(args):
-    if args.prob_model == "trivalency":
-        return TrivalencyProbabilities()
-    return UniformProbabilities(args.p)
-
-
-def _train_config(args) -> TrainConfig:
-    return TrainConfig(
-        budget=args.budget, episodes=args.episodes, learning_rate=args.lr,
-        discount=args.gamma, epsilon_start=args.eps_start,
-        epsilon_min=args.eps_min, epsilon_decay=args.eps_decay,
-        replay_capacity=args.replay_capacity, batch_size=args.batch_size,
-        update_period=args.update_period, fairness_weight=args.phi,
-        d_emb=args.d_emb, t_emb=args.t_emb, seed=args.seed)
-
-
-def _experiment_config(args, algorithms=None, budgets=None, m=1,
-                       tau=0.0, out_dir="results") -> ExperimentConfig:
-    if not args.dataset:
+def _config(args) -> ExperimentConfig:
+    """The run's config from the flags given; each config dataclass supplies
+    its own defaults for the rest and checks the values when built."""
+    given = vars(args)
+    if "dataset" not in given:
         raise UsageError("--dataset is required")
-    return ExperimentConfig(
-        dataset=args.dataset, directed=args.directed,
-        prob_model=_prob_model(args),
-        budgets=budgets or (args.budget,), m=m,
-        algorithms=algorithms or ALGORITHMS,
-        train=_train_config(args),
-        n_train=args.n_train, n_test=args.n_test,
-        nodes_per_instance=args.nodes_per_instance,
-        cost_range=args.cost_range, benefit_range=args.benefit_range,
-        minority_fraction=args.minority_fraction,
-        fairness=FairnessConfig(threshold=tau),
-        out_dir=out_dir, seed=args.seed)
+
+    def flags_for(cls) -> dict:
+        return {f.name: given[f.name] for f in fields(cls) if f.name in given}
+
+    model = (TrivalencyProbabilities if given.get("prob_model") == "trivalency"
+             else UniformProbabilities)
+    return ExperimentConfig(**{
+        **flags_for(ExperimentConfig),
+        "prob_model": model(**flags_for(model)),
+        "train": TrainConfig(**flags_for(TrainConfig)),
+        "fairness": FairnessConfig(**flags_for(FairnessConfig)),
+    })
 
 
 def _cmd_train(args) -> int:
-    cfg = _experiment_config(args)
+    cfg = _config(args)
     pool = build_pool(cfg)
+    log = getattr(args, "log", None)
     progress_rows = []
     policy = train(cfg.train, pool,
-                   progress=progress_rows.append if args.log else None)
-    if args.log:
-        with open(args.log, "w", newline="") as fh:
-            writer = csv.DictWriter(
-                fh, fieldnames=["episode", "epsilon", "buffer_size", "loss",
-                                "shaped_return"])
+                   progress=progress_rows.append if log else None)
+    if log:
+        with open(log, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=progress_rows[0].keys())
             writer.writeheader()
             writer.writerows(progress_rows)
     save_checkpoint(args.checkpoint_out, policy, cfg.train)
@@ -221,31 +216,25 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    algorithms = tuple(a for a in args.algorithms.split(",") if a)
-    cfg = _experiment_config(args, algorithms=algorithms,
-                             budgets=tuple(args.budgets), m=args.m,
-                             tau=args.tau, out_dir=args.out)
+    cfg = _config(args)
+    checkpoint = getattr(args, "checkpoint_in", None)
     policy = None
-    if args.checkpoint_in:
-        policy, _ = load_checkpoint(args.checkpoint_in, expect_d_emb=args.d_emb)
-    pool = build_pool(cfg)
-    results = run_experiment(cfg, pool=pool, policy=policy)
-    meta = {
-        "config": vars(args), "seed": cfg.seed,
-        "algorithms": algorithms, "budgets": cfg.budgets, "m": cfg.m,
-    }
+    if checkpoint:
+        policy, _ = load_checkpoint(checkpoint, expect_d_emb=cfg.train.d_emb)
+    results = run_experiment(cfg, policy=policy)
+    meta = {"config": asdict(cfg), "checkpoint": checkpoint}
     paths = emit_report(results, cfg.out_dir, meta=meta)
     print(f"wrote {paths['results']}")
     return EXIT_OK
 
 
 def _cmd_oracle(args) -> int:
-    g = load_edge_list(args.dataset, args.directed)
-    g = assign_edge_probabilities(g, UniformProbabilities(args.p), seed=0)
-    if args.attrs:
+    cfg = _config(args)
+    g = load_edge_list(cfg.dataset, cfg.directed)
+    g = assign_edge_probabilities(g, cfg.prob_model, seed=0)
+    if "attrs" in args:
         attrs, _ = load_node_attributes(args.attrs, g)
     else:
-        from .graph import NodeAttrs
         attrs = NodeAttrs(cost=np.ones(g.n), benefit=np.ones(g.n),
                           community=np.zeros(g.n, dtype=np.int64))
     remap = {int(orig): i for i, orig in enumerate(g.original_ids)}
@@ -259,7 +248,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    cfg = _experiment_config(args)
+    cfg = _config(args)
     pool = build_pool(cfg)
     os.makedirs(args.out, exist_ok=True)
     names = []

@@ -31,12 +31,12 @@ TIMING_COLUMNS = ("algorithm", "budget", "instance", "seconds")
 @dataclass(frozen=True)
 class ExperimentConfig:
     dataset: str
-    directed: bool
-    prob_model: ProbabilityModel = UniformProbabilities(0.1)
+    directed: bool = False
+    prob_model: ProbabilityModel = UniformProbabilities()
     budgets: tuple[float, ...] = (500, 1000, 1500, 2000, 2500, 3000)
     m: int = 1000
     algorithms: tuple[str, ...] = ALGORITHMS
-    train: TrainConfig = field(default_factory=lambda: TrainConfig(budget=1000.0))
+    train: TrainConfig = field(default_factory=TrainConfig)
     n_train: int = 12
     n_test: int = 8
     nodes_per_instance: int = 500
@@ -47,7 +47,7 @@ class ExperimentConfig:
     out_dir: str = "results"
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.m < 1:
             raise ValueError("m must be >= 1")
         if not self.algorithms:
@@ -120,7 +120,6 @@ def run_experiment(cfg: ExperimentConfig, pool: InstancePool | None = None,
     that depends on the instance alone (embeddings, PageRank) is done once
     per instance and timed with the first selection that uses it.
     """
-    cfg.validate()
     if pool is None:
         pool = build_pool(cfg)
     if "rl" in cfg.algorithms and policy is None:

@@ -128,7 +128,7 @@ class InstancePool:
 
 @dataclass(frozen=True)
 class UniformProbabilities:
-    p: float
+    p: float = 0.1
 
     def __post_init__(self):
         if not 0.0 < self.p <= 1.0:
@@ -147,6 +147,8 @@ class TrivalencyProbabilities:
 
 
 ProbabilityModel = UniformProbabilities | TrivalencyProbabilities
+
+RESTART_PROB = 0.15  # sample_subgraph's per-step chance of a walk restart
 
 
 def _graph_from_arcs(n: int, src: np.ndarray, dst: np.ndarray,
@@ -249,7 +251,8 @@ def assign_node_attributes(g: Graph, cost_range: tuple[float, float],
                            benefit_range: tuple[float, float], seed: int) -> NodeAttrs:
     """Draw per-node cost and benefit uniformly from the given ranges."""
     for lo, hi in (cost_range, benefit_range):
-        if not 0 < lo <= hi:
+        # "not all valid" rather than "any invalid": NaN fails every comparison
+        if not 0 < lo <= hi < np.inf:
             raise ValueError(f"invalid range [{lo}, {hi}]")
     rng = np.random.default_rng(seed)
     cost = rng.uniform(cost_range[0], cost_range[1], g.n)
@@ -280,8 +283,7 @@ def assign_communities(g: Graph, attrs: NodeAttrs, minority_fraction: float,
     return attrs, CommunityPartition.from_labels(labels, attrs.benefit)
 
 
-def sample_subgraph(g: Graph, target_nodes: int, seed: int,
-                    restart_prob: float = 0.15) -> Graph:
+def sample_subgraph(g: Graph, target_nodes: int, seed: int) -> Graph:
     """Induced subgraph on the first `target_nodes` nodes visited by a
     random walk with restart. Stalled walks jump to a fresh unvisited node."""
     if not 1 <= target_nodes <= g.n:
@@ -307,7 +309,7 @@ def sample_subgraph(g: Graph, target_nodes: int, seed: int,
             start = current = visit_unvisited()
             since_new = 0
             continue
-        if rng.random() < restart_prob:
+        if rng.random() < RESTART_PROB:
             current = start
         else:
             current = int(nb[rng.integers(len(nb))])
@@ -332,10 +334,10 @@ def induced_subgraph(g: Graph, nodes: np.ndarray) -> Graph:
 
 def build_instance_pool(g: Graph, n_train: int, n_test: int,
                         nodes_per_instance: int, base_seed: int,
-                        prob_model: ProbabilityModel = UniformProbabilities(0.1),
-                        cost_range: tuple[float, float] = (1.0, 100.0),
-                        benefit_range: tuple[float, float] = (1.0, 100.0),
-                        minority_fraction: float = 0.2) -> InstancePool:
+                        prob_model: ProbabilityModel,
+                        cost_range: tuple[float, float],
+                        benefit_range: tuple[float, float],
+                        minority_fraction: float) -> InstancePool:
     """Sample train/test instances with fully derived, disjoint seeds."""
     if n_train < 1 or n_test < 1:
         raise ValueError("need at least one train and one test instance")

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -28,7 +28,7 @@ class CheckpointError(ValueError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    budget: float
+    budget: float = 1000.0
     episodes: int = 720
     learning_rate: float = 0.001
     discount: float = 0.95
@@ -43,9 +43,12 @@ class TrainConfig:
     t_emb: int = 3
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        # "not all valid" rather than "any invalid": NaN fails every comparison
         if not 0 < self.budget < np.inf:
             raise ValueError("budget must be positive and finite")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be positive and finite")
         if not 0.0 <= self.discount < 1.0:
             raise ValueError("discount must lie in [0, 1)")
         if not 0.0 < self.epsilon_min <= self.epsilon_start <= 1.0:
@@ -56,8 +59,8 @@ class TrainConfig:
             raise ValueError("batch_size must lie in [1, replay_capacity]")
         if self.update_period < 1:
             raise ValueError("update_period must be >= 1")
-        if self.fairness_weight < 0:
-            raise ValueError("fairness_weight must be nonnegative")
+        if not 0 <= self.fairness_weight < np.inf:
+            raise ValueError("fairness_weight must be nonnegative and finite")
         if self.episodes < 1 or self.d_emb < 1 or self.t_emb < 1:
             raise ValueError("episodes, d_emb, and t_emb must be >= 1")
 
@@ -230,7 +233,6 @@ def train(config: TrainConfig, pool: InstancePool,
     episode index, epsilon, buffer size, episode shaped return, and the
     minibatch loss (None on episodes without a gradient step).
     """
-    config.validate()
     if not pool.train:
         raise ValueError("empty training pool")
     instances = {inst.id: inst for inst in pool.train}
@@ -289,7 +291,7 @@ def save_checkpoint(path: str, policy: TrainedPolicy, config: TrainConfig) -> No
         "hidden": net.hidden_dim,
         "d_emb": policy.embed.dim,
         "t_emb": policy.t_emb,
-        "config": {k: v for k, v in vars(config).items()},
+        "config": asdict(config),
     }
     arrays = {
         "w1": net.w1, "b1": net.b1, "w2": net.w2, "b2": net.b2,
@@ -334,6 +336,9 @@ def load_checkpoint(path: str, expect_d_emb: int | None = None
         if arrays[name].shape != shape:
             raise CheckpointError(f"{name} has shape {arrays[name].shape}, "
                                   f"recorded dims give {shape}")
+        if arrays[name].dtype.kind != "f" or \
+                not np.all(np.isfinite(arrays[name])):
+            raise CheckpointError(f"{name} must hold finite floats")
     if in_dim != d + 3:
         raise CheckpointError("state width inconsistent with embedding dim")
     if expect_d_emb is not None and d != expect_d_emb:

@@ -1,10 +1,13 @@
 import json
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from fairseed import cli
 from fairseed.cli import EXIT_CHECKPOINT, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from fairseed.experiment import ExperimentConfig
 
 
 @pytest.fixture
@@ -48,6 +51,16 @@ class TestTrainCommand:
                             extra=["--minority-fraction", "0.95"])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("extra", [
+        ["--phi", "nan"], ["--phi", "inf"], ["--lr", "-1"], ["--lr", "nan"],
+        ["--cost-range", "1,inf"], ["--benefit-range", "nan,2"],
+    ])
+    def test_non_finite_or_negative_setting_is_usage_error(self, dataset,
+                                                           tmp_path, extra):
+        code, ckpt = run_train(dataset, tmp_path, extra=extra)
+        assert code == EXIT_USAGE
+        assert not os.path.exists(ckpt)
+
     def test_no_dataset_is_usage_error(self, tmp_path):
         code = main(["train", "--checkpoint-out", str(tmp_path / "x.npz")])
         assert code == EXIT_USAGE
@@ -67,6 +80,20 @@ class TestEvalCommand:
         assert len(lines) == 1 + 2 * 3
         assert os.path.exists(os.path.join(out, "timings.csv"))
         assert os.path.exists(os.path.join(out, "run_meta.json"))
+
+    def test_run_meta_records_config_and_checkpoint(self, dataset, tmp_path):
+        code, ckpt = run_train(dataset, tmp_path)
+        assert code == EXIT_OK
+        out = tmp_path / "r"
+        code = main(["eval", "--dataset", dataset, "--checkpoint-in", ckpt,
+                     "--seed", "7", *FAST_TRAIN, "--budgets", "4",
+                     "--m", "5", "--algorithms", "rl", "--out", str(out)])
+        assert code == EXIT_OK
+        meta = json.loads((out / "run_meta.json").read_text())
+        assert sorted(meta) == ["checkpoint", "config"]
+        assert meta["checkpoint"] == ckpt
+        assert meta["config"]["train"]["d_emb"] == 8
+        assert meta["config"]["algorithms"] == ["rl"]
 
     def test_checkpoint_mismatch(self, dataset, tmp_path):
         code, ckpt = run_train(dataset, tmp_path)
@@ -104,6 +131,20 @@ class TestEvalCommand:
                      "--seed", "7", *FAST_TRAIN, "--m", "5",
                      "--algorithms", "rl", "--out", str(tmp_path / "r")])
         assert code == EXIT_CHECKPOINT
+
+    def test_nan_parameter_is_checkpoint_error(self, dataset, tmp_path):
+        code, ckpt = run_train(dataset, tmp_path)
+        assert code == EXIT_OK
+        with np.load(ckpt) as data:
+            arrays = dict(data)
+        arrays["w2"] = np.full_like(arrays["w2"], np.nan)
+        np.savez(ckpt, **arrays)
+        out = tmp_path / "r"
+        code = main(["eval", "--dataset", dataset, "--checkpoint-in", ckpt,
+                     "--seed", "7", *FAST_TRAIN, "--m", "5",
+                     "--algorithms", "rl", "--out", str(out)])
+        assert code == EXIT_CHECKPOINT
+        assert not out.exists()
 
     def test_baselines_without_checkpoint(self, dataset, tmp_path):
         out = str(tmp_path / "r2")
@@ -186,6 +227,19 @@ class TestConfigFile:
         assert code == EXIT_OK
         assert len(open(log).readlines()) == 3  # explicit --episodes 2 wins
 
+    def test_config_equals_form(self, dataset, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "dataset = {}\nepisodes = 4\nbatch-size = 4\nd-emb = 8\n"
+            "t-emb = 2\nn-train = 1\nn-test = 1\nnodes-per-instance = 10\n"
+            "budget = 6\n".format(dataset))
+        log = str(tmp_path / "log.csv")
+        code = main(["train", f"--config={cfg}",
+                     "--checkpoint-out", str(tmp_path / "p.npz"),
+                     "--log", log])
+        assert code == EXIT_OK
+        assert len(open(log).readlines()) == 5  # episodes = 4 from the file
+
     def test_bad_config_line(self, dataset, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("episodes 4\n")
@@ -198,3 +252,81 @@ class TestConfigFile:
                      "--dataset", dataset,
                      "--checkpoint-out", str(tmp_path / "p.npz")])
         assert code == EXIT_USAGE
+
+
+# flag, value, path of the field it sets in asdict(ExperimentConfig), and
+# the parsed value
+CONFIG_FLAGS = [
+    ("--directed", None, ("directed",), True),
+    ("--prob-model", "trivalency", ("prob_model",),
+     {"choices": [0.1, 0.01, 0.001]}),
+    ("--p", "0.3", ("prob_model", "p"), 0.3),
+    ("--n-train", "3", ("n_train",), 3),
+    ("--n-test", "2", ("n_test",), 2),
+    ("--nodes-per-instance", "40", ("nodes_per_instance",), 40),
+    ("--cost-range", "2,50", ("cost_range",), [2.0, 50.0]),
+    ("--benefit-range", "3,60", ("benefit_range",), [3.0, 60.0]),
+    ("--minority-fraction", "0.3", ("minority_fraction",), 0.3),
+    ("--budget", "77", ("train", "budget"), 77.0),
+    ("--episodes", "5", ("train", "episodes"), 5),
+    ("--lr", "0.02", ("train", "learning_rate"), 0.02),
+    ("--gamma", "0.5", ("train", "discount"), 0.5),
+    ("--eps-start", "0.9", ("train", "epsilon_start"), 0.9),
+    ("--eps-min", "0.2", ("train", "epsilon_min"), 0.2),
+    ("--eps-decay", "0.9", ("train", "epsilon_decay"), 0.9),
+    ("--replay-capacity", "500", ("train", "replay_capacity"), 500),
+    ("--batch-size", "16", ("train", "batch_size"), 16),
+    ("--update-period", "3", ("train", "update_period"), 3),
+    ("--phi", "2.5", ("train", "fairness_weight"), 2.5),
+    ("--d-emb", "8", ("train", "d_emb"), 8),
+    ("--t-emb", "2", ("train", "t_emb"), 2),
+    ("--budgets", "5,9", ("budgets",), [5.0, 9.0]),
+    ("--m", "20", ("m",), 20),
+    ("--algorithms", "random,parity", ("algorithms",), ["random", "parity"]),
+    ("--tau", "0.4", ("fairness", "threshold"), 0.4),
+    ("--out", "elsewhere", ("out_dir",), "elsewhere"),
+]
+
+
+class TestConfigFlags:
+    """Each config flag reaches its own dataclass field, and a flag left out
+    leaves the dataclass default in place."""
+
+    @pytest.fixture
+    def recorded_config(self, dataset, tmp_path, monkeypatch):
+        # the grid itself is not run: only the config it would run with
+        monkeypatch.setattr(cli, "run_experiment", lambda cfg, policy: [])
+        monkeypatch.chdir(tmp_path)
+
+        def run(*flags):
+            assert main(["eval", "--dataset", dataset, *flags]) == EXIT_OK
+            out = "elsewhere" if "--out" in flags else "results"
+            with open(os.path.join(out, "run_meta.json")) as fh:
+                return json.load(fh)["config"]
+        return run
+
+    @staticmethod
+    def defaults(dataset):
+        return json.loads(json.dumps(asdict(ExperimentConfig(dataset=dataset))))
+
+    def test_no_flags_gives_dataclass_defaults(self, dataset,
+                                               recorded_config):
+        assert recorded_config() == self.defaults(dataset)
+
+    def test_seed_sets_both_seeds(self, dataset, recorded_config):
+        want = self.defaults(dataset)
+        want["seed"] = want["train"]["seed"] = 4
+        assert recorded_config("--seed", "4") == want
+
+    @pytest.mark.parametrize("flag,value,path,parsed", CONFIG_FLAGS,
+                             ids=[row[0] for row in CONFIG_FLAGS])
+    def test_flag_lands_on_its_field(self, dataset, recorded_config, flag,
+                                     value, path, parsed):
+        want = self.defaults(dataset)
+        node = want
+        for key in path[:-1]:
+            node = node[key]
+        assert node[path[-1]] != parsed
+        node[path[-1]] = parsed
+        given = [flag] if value is None else [flag, value]
+        assert recorded_config(*given) == want

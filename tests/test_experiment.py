@@ -127,13 +127,13 @@ class TestRunExperiment:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            small_config(budgets=(5.0, 1.0)).validate()
+            small_config(budgets=(5.0, 1.0))
         with pytest.raises(ValueError):
-            small_config(algorithms=("nope",)).validate()
+            small_config(algorithms=("nope",))
         with pytest.raises(ValueError):
-            small_config(m=0).validate()
+            small_config(m=0)
         with pytest.raises(ValueError):
-            small_config(budgets=(float("nan"),)).validate()
+            small_config(budgets=(float("nan"),))
 
 
 class TestEmitReport:

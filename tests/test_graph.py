@@ -200,6 +200,12 @@ class TestNodeAttributes:
             assign_node_attributes(g, (0.0, 1.0), (1.0, 2.0), seed=0)
         with pytest.raises(ValueError):
             assign_node_attributes(g, (2.0, 1.0), (1.0, 2.0), seed=0)
+        for bad in [(1.0, np.inf), (np.nan, 2.0), (1.0, np.nan),
+                    (np.inf, np.inf)]:
+            with pytest.raises(ValueError):
+                assign_node_attributes(g, bad, (1.0, 2.0), seed=0)
+            with pytest.raises(ValueError):
+                assign_node_attributes(g, (1.0, 2.0), bad, seed=0)
 
 
 class TestCommunities:
@@ -285,26 +291,32 @@ class TestSampling:
             sample_subgraph(g, 6, seed=0)
 
 
+POOL_ATTRS = dict(prob_model=UniformProbabilities(0.1),
+                  cost_range=(1.0, 100.0), benefit_range=(1.0, 100.0),
+                  minority_fraction=0.2)
+
+
 class TestInstancePool:
     def test_counts_and_sizes(self):
         g = graph_from_edges(200, [(i, (i * 7 + 1) % 200) for i in range(200)],
                              directed=False)
         pool = build_instance_pool(g, n_train=3, n_test=2,
-                                   nodes_per_instance=40, base_seed=1)
+                                   nodes_per_instance=40, base_seed=1,
+                                   **POOL_ATTRS)
         assert len(pool.train) == 3 and len(pool.test) == 2
         assert all(inst.graph.n == 40 for inst in pool.train + pool.test)
 
     def test_instances_distinct(self):
         g = graph_from_edges(300, [(i, (i + 1) % 300) for i in range(300)],
                              directed=False)
-        pool = build_instance_pool(g, 1, 1, 30, base_seed=5)
+        pool = build_instance_pool(g, 1, 1, 30, base_seed=5, **POOL_ATTRS)
         a, b = pool.train[0], pool.test[0]
         assert not np.array_equal(a.graph.original_ids, b.graph.original_ids)
 
     def test_attributes_assigned(self):
         g = graph_from_edges(100, [(i, (i + 1) % 100) for i in range(100)],
                              directed=False)
-        pool = build_instance_pool(g, 1, 1, 50, base_seed=2)
+        pool = build_instance_pool(g, 1, 1, 50, base_seed=2, **POOL_ATTRS)
         inst = pool.train[0]
         assert np.all(inst.attrs.cost > 0)
         assert inst.parts.count == 2

@@ -71,13 +71,17 @@ class TestConfigValidation:
         dict(fairness_weight=-1.0), dict(episodes=0),
         dict(budget=float("nan")), dict(budget=float("inf")),
         dict(batch_size=0),
+        dict(learning_rate=float("nan")), dict(learning_rate=float("inf")),
+        dict(learning_rate=0.0), dict(learning_rate=-1.0),
+        dict(fairness_weight=float("nan")),
+        dict(fairness_weight=float("inf")),
     ])
     def test_invalid(self, kw):
         with pytest.raises(ValueError):
-            toy_config(**kw).validate()
+            toy_config(**kw)
 
     def test_defaults_valid(self):
-        toy_config().validate()
+        toy_config()
 
 
 class TestEpsilonGreedy:
@@ -370,6 +374,24 @@ class TestCheckpoint:
         with np.load(path) as data:
             arrays = dict(data)
         arrays[name] = np.zeros(3)
+        np.savez(path, **arrays)
+        with pytest.raises(CheckpointError, match=name):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("name", ["w1", "w2", "embed_w_feat",
+                                      "adam_v_b1"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, "x"])
+    def test_non_finite_or_non_float_parameter_rejected(self, tmp_path,
+                                                        name, bad):
+        cfg = toy_config(episodes=2)
+        policy = train(cfg, InstancePool(train=(toy_instance("a"),),
+                                         test=(), seed=0))
+        path = str(tmp_path / "ckpt.npz")
+        save_checkpoint(path, policy, cfg)
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays[name] = arrays[name].astype(type(bad))
+        arrays[name].flat[0] = bad
         np.savez(path, **arrays)
         with pytest.raises(CheckpointError, match=name):
             load_checkpoint(path)
