@@ -21,7 +21,9 @@ import sys
 from dataclasses import asdict, fields
 
 import numpy as np
+import scipy
 
+from . import __version__
 from .diffusion import SeedSet, exact_expected_profit
 from .graph import (AttributeFileError, EdgeListError, NodeAttrs,
                     TrivalencyProbabilities, UniformProbabilities,
@@ -222,7 +224,9 @@ def _cmd_eval(args) -> int:
     if checkpoint:
         policy, _ = load_checkpoint(checkpoint, expect_d_emb=cfg.train.d_emb)
     results = run_experiment(cfg, policy=policy)
-    meta = {"config": asdict(cfg), "checkpoint": checkpoint}
+    meta = {"config": asdict(cfg), "checkpoint": checkpoint,
+            "versions": {"fairseed": __version__, "numpy": np.__version__,
+                         "scipy": scipy.__version__}}
     paths = emit_report(results, cfg.out_dir, meta=meta)
     print(f"wrote {paths['results']}")
     return EXIT_OK

@@ -3,13 +3,15 @@
 Under IC each arc is tried at most once, so a rollout is one draw of live
 arcs followed by reachability from the seeds (the live-edge equivalence of
 Kempe, Kleinberg and Tardos, 2003). Every rollout draws one uniform per arc,
-in CSR order; `_reach` turns a batch of such draws into reached masks.
-simulate_ic runs one rollout on a caller's generator. rollout_masks runs m
-of them on the flat layout of `seeding`: rollout i takes draws
-[i*E, (i+1)*E) of the one Philox stream keyed by the seed, so each chunk
-of rollouts is filled by one contiguous draw. estimate_spread_and_benefit
-averages them. The exact_* functions enumerate every live-arc realization
-(feasible up to 20 arcs) and serve as test oracles for the Monte Carlo path.
+in CSR order; arc a is live when its uniform is below probs[a], and `_reach`
+turns a batch of live-arc rows into reached masks. simulate_ic runs one
+rollout on a caller's generator. live_arcs draws m rollouts on the flat
+layout of `seeding` (rollout i takes draws [i*E, (i+1)*E) of the one Philox
+stream keyed by the seed), as read-only chunks that every seed set
+evaluated under common random numbers can share; rollout_masks reaches a
+seed set through them and estimate_spread_and_benefit averages the result.
+The exact_* functions enumerate every live-arc realization (feasible up to
+20 arcs) and serve as test oracles for the Monte Carlo path.
 """
 
 from __future__ import annotations
@@ -54,20 +56,19 @@ def _chunk_rows(g: Graph) -> int:
     return max(1, CHUNK_ENTRIES // max(g.num_arcs, g.n, 1))
 
 
-def _reach(g: Graph, s: SeedSet, uniforms: np.ndarray) -> np.ndarray:
-    """Live-arc cascade kernel: (R, E) arc uniforms -> (R, n) reached masks.
+def _reach(g: Graph, s: SeedSet, live: np.ndarray) -> np.ndarray:
+    """Live-arc cascade kernel: (R, E) bool live arcs -> (R, n) reached masks.
 
-    Arc a of rollout r is live when uniforms[r, a] < probs[a]. Reachability
-    is pushed from the frontier only: each step gathers the CSR out-arcs of
-    the newly reached (rollout, node) pairs and keeps the live ones that
-    land on unreached nodes. Pairs and arcs are addressed flat, as
+    Reachability is pushed from the frontier only: each step gathers the CSR
+    out-arcs of the newly reached (rollout, node) pairs and keeps the live
+    ones that land on unreached nodes. Pairs and arcs are addressed flat, as
     r * n + node and r * E + arc.
     """
-    rows, arcs = uniforms.shape
+    rows, arcs = live.shape
     n = g.n
     reached = np.zeros(rows * n, dtype=bool)
     if s.nodes:
-        live = (uniforms < g.probs).ravel()
+        live = live.ravel()
         indptr, indices, degree = g.indptr, g.indices, g.out_degree()
         key = (np.arange(rows)[:, None] * n + s.nodes).ravel()
         reached[key] = True
@@ -100,26 +101,40 @@ def simulate_ic(g: Graph, s: SeedSet, rng: np.random.Generator) -> np.ndarray:
     Draws one uniform per arc, in CSR order, from `rng` (even when the seed
     set is empty), so the rollout is a pure function of the generator state.
     """
-    return _reach(g, s, rng.random((1, g.num_arcs)))[0]
+    return _reach(g, s, rng.random((1, g.num_arcs)) < g.probs)[0]
 
 
-def rollout_masks(g: Graph, s: SeedSet, m: int, seed: int):
-    """Reached masks of rollouts 0..m-1, yielded as (R, n) chunks in order.
+def live_arcs(g: Graph, m: int, seed: int) -> tuple[np.ndarray, ...]:
+    """Live arcs of rollouts 0..m-1 as read-only (R, E) bool chunks, in order.
 
     Rollout i reads draws [i*E, (i+1)*E) of the Philox stream keyed by
-    `seed` (E = g.num_arcs), so its mask equals
-    simulate_ic(g, s, RolloutStreams(seed).at(i * E)) whatever the
+    `seed` (E = g.num_arcs), so its row is
+    RolloutStreams(seed).at(i * E).random(E) < g.probs whatever the
     chunking. A chunk of rows lo.. is one contiguous run of draws, filled by
-    a single call from position lo * E.
+    a single call from position lo * E into one float64 buffer that every
+    chunk reuses; only the bools are kept, m * E bytes in all.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     streams = RolloutStreams(seed)
-    step = _chunk_rows(g)
+    arcs, step = g.num_arcs, _chunk_rows(g)
+    buffer = np.empty(min(step, m) * arcs)
+    chunks = []
     for lo in range(0, m, step):
-        uniforms = np.empty((min(step, m - lo), g.num_arcs))
-        streams.at(lo * g.num_arcs).random(out=uniforms)
-        yield _reach(g, s, uniforms)
+        rows = min(step, m - lo)
+        uniforms = buffer[:rows * arcs].reshape(rows, arcs)
+        streams.at(lo * arcs).random(out=uniforms)
+        live = uniforms < g.probs
+        live.flags.writeable = False
+        chunks.append(live)
+    return tuple(chunks)
+
+
+def rollout_masks(g: Graph, s: SeedSet, live: tuple[np.ndarray, ...]):
+    """Reached masks of the rollouts whose live arcs `live_arcs` drew,
+    yielded as one (R, n) chunk per live-arc chunk, in order."""
+    for chunk in live:
+        yield _reach(g, s, chunk)
 
 
 def estimate_spread_and_benefit(g: Graph, attrs: NodeAttrs, s: SeedSet,
@@ -129,10 +144,10 @@ def estimate_spread_and_benefit(g: Graph, attrs: NodeAttrs, s: SeedSet,
 
     Returns (mean spread, mean benefit, per-rollout benefits). Rollout i
     always reads the same draws of the stream keyed by `seed` (see
-    rollout_masks), so results do not depend on execution order.
+    live_arcs), so results do not depend on execution order.
     """
     spreads, benefits = [], []
-    for masks in rollout_masks(g, s, m, seed):
+    for masks in rollout_masks(g, s, live_arcs(g, m, seed)):
         spreads.append(masks.sum(axis=1))
         benefits.append(masks @ attrs.benefit)
     spreads, benefits = np.concatenate(spreads), np.concatenate(benefits)

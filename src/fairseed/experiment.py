@@ -13,7 +13,7 @@ from functools import cache
 import numpy as np
 
 from . import baselines
-from .diffusion import SeedSet
+from .diffusion import SeedSet, live_arcs
 from .graph import (Graph, Instance, InstancePool, ProbabilityModel,
                     UniformProbabilities, build_instance_pool, load_edge_list)
 from .metrics import FairnessConfig, evaluate_seed_set
@@ -115,7 +115,10 @@ def run_experiment(cfg: ExperimentConfig, pool: InstancePool | None = None,
     """Evaluate each (algorithm, budget, test instance) triple.
 
     Rollout streams are derived from (seed, instance, exact budget) only, so
-    all algorithms are compared under common random numbers. Timing covers
+    all algorithms are compared under common random numbers: the live arcs
+    of a budget's m rollouts are drawn once, before its algorithms run, and
+    every seed set at that budget is reached through the same draw. Only
+    one such draw (m * E bytes) is alive at a time. Timing covers
     seed selection only; Monte Carlo evaluation is shared and excluded. Work
     that depends on the instance alone (embeddings, PageRank) is done once
     per instance and timed with the first selection that uses it.
@@ -129,8 +132,9 @@ def run_experiment(cfg: ExperimentConfig, pool: InstancePool | None = None,
         embeddings = cache(lambda: policy.embeddings_for(instance))
         ranking = cache(lambda: baselines.pagerank(instance.graph))
         for budget in cfg.budgets:
-            eval_seed = derive_seed(cfg.seed, "eval", instance.id,
-                                    repr(float(budget)))
+            live = live_arcs(instance.graph, cfg.m,
+                             derive_seed(cfg.seed, "eval", instance.id,
+                                         repr(float(budget))))
             for algorithm in cfg.algorithms:
                 t0 = time.perf_counter()
                 seeds = _select(algorithm, instance, budget, policy, cfg,
@@ -139,7 +143,7 @@ def run_experiment(cfg: ExperimentConfig, pool: InstancePool | None = None,
                 assert seeds.total_cost <= budget + 1e-9, "budget violated"
                 report, profits, _ = evaluate_seed_set(
                     instance.graph, instance.attrs, instance.parts, seeds,
-                    cfg.m, eval_seed, cfg.fairness)
+                    live, cfg.fairness)
                 results.append(ExperimentResult(
                     algorithm=algorithm,
                     budget=float(budget),
@@ -152,6 +156,7 @@ def run_experiment(cfg: ExperimentConfig, pool: InstancePool | None = None,
                     seed_cost=seeds.total_cost,
                     seconds=elapsed,
                 ))
+            del live  # free this draw before the next budget's is made
     results.sort(key=lambda r: (r.algorithm, r.budget, r.instance))
     return results
 

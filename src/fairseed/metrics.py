@@ -57,9 +57,13 @@ def shaped_reward(g: Graph, attrs: NodeAttrs, parts: CommunityPartition,
 
 
 def evaluate_seed_set(g: Graph, attrs: NodeAttrs, parts: CommunityPartition,
-                      s: SeedSet, m: int, seed: int, cfg: FairnessConfig
+                      s: SeedSet, live: tuple[np.ndarray, ...],
+                      cfg: FairnessConfig
                       ) -> tuple[MetricReport, np.ndarray, np.ndarray]:
-    """Monte Carlo evaluation over m rollouts on counter-derived streams.
+    """Monte Carlo evaluation over the rollouts whose live arcs `live` holds.
+
+    `live` comes from diffusion.live_arcs and is only read, so seed sets
+    evaluated on one draw are compared under common random numbers.
 
     Returns the aggregate report plus per-rollout profits and per-rollout
     fairness min_c ratio_c. The report's `fairness` (and the tau flag on it)
@@ -70,7 +74,7 @@ def evaluate_seed_set(g: Graph, attrs: NodeAttrs, parts: CommunityPartition,
     """
     cost = s.total_cost
     profits, ratios = [], []
-    for masks in rollout_masks(g, s, m, seed):
+    for masks in rollout_masks(g, s, live):
         profits.append(masks @ attrs.benefit - cost)
         ratios.append(community_ratios(masks, parts))
     profits, ratios = np.concatenate(profits), np.concatenate(ratios)

@@ -6,7 +6,9 @@ Monte Carlo rollouts under one seed read a single Philox stream keyed by
 that seed, laid out flat: on a graph with E arcs, rollout i takes draws
 [i*E, (i+1)*E), one uniform per arc in CSR order. A run of rollouts is a
 contiguous run of draws, and rollout i is the same whether rollouts run one
-at a time, in chunks of any size, or in any order.
+at a time, in chunks of any size, or in any order. The draws under one
+evaluation seed are read once per (instance, budget), by
+diffusion.live_arcs, and every seed set evaluated there shares them.
 """
 
 from __future__ import annotations

@@ -4,7 +4,9 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+import scipy
 
+import fairseed
 from fairseed import cli
 from fairseed.cli import EXIT_CHECKPOINT, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from fairseed.experiment import ExperimentConfig
@@ -90,8 +92,11 @@ class TestEvalCommand:
                      "--m", "5", "--algorithms", "rl", "--out", str(out)])
         assert code == EXIT_OK
         meta = json.loads((out / "run_meta.json").read_text())
-        assert sorted(meta) == ["checkpoint", "config"]
+        assert sorted(meta) == ["checkpoint", "config", "versions"]
         assert meta["checkpoint"] == ckpt
+        assert meta["versions"] == {"fairseed": fairseed.__version__,
+                                    "numpy": np.__version__,
+                                    "scipy": scipy.__version__}
         assert meta["config"]["train"]["d_emb"] == 8
         assert meta["config"]["algorithms"] == ["rl"]
 

@@ -1,11 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fairseed import diffusion
 from fairseed.diffusion import (SeedSet, _chunk_rows,
                                 estimate_spread_and_benefit,
                                 exact_expected_profit,
-                                exact_expected_shaped_objective, simulate_ic)
+                                exact_expected_shaped_objective, live_arcs,
+                                rollout_masks, simulate_ic)
 from fairseed.graph import CommunityPartition, graph_from_edges
 from fairseed.metrics import FairnessConfig, evaluate_seed_set
 from fairseed.seeding import RolloutStreams
@@ -150,13 +154,18 @@ class TestChunkedRollouts:
         rows = _chunk_rows(g)
         m = rows + 5
         assert 1 < rows < m  # rollouts land in two chunks
+        live = live_arcs(g, m, seed=11)
+        assert [c.shape for c in live] == [(rows, g.num_arcs),
+                                           (5, g.num_arcs)]
+        masks = np.concatenate(list(rollout_masks(g, s, live)))
         _, _, benefits = estimate_spread_and_benefit(g, attrs, s, m, seed=11)
-        _, profits, _ = evaluate_seed_set(g, attrs, inst.parts, s, m, 11,
+        _, profits, _ = evaluate_seed_set(g, attrs, inst.parts, s, live,
                                           FairnessConfig())
         assert len(set(benefits)) > 1  # the cascades are not all trivial
         stream = RolloutStreams(11)
         for i in (0, 1, rows - 2, rows - 1, rows, rows + 1, m - 1):
             mask = simulate_ic(g, s, stream.at(i * g.num_arcs))
+            assert np.array_equal(masks[i], mask)
             expected = attrs.benefit[mask].sum()
             assert benefits[i] == expected
             assert profits[i] == expected - s.total_cost
@@ -211,10 +220,82 @@ class TestChunkedRollouts:
         spread, benefit, per = estimate_spread_and_benefit(g, attrs, s, 10, 5)
         assert spread == 2.0 and benefit == 10.0
         assert np.all(per == 10.0)
-        report, profits, _ = evaluate_seed_set(g, attrs, inst.parts, s, 10, 5,
+        report, profits, _ = evaluate_seed_set(g, attrs, inst.parts, s,
+                                               live_arcs(g, 10, 5),
                                                FairnessConfig())
         assert np.all(profits == 10.0 - 6.0)
         assert report.community_ratios == pytest.approx((2 / 3, 8 / 28))
+
+
+class TestLiveArcs:
+    def test_rows_are_stream_draws_below_probs(self, monkeypatch):
+        g, _, _ = TestChunkedRollouts.odd_arc_instance()
+        arcs = g.num_arcs
+        monkeypatch.setattr(diffusion, "CHUNK_ENTRIES", 5 * arcs)
+        live = np.concatenate(live_arcs(g, 13, seed=9))
+        assert live.shape == (13, arcs) and live.dtype == bool
+        stream = RolloutStreams(9)
+        for i in range(13):
+            want = stream.at(i * arcs).random(arcs) < g.probs
+            assert np.array_equal(live[i], want)
+
+    def test_chunks_are_read_only(self):
+        g, _, _ = TestChunkedRollouts.odd_arc_instance()
+        for chunk in live_arcs(g, 20, seed=1):
+            with pytest.raises(ValueError, match="read-only"):
+                chunk[0, 0] = not chunk[0, 0]
+            with pytest.raises(ValueError, match="read-only"):
+                chunk |= True
+
+    def test_one_draw_serves_every_seed_set(self):
+        # a shared draw gives each seed set the rollouts of its own draw
+        g, attrs, _ = TestChunkedRollouts.odd_arc_instance()
+        live = live_arcs(g, 30, seed=2)
+        for nodes in ([0], [3, 7], [1, 2, 11]):
+            s = SeedSet.build(nodes, attrs)
+            _, _, per = estimate_spread_and_benefit(g, attrs, s, 30, seed=2)
+            shared = np.concatenate(list(rollout_masks(g, s, live)))
+            assert np.array_equal(shared @ attrs.benefit, per)
+
+    def test_m_below_one_rejected(self):
+        g, _ = two_node_path()
+        with pytest.raises(ValueError, match="m must be"):
+            live_arcs(g, 0, seed=0)
+
+
+@st.composite
+def deterministic_cases(draw):
+    """A tiny directed graph whose arcs have probability 0 or 1, with a
+    non-empty seed set, a rollout count and a stream seed."""
+    n = draw(st.integers(2, 6))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    arcs = draw(st.lists(st.sampled_from(pairs), max_size=10, unique=True))
+    g = graph_from_edges(n, [(u, v, 1.0) for u, v in arcs], directed=True)
+    # probability 0 lies outside what graph_from_edges accepts, so the
+    # arcs get their 0/1 probabilities on the built (CSR-ordered) graph
+    probs = draw(st.lists(st.sampled_from([0.0, 1.0]),
+                          min_size=g.num_arcs, max_size=g.num_arcs))
+    g = dataclasses.replace(g, probs=np.array(probs))
+    values = st.floats(1.0, 10.0)
+    attrs = make_attrs(
+        n, cost=draw(st.lists(values, min_size=n, max_size=n)),
+        benefit=draw(st.lists(values, min_size=n, max_size=n)))
+    nodes = draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+    return (g, attrs, SeedSet.build(nodes, attrs), draw(st.integers(1, 64)),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+class TestDeterministicCascades:
+    @settings(deadline=None, max_examples=60)
+    @given(deterministic_cases())
+    def test_estimate_equals_exact_oracle(self, case):
+        # every rollout of a 0/1 graph reaches the same set, so the Monte
+        # Carlo mean is the exact expectation up to roundoff
+        g, attrs, s, m, seed = case
+        _, benefit, per = estimate_spread_and_benefit(g, attrs, s, m, seed)
+        exact = exact_expected_profit(g, attrs, s) + s.total_cost
+        assert len(per) == m
+        assert benefit == pytest.approx(exact, rel=1e-9, abs=0)
 
 
 class TestExactOracle:

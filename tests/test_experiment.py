@@ -3,11 +3,14 @@ import os
 import numpy as np
 import pytest
 
-from fairseed import baselines, embedding, trainer
+from fairseed import baselines, embedding, experiment, trainer
+from fairseed.diffusion import live_arcs
 from fairseed.experiment import (ALGORITHMS, ExperimentConfig,
                                  ExperimentResult, build_pool, emit_report,
                                  run_experiment)
 from fairseed.graph import InstancePool, UniformProbabilities
+from fairseed.metrics import evaluate_seed_set
+from fairseed.seeding import derive_seed
 from fairseed.trainer import TrainConfig, select_seed_set, train
 
 from conftest import make_instance
@@ -124,6 +127,35 @@ class TestRunExperiment:
         a, b = rows["highdegree", 3.2], rows["highdegree", 3.7]
         assert (a.seed_size, a.seed_cost) == (b.seed_size, b.seed_cost)
         assert a.profit_mean != b.profit_mean
+
+    def test_rows_match_evaluation_on_a_fresh_draw(self, monkeypatch):
+        # the draw shared by a budget's algorithms gives each seed set the
+        # report that its own, freshly drawn stream gives
+        chosen = {}
+
+        def recorded(algorithm, instance, budget, *args):
+            s = select(algorithm, instance, budget, *args)
+            chosen[algorithm, float(budget), instance.id] = s
+            return s
+
+        select = experiment._select
+        monkeypatch.setattr(experiment, "_select", recorded)
+        cfg = small_config(algorithms=ALGORITHMS)
+        pool = small_pool()
+        inst = pool.test[0]
+        rows = run_experiment(cfg, pool=pool, policy=train(cfg.train, pool))
+        assert len(rows) == len(chosen) == 2 * len(ALGORITHMS)
+        for r in rows:
+            fresh = live_arcs(inst.graph, cfg.m,
+                              derive_seed(cfg.seed, "eval", inst.id,
+                                          repr(r.budget)))
+            s = chosen[r.algorithm, r.budget, r.instance]
+            report, profits, _ = evaluate_seed_set(
+                inst.graph, inst.attrs, inst.parts, s, fresh, cfg.fairness)
+            assert (r.profit_mean, r.profit_std, r.fairness_mean, r.tau_ok) \
+                == (report.profit, float(profits.std()), report.fairness,
+                    report.tau_ok)
+            assert (r.seed_size, r.seed_cost) == (len(s), s.total_cost)
 
     def test_validation(self):
         with pytest.raises(ValueError):

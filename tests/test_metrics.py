@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fairseed.diffusion import SeedSet, simulate_ic
+from fairseed.diffusion import SeedSet, live_arcs, simulate_ic
 from fairseed.graph import CommunityPartition, graph_from_edges
 from fairseed.metrics import (FairnessConfig, community_ratios,
                               evaluate_seed_set, shaped_reward)
@@ -30,7 +30,8 @@ class TestBasicMetrics:
         g = graph_from_edges(3, [], directed=True)
         for nodes, benefit in (([], 0.0), ([0, 1, 2], 18.0), ([0, 2], 12.0)):
             s = SeedSet.build(nodes, attrs)
-            rep, profits, _ = evaluate_seed_set(g, attrs, parts, s, 3, 0,
+            rep, profits, _ = evaluate_seed_set(g, attrs, parts, s,
+                                                live_arcs(g, 3, 0),
                                                 FairnessConfig())
             assert rep.benefit == benefit
             assert np.all(profits == benefit - s.total_cost)
@@ -126,7 +127,7 @@ class TestReport:
         parts = CommunityPartition.from_labels(attrs.community, attrs.benefit)
         g = graph_from_edges(6, [(3, 4, 1.0)], directed=True)
         s = SeedSet.build([0, 3], attrs)  # reaches exactly {0, 3, 4}
-        rep, _, _ = evaluate_seed_set(g, attrs, parts, s, 3, 0,
+        rep, _, _ = evaluate_seed_set(g, attrs, parts, s, live_arcs(g, 3, 0),
                                       FairnessConfig(threshold=0.4))
         # profit is the mean of per-rollout profits, benefit adds the cost back
         assert rep.profit == pytest.approx(rep.benefit - rep.cost, abs=1e-12)
@@ -175,9 +176,11 @@ class TestEvaluateSeedSet:
                              labels=[0, 0, 1, 1])
         s = SeedSet.build([0], inst.attrs)
         rep1, profits1, fairs1 = evaluate_seed_set(
-            inst.graph, inst.attrs, inst.parts, s, 200, 7, FairnessConfig())
+            inst.graph, inst.attrs, inst.parts, s,
+            live_arcs(inst.graph, 200, 7), FairnessConfig())
         rep2, profits2, _ = evaluate_seed_set(
-            inst.graph, inst.attrs, inst.parts, s, 200, 7, FairnessConfig())
+            inst.graph, inst.attrs, inst.parts, s,
+            live_arcs(inst.graph, 200, 7), FairnessConfig())
         assert np.array_equal(profits1, profits2)  # same streams, same numbers
         assert rep1.profit == pytest.approx(profits1.mean())
         assert rep1.fairness == pytest.approx(fairs1.mean())

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from fairseed.diffusion import live_arcs
 from fairseed.embedding import compute_embeddings, init_embedding_params
 from fairseed.graph import InstancePool
 from fairseed.metrics import FairnessConfig, evaluate_seed_set
@@ -321,7 +322,8 @@ class TestInference:
         policy, _ = toy_policy(inst, cfg)
         seeds = select_seed_set(policy, inst, budget=0.5)
         report, _, _ = evaluate_seed_set(inst.graph, inst.attrs, inst.parts,
-                                         seeds, 10, 0, FairnessConfig())
+                                         seeds, live_arcs(inst.graph, 10, 0),
+                                         FairnessConfig())
         assert len(seeds) == 0
         assert report.profit == 0.0
 
