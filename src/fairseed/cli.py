@@ -17,6 +17,7 @@ import argparse
 import csv
 import json
 import os
+import subprocess
 import sys
 from dataclasses import asdict, fields
 
@@ -29,7 +30,8 @@ from .graph import (AttributeFileError, EdgeListError, NodeAttrs,
                     TrivalencyProbabilities, UniformProbabilities,
                     assign_edge_probabilities, load_edge_list,
                     load_node_attributes)
-from .experiment import ExperimentConfig, build_pool, emit_report, run_experiment
+from .experiment import (ExperimentConfig, build_pool, derived_seeds,
+                         emit_report, run_experiment)
 from .metrics import FairnessConfig
 from .trainer import (CheckpointError, TrainConfig, load_checkpoint,
                       save_checkpoint, train)
@@ -217,16 +219,41 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _git_commit() -> str | None:
+    """HEAD of the git checkout this package's source is tracked in, or None
+    when there is none (an installed copy, no git, not a work tree)."""
+    here = os.path.dirname(os.path.abspath(__file__))
+
+    def git(*cmd: str) -> str:
+        return subprocess.run(["git", *cmd], cwd=here, capture_output=True,
+                              text=True, timeout=30, check=True).stdout
+
+    try:
+        git("ls-files", "--error-unmatch", os.path.basename(__file__))
+        return git("rev-parse", "--verify", "HEAD").strip() or None
+    except (OSError, subprocess.SubprocessError):
+        return None
+
+
 def _cmd_eval(args) -> int:
     cfg = _config(args)
     checkpoint = getattr(args, "checkpoint_in", None)
-    policy = None
+    policy = train_seed = None
     if checkpoint:
-        policy, _ = load_checkpoint(checkpoint, expect_d_emb=cfg.train.d_emb)
-    results = run_experiment(cfg, policy=policy)
+        policy, ckpt_meta = load_checkpoint(checkpoint,
+                                            expect_d_emb=cfg.train.d_emb)
+        train_seed = ckpt_meta.get("config", {}).get("seed")
+    elif "rl" in cfg.algorithms:
+        train_seed = cfg.train.seed
+    pool = build_pool(cfg)
+    results = run_experiment(cfg, pool=pool, policy=policy)
     meta = {"config": asdict(cfg), "checkpoint": checkpoint,
+            "seeds": derived_seeds(cfg, pool, train_seed),
             "versions": {"fairseed": __version__, "numpy": np.__version__,
                          "scipy": scipy.__version__}}
+    commit = _git_commit()
+    if commit is not None:
+        meta["git_commit"] = commit
     paths = emit_report(results, cfg.out_dir, meta=meta)
     print(f"wrote {paths['results']}")
     return EXIT_OK

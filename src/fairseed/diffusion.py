@@ -4,14 +4,17 @@ Under IC each arc is tried at most once, so a rollout is one draw of live
 arcs followed by reachability from the seeds (the live-edge equivalence of
 Kempe, Kleinberg and Tardos, 2003). Every rollout draws one uniform per arc,
 in CSR order; arc a is live when its uniform is below probs[a], and `_reach`
-turns a batch of live-arc rows into reached masks. simulate_ic runs one
-rollout on a caller's generator. live_arcs draws m rollouts on the flat
-layout of `seeding` (rollout i takes draws [i*E, (i+1)*E) of the one Philox
-stream keyed by the seed), as read-only chunks that every seed set
-evaluated under common random numbers can share; rollout_masks reaches a
-seed set through them and estimate_spread_and_benefit averages the result.
-The exact_* functions enumerate every live-arc realization (feasible up to
-20 arcs) and serve as test oracles for the Monte Carlo path.
+turns a batch of live-arc rows into reached masks. simulate_ic extends one
+row's reached mask from new seeds, on a live-arc row the caller keeps: a
+training episode draws one row and grows its mask one seed at a time, so
+each step pays only for the nodes that seed newly reaches. live_arcs draws
+m rollouts on the flat layout of `seeding` (rollout i takes draws
+[i*E, (i+1)*E) of the one Philox stream keyed by the seed), as read-only
+chunks that every seed set evaluated under common random numbers can
+share; rollout_masks reaches a seed set through them and
+estimate_spread_and_benefit averages the result. The exact_* functions
+enumerate every live-arc realization (feasible up to 20 arcs) and serve as
+test oracles for the Monte Carlo path.
 """
 
 from __future__ import annotations
@@ -56,21 +59,31 @@ def _chunk_rows(g: Graph) -> int:
     return max(1, CHUNK_ENTRIES // max(g.num_arcs, g.n, 1))
 
 
-def _reach(g: Graph, s: SeedSet, live: np.ndarray) -> np.ndarray:
-    """Live-arc cascade kernel: (R, E) bool live arcs -> (R, n) reached masks.
+def _reach(g: Graph, seeds, live: np.ndarray,
+           start: np.ndarray | None = None) -> np.ndarray:
+    """Live-arc cascade kernel: the reach of the node ids `seeds` on each of
+    R rows of (R, E) bool live arcs, as (R, n) reached masks.
 
     Reachability is pushed from the frontier only: each step gathers the CSR
     out-arcs of the newly reached (rollout, node) pairs and keeps the live
     ones that land on unreached nodes. Pairs and arcs are addressed flat, as
-    r * n + node and r * E + arc.
+    r * n + node and r * E + arc. `start`, when given, is an (R, n) mask
+    that this kernel reached on the same live rows; it is copied, not
+    changed, and the push starts from those of `seeds` it lacks, so the
+    result is the reach of its seeds and `seeds` together.
     """
     rows, arcs = live.shape
     n = g.n
-    reached = np.zeros(rows * n, dtype=bool)
-    if s.nodes:
+    seeds = np.asarray(seeds, dtype=np.int64)
+    key = (np.arange(rows)[:, None] * n + seeds).ravel()
+    if start is None:
+        reached = np.zeros(rows * n, dtype=bool)
+    else:
+        reached = start.reshape(rows * n).copy()
+        key = key[~reached[key]]
+    if key.size:
         live = live.ravel()
         indptr, indices, degree = g.indptr, g.indices, g.out_degree()
-        key = (np.arange(rows)[:, None] * n + s.nodes).ravel()
         reached[key] = True
         owner = np.empty(rows * n, dtype=np.int64)
         while key.size:
@@ -94,14 +107,17 @@ def _reach(g: Graph, s: SeedSet, live: np.ndarray) -> np.ndarray:
     return reached.reshape(rows, n)
 
 
-def simulate_ic(g: Graph, s: SeedSet, rng: np.random.Generator) -> np.ndarray:
-    """One cascade rollout: the (n,) bool mask of reached nodes, from the
-    one-row call of the live-arc kernel.
+def simulate_ic(g: Graph, live: np.ndarray, reached: np.ndarray,
+                seeds) -> np.ndarray:
+    """Extend one rollout's reached mask from new seeds: the one-row call of
+    the live-arc kernel.
 
-    Draws one uniform per arc, in CSR order, from `rng` (even when the seed
-    set is empty), so the rollout is a pure function of the generator state.
+    `live` is the rollout's (E,) bool live-arc row, and `reached` the (n,)
+    mask already reached on it (all False for a fresh rollout). Returns a new
+    mask, the reach of the old seeds and `seeds` together; `reached` is left
+    as it was.
     """
-    return _reach(g, s, rng.random((1, g.num_arcs)) < g.probs)[0]
+    return _reach(g, seeds, live[None], reached[None])[0]
 
 
 def live_arcs(g: Graph, m: int, seed: int) -> tuple[np.ndarray, ...]:
@@ -134,7 +150,7 @@ def rollout_masks(g: Graph, s: SeedSet, live: tuple[np.ndarray, ...]):
     """Reached masks of the rollouts whose live arcs `live_arcs` drew,
     yielded as one (R, n) chunk per live-arc chunk, in order."""
     for chunk in live:
-        yield _reach(g, s, chunk)
+        yield _reach(g, s.nodes, chunk)
 
 
 def estimate_spread_and_benefit(g: Graph, attrs: NodeAttrs, s: SeedSet,

@@ -18,13 +18,14 @@ from .graph import (Graph, Instance, InstancePool, ProbabilityModel,
                     UniformProbabilities, build_instance_pool, load_edge_list)
 from .metrics import FairnessConfig, evaluate_seed_set
 from .seeding import derive_seed
-from .trainer import TrainConfig, TrainedPolicy, select_seed_set, train
+from .trainer import (TrainConfig, TrainedPolicy, select_seed_set,
+                      stage_seeds, train)
 
 ALGORITHMS = ("rl", "random", "highdegree", "pagerank", "parity", "fairpagerank")
 
 RESULT_COLUMNS = ("algorithm", "budget", "instance", "profit_mean",
-                  "profit_std", "fairness_mean", "tau_ok", "seed_size",
-                  "seed_cost")
+                  "profit_std", "fairness_mean", "min_community_ratio",
+                  "tau_ok", "seed_size", "seed_cost")
 TIMING_COLUMNS = ("algorithm", "budget", "instance", "seconds")
 
 
@@ -67,7 +68,8 @@ class ExperimentResult:
     instance: str
     profit_mean: float
     profit_std: float
-    fairness_mean: float
+    fairness_mean: float        # E[min_c ratio_c]
+    min_community_ratio: float  # min_c E[ratio_c]; >= fairness_mean
     tau_ok: bool
     seed_size: int
     seed_cost: float
@@ -82,6 +84,24 @@ def build_pool(cfg: ExperimentConfig, source: Graph | None = None) -> InstancePo
         derive_seed(cfg.seed, "pool"), prob_model=cfg.prob_model,
         cost_range=cfg.cost_range, benefit_range=cfg.benefit_range,
         minority_fraction=cfg.minority_fraction)
+
+
+def eval_seed(cfg: ExperimentConfig, instance: Instance, budget: float) -> int:
+    """Seed of the evaluation stream at (instance, exact budget)."""
+    return derive_seed(cfg.seed, "eval", instance.id, repr(float(budget)))
+
+
+def derived_seeds(cfg: ExperimentConfig, pool: InstancePool,
+                  train_seed: int | None) -> dict:
+    """The sub-seeds a run derives: the pool's, training's stages (from
+    `train_seed`, when the run trains or loads a policy) and each test
+    instance's evaluation stream per budget, keyed by repr of the budget."""
+    seeds = {"pool": pool.seed,
+             "eval": {inst.id: {repr(float(b)): eval_seed(cfg, inst, b)
+                                for b in cfg.budgets} for inst in pool.test}}
+    if train_seed is not None:
+        seeds.update(stage_seeds(train_seed))
+    return seeds
 
 
 def _select(algorithm: str, instance: Instance, budget: float,
@@ -133,8 +153,7 @@ def run_experiment(cfg: ExperimentConfig, pool: InstancePool | None = None,
         ranking = cache(lambda: baselines.pagerank(instance.graph))
         for budget in cfg.budgets:
             live = live_arcs(instance.graph, cfg.m,
-                             derive_seed(cfg.seed, "eval", instance.id,
-                                         repr(float(budget))))
+                             eval_seed(cfg, instance, budget))
             for algorithm in cfg.algorithms:
                 t0 = time.perf_counter()
                 seeds = _select(algorithm, instance, budget, policy, cfg,
@@ -151,6 +170,7 @@ def run_experiment(cfg: ExperimentConfig, pool: InstancePool | None = None,
                     profit_mean=report.profit,
                     profit_std=float(profits.std()),
                     fairness_mean=report.fairness,
+                    min_community_ratio=float(min(report.community_ratios)),
                     tau_ok=report.tau_ok,
                     seed_size=len(seeds),
                     seed_cost=seeds.total_cost,
@@ -197,12 +217,13 @@ def emit_report(results: list[ExperimentResult], out_dir: str,
         groups.setdefault((r.algorithm, r.budget), []).append(r)
     with open(paths["summary"], "w") as fh:
         fh.write("algorithm,budget,instances,profit_mean,fairness_mean,"
-                 "seed_size_mean,seed_cost_mean\n")
+                 "min_community_ratio,seed_size_mean,seed_cost_mean\n")
         for (alg, budget), grp in sorted(groups.items()):
             fh.write(",".join([
                 alg, _fmt(budget), str(len(grp)),
                 _fmt(float(np.mean([g.profit_mean for g in grp]))),
                 _fmt(float(np.mean([g.fairness_mean for g in grp]))),
+                _fmt(float(np.mean([g.min_community_ratio for g in grp]))),
                 _fmt(float(np.mean([g.seed_size for g in grp]))),
                 _fmt(float(np.mean([g.seed_cost for g in grp]))),
             ]) + "\n")

@@ -1,5 +1,5 @@
-"""Profit and community fairness of reached masks: the single-rollout shaped
-reward used by training and the Monte Carlo evaluation of a seed set."""
+"""Profit and community fairness of reached masks: the shaped return of one
+rollout, used by training, and the Monte Carlo evaluation of a seed set."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import SeedSet, rollout_masks, simulate_ic
+from .diffusion import SeedSet, rollout_masks
 from .graph import CommunityPartition, Graph, NodeAttrs
 
 
@@ -42,18 +42,20 @@ def community_ratios(masks: np.ndarray, parts: CommunityPartition) -> np.ndarray
     return (masks @ parts.weights) / parts.total_benefit
 
 
-def shaped_reward(g: Graph, attrs: NodeAttrs, parts: CommunityPartition,
-                  s: SeedSet, weight: float, rng: np.random.Generator) -> float:
-    """Single-rollout profit plus weight * single-rollout maximin fairness.
+def shaped_reward(attrs: NodeAttrs, parts: CommunityPartition,
+                  reached: np.ndarray, cost: float, weight: float) -> float:
+    """Shaped return of one rollout: the benefit of the (n,) reached mask,
+    minus the seed cost, plus weight * its maximin fairness min_c ratio_c.
 
-    Profit and fairness come from the same rollout; the per-step sampling
-    noise is absorbed by replay averaging downstream.
+    Training evaluates it after each step of an episode on the episode's one
+    live-arc realization, so the difference of consecutive returns is the
+    step's exact increment under that realization. Its expectation over
+    realizations is exact_expected_shaped_objective of the seed set.
     """
     if weight < 0:
         raise ValueError("fairness weight must be nonnegative")
-    mask = simulate_ic(g, s, rng)
-    return float(mask @ attrs.benefit - s.total_cost
-                 + weight * community_ratios(mask, parts).min())
+    return float(reached @ attrs.benefit - cost
+                 + weight * community_ratios(reached, parts).min())
 
 
 def evaluate_seed_set(g: Graph, attrs: NodeAttrs, parts: CommunityPartition,

@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .diffusion import SeedSet
+from .diffusion import SeedSet, simulate_ic
 from .embedding import (EmbeddingParams, NodeEmbeddings, compute_embeddings,
                         init_embedding_params)
 from .graph import Instance, InstancePool, NodeAttrs
@@ -166,17 +166,29 @@ def _steps(net: QNetwork, h: NodeEmbeddings, attrs: NodeAttrs, budget: float,
 def run_episode(net: QNetwork, instance: Instance, h: NodeEmbeddings,
                 config: TrainConfig, epsilon: float,
                 rng: np.random.Generator) -> list[Transition]:
-    """One seed-construction episode; returns the emitted transitions."""
+    """One seed-construction episode; returns the emitted transitions.
+
+    The episode runs on one live-arc realization, drawn from `rng` before
+    the first step. Each step extends the reached mask from the new seed
+    only, and its reward is the increase of the shaped return under that
+    realization, so the rewards of an episode sum to its final seed set's
+    shaped return.
+    """
     g, attrs, parts = instance.graph, instance.attrs, instance.parts
+    live = rng.random(g.num_arcs) < g.probs
+    reached = np.zeros(g.n, dtype=bool)
     selected: list[int] = []
+    spent = 0.0
     r_prev = 0.0
     transitions: list[Transition] = []
     for action, remaining in _steps(net, h, attrs, config.budget, epsilon, rng):
         assert remaining >= 0.0, "budget overdraw"
         before = tuple(selected)
         selected.append(action)
-        r_total = shaped_reward(g, attrs, parts, SeedSet.build(selected, attrs),
-                                config.fairness_weight, rng)
+        spent += float(attrs.cost[action])
+        reached = simulate_ic(g, live, reached, (action,))
+        r_total = shaped_reward(attrs, parts, reached, spent,
+                                config.fairness_weight)
         transitions.append(Transition(
             instance_id=instance.id,
             seeds_before=before,
@@ -225,6 +237,13 @@ def _bellman_targets(net: QNetwork, batch: list[Transition],
     return states, targets
 
 
+def stage_seeds(seed: int) -> dict[str, int]:
+    """Sub-seeds of training's random stages: the embedding parameters, the
+    Q-network's initial weights and the episode loop's generator."""
+    return {stage: derive_seed(seed, stage)
+            for stage in ("embed", "qnet", "loop")}
+
+
 def train(config: TrainConfig, pool: InstancePool,
           progress=None) -> TrainedPolicy:
     """Full training loop over the pool's train instances.
@@ -236,16 +255,17 @@ def train(config: TrainConfig, pool: InstancePool,
     if not pool.train:
         raise ValueError("empty training pool")
     instances = {inst.id: inst for inst in pool.train}
-    embed = init_embedding_params(config.d_emb, derive_seed(config.seed, "embed"))
+    seeds = stage_seeds(config.seed)
+    embed = init_embedding_params(config.d_emb, seeds["embed"])
     # embedding params are fixed; cache per-instance embeddings
     embeddings = {
         inst.id: compute_embeddings(inst.graph, inst.attrs, embed, config.t_emb)
         for inst in pool.train
     }
     in_dim = config.d_emb + 3
-    net = QNetwork.init(in_dim, derive_seed(config.seed, "qnet"))
+    net = QNetwork.init(in_dim, seeds["qnet"])
     buffer = ReplayBuffer(config.replay_capacity)
-    rng = np.random.default_rng(derive_seed(config.seed, "loop"))
+    rng = np.random.default_rng(seeds["loop"])
     train_ids = sorted(instances)
     for episode in range(1, config.episodes + 1):
         epsilon = max(config.epsilon_start * config.epsilon_decay ** episode,

@@ -10,6 +10,8 @@ import fairseed
 from fairseed import cli
 from fairseed.cli import EXIT_CHECKPOINT, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from fairseed.experiment import ExperimentConfig
+from fairseed.graph import InstancePool
+from fairseed.seeding import derive_seed
 
 
 @pytest.fixture
@@ -92,13 +94,56 @@ class TestEvalCommand:
                      "--m", "5", "--algorithms", "rl", "--out", str(out)])
         assert code == EXIT_OK
         meta = json.loads((out / "run_meta.json").read_text())
-        assert sorted(meta) == ["checkpoint", "config", "versions"]
+        assert sorted(set(meta) - {"git_commit"}) \
+            == ["checkpoint", "config", "seeds", "versions"]
         assert meta["checkpoint"] == ckpt
         assert meta["versions"] == {"fairseed": fairseed.__version__,
                                     "numpy": np.__version__,
                                     "scipy": scipy.__version__}
         assert meta["config"]["train"]["d_emb"] == 8
         assert meta["config"]["algorithms"] == ["rl"]
+
+    def test_run_meta_records_sub_seeds(self, dataset, tmp_path):
+        # training's stage seeds come from the checkpoint's own config
+        # (seed 7); the pool and evaluation seeds from this run's (seed 8)
+        code, ckpt = run_train(dataset, tmp_path)
+        assert code == EXIT_OK
+        out = tmp_path / "r"
+        code = main(["eval", "--dataset", dataset, "--checkpoint-in", ckpt,
+                     "--seed", "8", *FAST_TRAIN, "--budgets", "4,5.5",
+                     "--m", "5", "--algorithms", "rl", "--out", str(out)])
+        assert code == EXIT_OK
+        seeds = json.loads((out / "run_meta.json").read_text())["seeds"]
+        assert seeds == {
+            "pool": derive_seed(8, "pool"),
+            "embed": derive_seed(7, "embed"),
+            "qnet": derive_seed(7, "qnet"),
+            "loop": derive_seed(7, "loop"),
+            "eval": {"test-00": {"4.0": derive_seed(8, "eval", "test-00", "4.0"),
+                                 "5.5": derive_seed(8, "eval", "test-00", "5.5")}},
+        }
+
+    def test_run_meta_git_commit_when_available(self, dataset, tmp_path,
+                                                monkeypatch):
+        def eval_into(name):
+            out = tmp_path / name
+            code = main(["eval", "--dataset", dataset, "--seed", "7",
+                         *FAST_TRAIN, "--budgets", "4", "--m", "5",
+                         "--algorithms", "random", "--out", str(out)])
+            assert code == EXIT_OK
+            return json.loads((out / "run_meta.json").read_text())
+
+        commit = cli._git_commit()
+        meta = eval_into("here")
+        assert meta.get("git_commit") == commit
+        assert commit is None or len(commit) in (40, 64)
+        assert "embed" not in meta["seeds"]  # nothing was trained
+
+        def no_git(*args, **kwargs):
+            raise FileNotFoundError("git")
+        monkeypatch.setattr(cli.subprocess, "run", no_git)
+        assert cli._git_commit() is None
+        assert "git_commit" not in eval_into("nogit")
 
     def test_checkpoint_mismatch(self, dataset, tmp_path):
         code, ckpt = run_train(dataset, tmp_path)
@@ -300,7 +345,10 @@ class TestConfigFlags:
     @pytest.fixture
     def recorded_config(self, dataset, tmp_path, monkeypatch):
         # the grid itself is not run: only the config it would run with
-        monkeypatch.setattr(cli, "run_experiment", lambda cfg, policy: [])
+        monkeypatch.setattr(cli, "build_pool",
+                            lambda cfg: InstancePool(train=(), test=(), seed=0))
+        monkeypatch.setattr(cli, "run_experiment",
+                            lambda cfg, pool, policy: [])
         monkeypatch.chdir(tmp_path)
 
         def run(*flags):

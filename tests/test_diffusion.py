@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fairseed import diffusion
-from fairseed.diffusion import (SeedSet, _chunk_rows,
+from fairseed.diffusion import (SeedSet, _chunk_rows, _reach,
                                 estimate_spread_and_benefit,
                                 exact_expected_profit,
                                 exact_expected_shaped_objective, live_arcs,
@@ -21,6 +21,16 @@ def two_node_path(p=0.5):
     g = graph_from_edges(2, [(0, 1, p)], directed=True)
     attrs = make_attrs(2, cost=[3.0, 1.0], benefit=[10.0, 10.0])
     return g, attrs
+
+
+def stream_row(g, seed, i):
+    """Live arcs of rollout i of the stream keyed by `seed`."""
+    return RolloutStreams(seed).at(i * g.num_arcs).random(g.num_arcs) < g.probs
+
+
+def fresh_rollout(g, live, nodes):
+    """Reached mask of `nodes` on one live-arc row, from nothing reached."""
+    return simulate_ic(g, live, np.zeros(g.n, dtype=bool), nodes)
 
 
 class TestSeedSet:
@@ -44,22 +54,21 @@ class TestSeedSet:
 class TestSimulateIc:
     def test_empty_seed_set(self, rng):
         g, attrs = two_node_path()
-        mask = simulate_ic(g, SeedSet.empty(), rng)
+        mask = fresh_rollout(g, rng.random(g.num_arcs) < g.probs, ())
         assert mask.shape == (g.n,) and mask.sum() == 0
 
     def test_p_one_reaches_all_reachable(self, rng):
         g = graph_from_edges(5, [(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0)],
                              directed=True)
-        attrs = make_attrs(5)
-        mask = simulate_ic(g, SeedSet.build([0], attrs), rng)
+        mask = fresh_rollout(g, rng.random(g.num_arcs) < g.probs, (0,))
         assert list(np.flatnonzero(mask)) == [0, 1, 2]
 
     def test_bernoulli_edge(self):
         # 2-node path, p=0.5: activation frequency matches the Bernoulli rate
         g, attrs = two_node_path(0.5)
-        s = SeedSet.build([0], attrs)
         rng = np.random.default_rng(99)
-        hits = sum(simulate_ic(g, s, rng)[1] for _ in range(10_000))
+        hits = sum(fresh_rollout(g, rng.random(g.num_arcs) < g.probs, (0,))[1]
+                   for _ in range(10_000))
         assert abs(hits / 10_000 - 0.5) <= 0.02
 
     def test_contains_seeds_and_only_reachable(self, rng):
@@ -69,7 +78,8 @@ class TestSimulateIc:
             seeds = SeedSet.build(
                 rng.choice(n, size=rng.integers(1, n + 1), replace=False),
                 inst.attrs)
-            mask = simulate_ic(inst.graph, seeds, rng)
+            live = rng.random(inst.graph.num_arcs) < inst.graph.probs
+            mask = fresh_rollout(inst.graph, live, seeds.nodes)
             assert all(mask[v] for v in seeds.nodes)
             # reachability bound: cascade never leaves the reachable set
             reach = set(seeds.nodes)
@@ -84,10 +94,11 @@ class TestSimulateIc:
 
     def test_deterministic_given_stream(self):
         g, attrs = two_node_path(0.5)
-        s = SeedSet.build([0], attrs)
-        a = simulate_ic(g, s, RolloutStreams(7).at(3 * g.num_arcs))
-        b = simulate_ic(g, s, RolloutStreams(7).at(3 * g.num_arcs))
+        reached = np.zeros(g.n, dtype=bool)
+        a = simulate_ic(g, stream_row(g, 7, 3), reached, (0,))
+        b = simulate_ic(g, stream_row(g, 7, 3), reached, (0,))
         assert np.array_equal(a, b)
+        assert not reached.any()
 
 
 class TestEstimate:
@@ -119,7 +130,7 @@ class TestEstimate:
         s = SeedSet.build([0], attrs)
         _, _, per = estimate_spread_and_benefit(g, attrs, s, 8, seed=42)
         for i in range(8):
-            mask = simulate_ic(g, s, RolloutStreams(42).at(i * g.num_arcs))
+            mask = fresh_rollout(g, stream_row(g, 42, i), s.nodes)
             assert per[i] == attrs.benefit[mask].sum()
 
     def test_monotone_in_expectation(self, rng):
@@ -162,9 +173,8 @@ class TestChunkedRollouts:
         _, profits, _ = evaluate_seed_set(g, attrs, inst.parts, s, live,
                                           FairnessConfig())
         assert len(set(benefits)) > 1  # the cascades are not all trivial
-        stream = RolloutStreams(11)
         for i in (0, 1, rows - 2, rows - 1, rows, rows + 1, m - 1):
-            mask = simulate_ic(g, s, stream.at(i * g.num_arcs))
+            mask = fresh_rollout(g, stream_row(g, 11, i), s.nodes)
             assert np.array_equal(masks[i], mask)
             expected = attrs.benefit[mask].sum()
             assert benefits[i] == expected
@@ -193,9 +203,8 @@ class TestChunkedRollouts:
         assert rows == 5 and (rows * arcs) % 4 and (2 * rows * arcs) % 4
         _, _, benefits = estimate_spread_and_benefit(g, attrs, s, m, seed=23)
         assert len(set(benefits)) > 1
-        stream = RolloutStreams(23)
         for i in range(m):
-            mask = simulate_ic(g, s, stream.at(i * arcs))
+            mask = fresh_rollout(g, stream_row(g, 23, i), s.nodes)
             assert benefits[i] == attrs.benefit[mask].sum()
 
     def test_rollouts_independent_of_chunk_size(self, monkeypatch):
@@ -215,7 +224,7 @@ class TestChunkedRollouts:
         g, attrs = inst.graph, inst.attrs
         s = SeedSet.build([1, 3], attrs)
         assert g.num_arcs == 0
-        mask = simulate_ic(g, s, RolloutStreams(5).at(0))
+        mask = fresh_rollout(g, stream_row(g, 5, 0), s.nodes)
         assert list(np.flatnonzero(mask)) == [1, 3]
         spread, benefit, per = estimate_spread_and_benefit(g, attrs, s, 10, 5)
         assert spread == 2.0 and benefit == 10.0
@@ -234,10 +243,8 @@ class TestLiveArcs:
         monkeypatch.setattr(diffusion, "CHUNK_ENTRIES", 5 * arcs)
         live = np.concatenate(live_arcs(g, 13, seed=9))
         assert live.shape == (13, arcs) and live.dtype == bool
-        stream = RolloutStreams(9)
         for i in range(13):
-            want = stream.at(i * arcs).random(arcs) < g.probs
-            assert np.array_equal(live[i], want)
+            assert np.array_equal(live[i], stream_row(g, 9, i))
 
     def test_chunks_are_read_only(self):
         g, _, _ = TestChunkedRollouts.odd_arc_instance()
@@ -296,6 +303,82 @@ class TestDeterministicCascades:
         exact = exact_expected_profit(g, attrs, s) + s.total_cost
         assert len(per) == m
         assert benefit == pytest.approx(exact, rel=1e-9, abs=0)
+
+
+class TestIncrementalReach:
+    """simulate_ic grows one rollout's mask seed by seed; the result must be
+    the kernel's reach from the whole set on the same live arcs."""
+
+    def test_growing_one_seed_at_a_time_equals_whole_set(self, rng):
+        graphs = [random_tiny_instance(rng).graph for _ in range(20)]
+        graphs.append(TestChunkedRollouts.odd_arc_instance()[0])
+        graphs.append(graph_from_edges(
+            40, [(u, v, 0.05) for u in range(40) for v in range(40) if u != v],
+            directed=True))
+        for g in graphs:
+            for _ in range(5):
+                live = rng.random(g.num_arcs) < g.probs
+                order = [int(v) for v in rng.permutation(g.n)]
+                reached = np.zeros(g.n, dtype=bool)
+                for k, v in enumerate(order, start=1):
+                    grown = simulate_ic(g, live, reached, (v,))
+                    assert np.all(grown >= reached) and grown[v]
+                    whole = _reach(g, order[:k], live[None])[0]
+                    assert np.array_equal(grown, whole)
+                    reached = grown
+
+    def test_start_mask_on_many_rows(self, rng):
+        # the starting mask works row by row on a batch of live-arc rows
+        g, _, _ = TestChunkedRollouts.odd_arc_instance()
+        live = np.concatenate(live_arcs(g, 30, seed=6))
+        first = _reach(g, [0, 5], live)
+        both = _reach(g, [0, 3, 5, 9], live)
+        assert np.array_equal(_reach(g, [3, 5, 9], live, start=first), both)
+        assert np.array_equal(first, _reach(g, [0, 5], live))  # not changed
+
+    def test_seed_already_reached_adds_nothing(self):
+        g = graph_from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)], directed=True)
+        live = np.ones(g.num_arcs, dtype=bool)
+        reached = simulate_ic(g, live, np.zeros(g.n, dtype=bool), (0,))
+        assert np.array_equal(simulate_ic(g, live, reached, (2,)), reached)
+
+
+@st.composite
+def monotone_cases(draw):
+    """A tiny directed graph of at most 20 arcs, a seed set, a node outside
+    it and one live-arc row."""
+    n = draw(st.integers(2, 6))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    arcs = draw(st.lists(st.sampled_from(pairs), max_size=20, unique=True))
+    probs = st.floats(0.05, 1.0)
+    g = graph_from_edges(n, [(u, v, draw(probs)) for u, v in arcs],
+                         directed=True)
+    values = st.floats(1.0, 10.0)
+    attrs = make_attrs(
+        n, cost=draw(st.lists(values, min_size=n, max_size=n)),
+        benefit=draw(st.lists(values, min_size=n, max_size=n)))
+    nodes = draw(st.lists(st.integers(0, n - 1), max_size=n - 1, unique=True))
+    extra = draw(st.sampled_from(sorted(set(range(n)) - set(nodes))))
+    live = draw(st.lists(st.booleans(), min_size=g.num_arcs,
+                         max_size=g.num_arcs))
+    return g, attrs, nodes, extra, np.array(live, dtype=bool)
+
+
+class TestMonotonicity:
+    @settings(deadline=None, max_examples=40)
+    @given(monotone_cases())
+    def test_adding_a_seed_never_lowers_benefit(self, case):
+        g, attrs, nodes, extra, live = case
+        small = SeedSet.build(nodes, attrs)
+        big = SeedSet.build(nodes + [extra], attrs)
+        benefit_small = exact_expected_profit(g, attrs, small) + small.total_cost
+        benefit_big = exact_expected_profit(g, attrs, big) + big.total_cost
+        assert benefit_big >= benefit_small - 1e-9 * max(1.0, benefit_small)
+        # on one realization the incremental mask only grows
+        reached = fresh_rollout(g, live, small.nodes)
+        grown = simulate_ic(g, live, reached, (extra,))
+        assert np.all(grown >= reached) and grown[extra]
+        assert np.array_equal(grown, fresh_rollout(g, live, big.nodes))
 
 
 class TestExactOracle:

@@ -1,3 +1,4 @@
+import csv
 import os
 
 import numpy as np
@@ -152,9 +153,11 @@ class TestRunExperiment:
             s = chosen[r.algorithm, r.budget, r.instance]
             report, profits, _ = evaluate_seed_set(
                 inst.graph, inst.attrs, inst.parts, s, fresh, cfg.fairness)
-            assert (r.profit_mean, r.profit_std, r.fairness_mean, r.tau_ok) \
+            assert (r.profit_mean, r.profit_std, r.fairness_mean,
+                    r.min_community_ratio, r.tau_ok) \
                 == (report.profit, float(profits.std()), report.fairness,
-                    report.tau_ok)
+                    min(report.community_ratios), report.tau_ok)
+            assert r.min_community_ratio >= r.fairness_mean - 1e-12
             assert (r.seed_size, r.seed_cost) == (len(s), s.total_cost)
 
     def test_validation(self):
@@ -175,11 +178,26 @@ class TestEmitReport:
         paths = emit_report(results, str(tmp_path), meta={"seed": cfg.seed})
         header = open(paths["results"]).readline().strip()
         assert header == ("algorithm,budget,instance,profit_mean,profit_std,"
-                          "fairness_mean,tau_ok,seed_size,seed_cost")
+                          "fairness_mean,min_community_ratio,tau_ok,"
+                          "seed_size,seed_cost")
         assert open(paths["timings"]).readline().strip() \
             == "algorithm,budget,instance,seconds"
         assert os.path.exists(paths["summary"])
         assert os.path.exists(paths["meta"])
+
+    def test_summary_reports_both_fairness_quantities(self, tmp_path):
+        results = run_experiment(small_config(), pool=small_pool())
+        paths = emit_report(results, str(tmp_path))
+        with open(paths["summary"]) as fh:
+            rows = list(csv.DictReader(fh))
+        assert list(rows[0])[4:6] == ["fairness_mean", "min_community_ratio"]
+        for row in rows:
+            group = [r for r in results if r.algorithm == row["algorithm"]
+                     and r.budget == float(row["budget"])]
+            assert float(row["min_community_ratio"]) == \
+                float(np.mean([r.min_community_ratio for r in group]))
+            assert float(row["min_community_ratio"]) >= \
+                float(row["fairness_mean"]) - 1e-12
 
     def test_zero_results_header_only(self, tmp_path):
         paths = emit_report([], str(tmp_path))

@@ -137,36 +137,46 @@ class TestReport:
 
 
 class TestShapedReward:
-    def test_empty_seed_set_zero(self, rng):
+    def test_empty_seed_set_zero(self):
         inst = make_instance("t", 3, [(0, 1, 0.5), (1, 2, 0.5)],
                              labels=[0, 0, 1])
-        assert shaped_reward(inst.graph, inst.attrs, inst.parts,
-                             SeedSet.empty(), 1.0, rng) == 0.0
+        assert shaped_reward(inst.attrs, inst.parts, influenced(3, []), 0.0,
+                             1.0) == 0.0
 
     def test_weight_zero_equals_profit_same_stream(self):
+        # on each evaluation row, the shaped return is that rollout's
+        # profit plus weight times its maximin fairness
         inst = make_instance("t", 4, [(0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.5)],
                              cost=[2, 1, 1, 1], benefit=[4, 3, 2, 1],
                              labels=[0, 0, 1, 1])
-        s = SeedSet.build([0], inst.attrs)
-        got = shaped_reward(inst.graph, inst.attrs, inst.parts, s, 0.0,
-                            np.random.default_rng(5))
-        mask = simulate_ic(inst.graph, s, np.random.default_rng(5))
-        assert got == mask @ inst.attrs.benefit - s.total_cost
+        g, attrs, parts = inst.graph, inst.attrs, inst.parts
+        s = SeedSet.build([0], attrs)
+        live = live_arcs(g, 16, 5)
+        _, profits, fairs = evaluate_seed_set(g, attrs, parts, s, live,
+                                              FairnessConfig())
+        assert len(set(profits)) > 1
+        for i, row in enumerate(live[0]):
+            mask = simulate_ic(g, row, influenced(4, []), s.nodes)
+            assert shaped_reward(attrs, parts, mask, s.total_cost, 0.0) \
+                == profits[i]
+            assert shaped_reward(attrs, parts, mask, s.total_cost, 3.0) \
+                == pytest.approx(profits[i] + 3.0 * fairs[i], rel=1e-12)
 
     def test_deterministic_cascade(self):
         inst = make_instance("t", 3, [(0, 1, 1.0), (1, 2, 1.0)],
                              cost=[2, 1, 1], benefit=[5, 5, 5], labels=[0, 0, 1])
+        g = inst.graph
         s = SeedSet.build([0], inst.attrs)
-        rng = np.random.default_rng(0)
+        live = np.random.default_rng(0).random(g.num_arcs) < g.probs
+        mask = simulate_ic(g, live, influenced(3, []), s.nodes)
         # sum(b) - cost + phi * 1, regardless of the stream
-        assert shaped_reward(inst.graph, inst.attrs, inst.parts, s, 3.0, rng) \
+        assert shaped_reward(inst.attrs, inst.parts, mask, s.total_cost, 3.0) \
             == pytest.approx(15.0 - 2.0 + 3.0)
 
-    def test_negative_weight_rejected(self, rng):
+    def test_negative_weight_rejected(self):
         inst = make_instance("t", 2, [(0, 1, 0.5)], labels=[0, 1])
         with pytest.raises(ValueError):
-            shaped_reward(inst.graph, inst.attrs, inst.parts,
-                          SeedSet.empty(), -1.0, rng)
+            shaped_reward(inst.attrs, inst.parts, influenced(2, []), 0.0, -1.0)
 
 
 class TestEvaluateSeedSet:

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from fairseed.diffusion import live_arcs
+from fairseed.diffusion import (SeedSet, _reach,
+                                exact_expected_shaped_objective, live_arcs)
 from fairseed.embedding import compute_embeddings, init_embedding_params
 from fairseed.graph import InstancePool
-from fairseed.metrics import FairnessConfig, evaluate_seed_set
+from fairseed.metrics import FairnessConfig, evaluate_seed_set, shaped_reward
 from fairseed import trainer
 from fairseed.qnet import (QNetwork, adam_step, encode_states, hidden_table,
                            q_forward_batch)
@@ -14,7 +15,7 @@ from fairseed.trainer import (CheckpointError, ReplayBuffer, TrainConfig,
                               epsilon_greedy_select, load_checkpoint, run_episode, save_checkpoint,
                               select_seed_set, train)
 
-from conftest import make_instance
+from conftest import make_instance, random_tiny_instance
 
 D_EMB = 8
 
@@ -164,6 +165,50 @@ class TestRunEpisode:
         ts = run_episode(policy.net, inst, h, cfg, 0.0, rng)
         assert [t.reward for t in ts] == [7.5, 2.5, -6.0, 0.0, 5.0, -8.0]
 
+    def test_step_rewards_sum_to_final_shaped_return(self):
+        # the episode's realization is the first draw of its generator; on
+        # it, each prefix of rewards sums to that prefix's shaped return
+        inst = toy_instance()
+        g, attrs = inst.graph, inst.attrs
+        cfg = toy_config(budget=8.0, fairness_weight=2.5)
+        policy, h = toy_policy(inst, cfg)
+        for seed in range(20):
+            ts = run_episode(policy.net, inst, h, cfg, 0.5,
+                             np.random.default_rng(seed))
+            live = np.random.default_rng(seed).random(g.num_arcs) < g.probs
+            assert ts
+            total = 0.0
+            for t in ts:
+                total += t.reward
+                s = SeedSet.build(t.seeds_after, attrs)
+                mask = _reach(g, s.nodes, live[None])[0]
+                assert total == pytest.approx(
+                    shaped_reward(attrs, inst.parts, mask, s.total_cost,
+                                  cfg.fairness_weight), rel=1e-12, abs=1e-12)
+
+    def test_mean_return_matches_exact_objective(self):
+        # a greedy (epsilon 0) episode repeats one action sequence, so its
+        # return averages over realizations to the exact shaped objective
+        # of the final seed set
+        rng = np.random.default_rng(2024)
+        tiny = (random_tiny_instance(rng) for _ in range(20))
+        for trial, inst in enumerate([i for i in tiny if i.graph.n >= 4][:3]):
+            cfg = toy_config(budget=float(inst.attrs.cost.sum()) * 0.6,
+                             fairness_weight=3.0)
+            policy, h = toy_policy(inst, cfg, seed=trial)
+            episodes = 3000
+            returns, finals = np.empty(episodes), set()
+            for k in range(episodes):
+                ts = run_episode(policy.net, inst, h, cfg, 0.0, rng)
+                returns[k] = sum(t.reward for t in ts)
+                finals.add(ts[-1].seeds_after)
+            assert len(finals) == 1 and len(ts) > 1
+            s = SeedSet.build(finals.pop(), inst.attrs)
+            exact = exact_expected_shaped_objective(
+                inst.graph, inst.attrs, inst.parts, s, cfg.fairness_weight)
+            se = returns.std(ddof=1) / np.sqrt(episodes)
+            assert abs(returns.mean() - exact) <= max(4 * se, 1e-9)
+
     def test_horizon_bound_and_chain(self, rng):
         inst = toy_instance()
         cfg = toy_config(budget=8.0)
@@ -219,19 +264,21 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(toy_config(), InstancePool(train=(), test=(), seed=0))
 
-    def test_phi_zero_single_community_is_pure_profit(self, rng):
+    def test_phi_zero_single_community_is_pure_profit(self):
         # with one community, fairness is the whole-graph benefit ratio and
         # contributes nothing when the weight is zero
         inst = make_instance("solo", 4, [(0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.5)],
                              cost=[1, 1, 1, 1], benefit=[2, 3, 4, 5],
                              labels=[0, 0, 0, 0])
-        from fairseed.diffusion import SeedSet, simulate_ic
-        from fairseed.metrics import shaped_reward
+        from fairseed.diffusion import simulate_ic
+        g = inst.graph
         s = SeedSet.build([0, 2], inst.attrs)
-        reward = shaped_reward(inst.graph, inst.attrs, inst.parts, s, 0.0,
-                               np.random.default_rng(3))
-        mask = simulate_ic(inst.graph, s, np.random.default_rng(3))
+        live = np.random.default_rng(3).random(g.num_arcs) < g.probs
+        mask = simulate_ic(g, live, np.zeros(g.n, dtype=bool), s.nodes)
+        reward = shaped_reward(inst.attrs, inst.parts, mask, s.total_cost, 0.0)
         assert reward == mask @ inst.attrs.benefit - s.total_cost
+        fair = shaped_reward(inst.attrs, inst.parts, mask, s.total_cost, 1.0)
+        assert fair - reward == pytest.approx(mask @ inst.attrs.benefit / 14.0)
 
 
 class TestTableLifetime:
