@@ -7,7 +7,7 @@ classic baselines, and a reproducible experiment harness.
 
 from .baselines import (fair_pagerank_seeds, high_degree_seeds, pagerank,
                         pagerank_seeds, parity_seeds, random_seeds)
-from .diffusion import (SeedSet, estimate_spread_and_benefit,
+from .diffusion import (LiveArcs, SeedSet, estimate_spread_and_benefit,
                         exact_expected_profit, exact_expected_shaped_objective,
                         live_arcs, simulate_ic)
 from .embedding import (EmbeddingParams, NodeEmbeddings, compute_embeddings,

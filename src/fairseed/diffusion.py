@@ -3,18 +3,19 @@
 Under IC each arc is tried at most once, so a rollout is one draw of live
 arcs followed by reachability from the seeds (the live-edge equivalence of
 Kempe, Kleinberg and Tardos, 2003). Every rollout draws one uniform per arc,
-in CSR order; arc a is live when its uniform is below probs[a], and `_reach`
-turns a batch of live-arc rows into reached masks. simulate_ic extends one
-row's reached mask from new seeds, on a live-arc row the caller keeps: a
-training episode draws one row and grows its mask one seed at a time, so
-each step pays only for the nodes that seed newly reaches. live_arcs draws
-m rollouts on the flat layout of `seeding` (rollout i takes draws
-[i*E, (i+1)*E) of the one Philox stream keyed by the seed), as read-only
-chunks that every seed set evaluated under common random numbers can
-share; rollout_masks reaches a seed set through them and
-estimate_spread_and_benefit averages the result. The exact_* functions
-enumerate every live-arc realization (feasible up to 20 arcs) and serve as
-test oracles for the Monte Carlo path.
+in CSR order, and arc a is live when its uniform is below probs[a].
+live_arcs draws m rollouts on the flat layout of `seeding` (rollout i takes
+draws [i*E, (i+1)*E) of the one Philox stream keyed by the seed) and packs
+them 64 rollouts to a uint64 word, m * E / 8 bytes that every seed set
+evaluated under common random numbers can share. `_reach` pushes a cascade
+through those words for 64 rollouts at once, with bitwise AND and OR;
+rollout_masks unpacks its result into (R, n) reached masks, and
+estimate_spread_and_benefit averages them. simulate_ic is the kernel's
+one-word call: it extends one rollout's reached mask from new seeds, on a
+bool live-arc row the caller keeps, so a training episode that grows its
+mask one seed at a time pays only for the nodes each seed newly reaches.
+The exact_* functions enumerate every live-arc realization (feasible up to
+20 arcs) and serve as test oracles for the Monte Carlo path.
 """
 
 from __future__ import annotations
@@ -41,116 +42,161 @@ class SeedSet:
             raise ValueError("seed node out of range")
         return cls(nodes=ids, total_cost=float(attrs.cost[list(ids)].sum()))
 
-    @classmethod
-    def empty(cls) -> "SeedSet":
-        return cls(nodes=(), total_cost=0.0)
-
     def __len__(self) -> int:
         return len(self.nodes)
 
 
-# Size of one chunk of rollouts, in matrix entries: a chunk has
-# CHUNK_ENTRIES // max(E, n) rows, so its (R, E) live-arc matrix and its
-# (R, n) reached masks stay near 1M entries each.
+# Size of one chunk of rollouts, in matrix entries: live_arcs fills the
+# uniforms of about CHUNK_ENTRIES // E rollouts at a time (a whole number of
+# 64-rollout words), and rollout_masks yields (R, n) reached masks of
+# CHUNK_ENTRIES // max(E, n) rows. Evaluation sums each mask chunk with
+# matrix-vector products, whose rounding can depend on a row's place in its
+# chunk, so that row count is part of the reported results.
 CHUNK_ENTRIES = 1 << 20
+WORD_BITS = 64
+WORD = np.dtype("<u8")  # little-endian: byte k holds rollouts 8k..8k+7
+_BYTE_WEIGHTS = (1 << np.arange(8)).astype(np.uint8)
 
 
 def _chunk_rows(g: Graph) -> int:
     return max(1, CHUNK_ENTRIES // max(g.num_arcs, g.n, 1))
 
 
+@dataclass(frozen=True)
+class LiveArcs:
+    """Live arcs of m rollouts, 64 rollouts per machine word.
+
+    `words` is a read-only (E, ceil(m/64)) uint64 array: bit j of
+    words[a, w] is arc a's state in rollout 64w + j. Bits of rollouts m and
+    up are 0, and `m` says where the rollouts end.
+    """
+
+    words: np.ndarray
+    m: int
+
+
+def _any_bit(delta: np.ndarray) -> np.ndarray:
+    """Which rows of (R, W) words have a bit set; an (R,) bool row of
+    single-rollout words is its own answer."""
+    return delta.any(axis=1) if delta.ndim == 2 else delta
+
+
 def _reach(g: Graph, seeds, live: np.ndarray,
            start: np.ndarray | None = None) -> np.ndarray:
-    """Live-arc cascade kernel: the reach of the node ids `seeds` on each of
-    R rows of (R, E) bool live arcs, as (R, n) reached masks.
+    """Live-arc cascade kernel: the reach of the node ids `seeds` on the
+    live-arc words of E arcs, as the reached words of the n nodes.
 
-    Reachability is pushed from the frontier only: each step gathers the CSR
-    out-arcs of the newly reached (rollout, node) pairs and keeps the live
-    ones that land on unreached nodes. Pairs and arcs are addressed flat, as
-    r * n + node and r * E + arc. `start`, when given, is an (R, n) mask
-    that this kernel reached on the same live rows; it is copied, not
-    changed, and the push starts from those of `seeds` it lacks, so the
-    result is the reach of its seeds and `seeds` together.
+    `live` is (E, W) uint64 words, 64 rollouts each, and the result
+    (n, W) words of the same dtype; an (E,) bool row is the one-word case of
+    a single rollout, whose result is an (n,) mask. Reachability is pushed
+    from the frontier only, as (node, delta word) rows: each level gathers
+    the CSR out-arcs of the frontier nodes, ANDs their live words with the
+    source's delta and with the bits not yet reached at the destination,
+    drops all-zero rows, ORs together the rows of a destination that
+    several arcs reach and ORs the result into the reached words. `start`,
+    when given, holds the words this kernel reached on the same live words;
+    it is copied, not changed, and the push starts from the bits of `seeds`
+    it lacks, so the result is the reach of its seeds and `seeds` together.
     """
-    rows, arcs = live.shape
-    n = g.n
-    seeds = np.asarray(seeds, dtype=np.int64)
-    key = (np.arange(rows)[:, None] * n + seeds).ravel()
-    if start is None:
-        reached = np.zeros(rows * n, dtype=bool)
-    else:
-        reached = start.reshape(rows * n).copy()
-        key = key[~reached[key]]
-    if key.size:
-        live = live.ravel()
-        indptr, indices, degree = g.indptr, g.indices, g.out_degree()
-        reached[key] = True
-        owner = np.empty(rows * n, dtype=np.int64)
-        while key.size:
-            r, v = np.divmod(key, n)
-            counts = degree[v]
-            ends = np.cumsum(counts)
-            if not ends[-1]:
-                break
-            # flat positions of every out-arc of the frontier pairs
-            arc = np.arange(ends[-1]) + np.repeat(
-                indptr[v] + r * arcs - ends + counts, counts)
-            arc = arc[live[arc]]
-            r, a = np.divmod(arc, arcs)
-            key = r * n + indices[a]
-            key = key[~reached[key]]
-            # keep one copy of a pair that several frontier arcs reached
-            order = np.arange(key.size)
-            owner[key] = order
-            key = key[owner[key] == order]
-            reached[key] = True
-    return reached.reshape(rows, n)
+    reached = (np.zeros((g.n,) + live.shape[1:], dtype=live.dtype)
+               if start is None else start.copy())
+    node = np.asarray(seeds, dtype=np.int64)
+    delta = ~reached[node]
+    keep = _any_bit(delta)
+    node, delta = node[keep], delta[keep]
+    reached[node] |= delta
+    indptr, indices, degree = g.indptr, g.indices, g.out_degree()
+    owner = np.empty(g.n, dtype=np.int64)
+    while node.size:
+        counts = degree[node]
+        ends = np.cumsum(counts)
+        if not ends[-1]:
+            break
+        # every out-arc of the frontier nodes, with its source's delta
+        arc = np.arange(ends[-1]) + np.repeat(indptr[node] - ends + counts,
+                                              counts)
+        node = indices[arc]
+        delta = live[arc] & np.repeat(delta, counts, axis=0) & ~reached[node]
+        keep = _any_bit(delta)
+        node, delta = node[keep], delta[keep]
+        # one row per destination; a repeated one ORs its rows together
+        order = np.arange(node.size)
+        owner[node] = order
+        rep = owner[node]
+        last = rep == order
+        if np.count_nonzero(last) < node.size:
+            dup = ~last
+            np.bitwise_or.at(delta, rep[dup], delta[dup])
+            node, delta = node[last], delta[last]
+        reached[node] |= delta
+    return reached
 
 
 def simulate_ic(g: Graph, live: np.ndarray, reached: np.ndarray,
                 seeds) -> np.ndarray:
-    """Extend one rollout's reached mask from new seeds: the one-row call of
-    the live-arc kernel.
+    """Extend one rollout's reached mask from new seeds: the one-word call
+    of the live-arc kernel.
 
     `live` is the rollout's (E,) bool live-arc row, and `reached` the (n,)
     mask already reached on it (all False for a fresh rollout). Returns a new
     mask, the reach of the old seeds and `seeds` together; `reached` is left
     as it was.
     """
-    return _reach(g, seeds, live[None], reached[None])[0]
+    return _reach(g, seeds, live, reached)
 
 
-def live_arcs(g: Graph, m: int, seed: int) -> tuple[np.ndarray, ...]:
-    """Live arcs of rollouts 0..m-1 as read-only (R, E) bool chunks, in order.
+def live_arcs(g: Graph, m: int, seed: int) -> LiveArcs:
+    """Live arcs of rollouts 0..m-1, packed 64 rollouts per uint64 word.
 
     Rollout i reads draws [i*E, (i+1)*E) of the Philox stream keyed by
-    `seed` (E = g.num_arcs), so its row is
+    `seed` (E = g.num_arcs), so its arcs are
     RolloutStreams(seed).at(i * E).random(E) < g.probs whatever the
-    chunking. A chunk of rows lo.. is one contiguous run of draws, filled by
-    a single call from position lo * E into one float64 buffer that every
-    chunk reuses; only the bools are kept, m * E bytes in all.
+    chunking. A chunk of whole words is one contiguous run of draws, filled
+    by a single call into one float64 buffer that every chunk reuses; its
+    bools are packed eight rollouts to a byte by a weighted sum and kept,
+    about m * E / 8 bytes in all.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     streams = RolloutStreams(seed)
-    arcs, step = g.num_arcs, _chunk_rows(g)
+    arcs, words = g.num_arcs, -(-m // WORD_BITS)
+    step = WORD_BITS * min(words, max(1, CHUNK_ENTRIES // max(arcs, 1)
+                                      // WORD_BITS))
     buffer = np.empty(min(step, m) * arcs)
-    chunks = []
+    bits = np.zeros((step, arcs), dtype=bool)
+    packed = np.zeros((arcs, words), dtype=WORD)
+    octets = packed.view(np.uint8)  # column k holds rollouts 8k..8k+7
     for lo in range(0, m, step):
         rows = min(step, m - lo)
         uniforms = buffer[:rows * arcs].reshape(rows, arcs)
         streams.at(lo * arcs).random(out=uniforms)
-        live = uniforms < g.probs
-        live.flags.writeable = False
-        chunks.append(live)
-    return tuple(chunks)
+        np.less(uniforms, g.probs, out=bits[:rows])
+        bits[rows:] = False
+        whole = -(-rows // 8)
+        octets[:, lo // 8:lo // 8 + whole] = np.einsum(
+            "kja,j->ak",
+            bits[:8 * whole].reshape(whole, 8, arcs).view(np.uint8),
+            _BYTE_WEIGHTS)
+    packed.flags.writeable = False
+    return LiveArcs(words=packed, m=m)
 
 
-def rollout_masks(g: Graph, s: SeedSet, live: tuple[np.ndarray, ...]):
+def rollout_masks(g: Graph, s: SeedSet, live: LiveArcs):
     """Reached masks of the rollouts whose live arcs `live_arcs` drew,
-    yielded as one (R, n) chunk per live-arc chunk, in order."""
-    for chunk in live:
-        yield _reach(g, s.nodes, chunk)
+    yielded in order as C-contiguous (R, n) bool chunks, m rows in all.
+
+    The kernel reaches all m rollouts at once, on the packed words; each
+    chunk unpacks the bits of its rows only.
+    """
+    octets = _reach(g, s.nodes, live.words).view(np.uint8)
+    step = _chunk_rows(g)
+    for lo in range(0, live.m, step):
+        hi = min(lo + step, live.m)
+        first = lo // 8
+        bits = np.unpackbits(octets[:, first:-(-hi // 8)], axis=1,
+                             bitorder="little")
+        yield np.ascontiguousarray(
+            bits[:, lo - 8 * first:hi - 8 * first].T).view(bool)
 
 
 def estimate_spread_and_benefit(g: Graph, attrs: NodeAttrs, s: SeedSet,

@@ -138,10 +138,11 @@ def run_experiment(cfg: ExperimentConfig, pool: InstancePool | None = None,
     all algorithms are compared under common random numbers: the live arcs
     of a budget's m rollouts are drawn once, before its algorithms run, and
     every seed set at that budget is reached through the same draw. Only
-    one such draw (m * E bytes) is alive at a time. Timing covers
-    seed selection only; Monte Carlo evaluation is shared and excluded. Work
-    that depends on the instance alone (embeddings, PageRank) is done once
-    per instance and timed with the first selection that uses it.
+    one such draw (m * E / 8 bytes, 64 rollouts to a word) is alive at a
+    time. Timing covers seed selection only; Monte Carlo evaluation is
+    shared and excluded. Work that depends on the instance alone
+    (embeddings, PageRank) is done once per instance and timed with the
+    first selection that uses it.
     """
     if pool is None:
         pool = build_pool(cfg)

@@ -8,7 +8,8 @@ that seed, laid out flat: on a graph with E arcs, rollout i takes draws
 contiguous run of draws, and rollout i is the same whether rollouts run one
 at a time, in chunks of any size, or in any order. The draws under one
 evaluation seed are read once per (instance, budget), by
-diffusion.live_arcs, and every seed set evaluated there shares them.
+diffusion.live_arcs, which keeps only each arc's live bit, 64 rollouts to a
+uint64 word; every seed set evaluated there shares those words.
 """
 
 from __future__ import annotations

@@ -124,23 +124,23 @@ def feasible_candidates(selected: set[int], cost: np.ndarray,
     return np.flatnonzero(mask)
 
 
-def epsilon_greedy_select(net: QNetwork, table: np.ndarray, selected: set[int],
-                          epsilon: float, remaining: float, attrs: NodeAttrs,
+def epsilon_greedy_select(net: QNetwork, table: np.ndarray, cands: np.ndarray,
+                          seed_count: int, epsilon: float, remaining: float,
                           budget: float, k_max: int,
                           rng: np.random.Generator) -> int | None:
-    """Pick a feasible candidate, or None when no candidate fits.
+    """Pick one of the feasible candidates `cands` (node ids, ascending), or
+    None when there is none; `seed_count` seeds are selected so far.
 
     With probability epsilon a uniform random candidate, otherwise the
     Q-argmax (ties to the lowest node id). `table` is `net`'s
     `hidden_table` for this instance and budget.
     """
-    cands = feasible_candidates(selected, attrs.cost, remaining)
     if len(cands) == 0:
         return None
     if epsilon > 0.0 and rng.random() < epsilon:
         return int(cands[rng.integers(len(cands))])
-    qvals = q_forward_table(net, table, cands, len(selected), remaining,
-                            budget, k_max)
+    qvals = q_forward_table(net, table, cands, seed_count, remaining, budget,
+                            k_max)
     return int(cands[int(np.argmax(qvals))])  # argmax takes the first (lowest id) tie
 
 
@@ -151,15 +151,20 @@ def _steps(net: QNetwork, h: NodeEmbeddings, attrs: NodeAttrs, budget: float,
     table = hidden_table(net, h, attrs.cost, budget)
     c_min = float(attrs.cost.min())
     k_max = max(1, int(budget // c_min))
-    selected: set[int] = set()
-    remaining = budget
+    # the remaining budget only falls, so the mask of feasible candidates
+    # (unselected and affordable) only loses nodes
+    feasible = attrs.cost <= budget
+    remaining, seed_count = budget, 0
     while remaining >= c_min:
-        action = epsilon_greedy_select(net, table, selected, epsilon,
-                                       remaining, attrs, budget, k_max, rng)
+        action = epsilon_greedy_select(net, table, np.flatnonzero(feasible),
+                                       seed_count, epsilon, remaining, budget,
+                                       k_max, rng)
         if action is None:
             return
         remaining -= float(attrs.cost[action])
-        selected.add(action)
+        seed_count += 1
+        feasible[action] = False
+        feasible &= attrs.cost <= remaining
         yield action, remaining
 
 

@@ -39,6 +39,12 @@ def random_tiny_instance(rng, max_nodes=6, max_arcs=10) -> Instance:
         labels=labels)
 
 
+def unpack_live(live) -> np.ndarray:
+    """The (m, E) bool live-arc rows that diffusion.live_arcs packed."""
+    bits = np.unpackbits(live.words.view(np.uint8), axis=1, bitorder="little")
+    return bits[:, :live.m].T.astype(bool)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -14,7 +14,8 @@ from fairseed.graph import CommunityPartition, graph_from_edges
 from fairseed.metrics import FairnessConfig, evaluate_seed_set
 from fairseed.seeding import RolloutStreams
 
-from conftest import make_attrs, make_instance, random_tiny_instance
+from conftest import (make_attrs, make_instance, random_tiny_instance,
+                      unpack_live)
 
 
 def two_node_path(p=0.5):
@@ -104,8 +105,8 @@ class TestSimulateIc:
 class TestEstimate:
     def test_empty_seed_set(self):
         g, attrs = two_node_path()
-        spread, benefit, per = estimate_spread_and_benefit(g, attrs,
-                                                           SeedSet.empty(), 10, 0)
+        spread, benefit, per = estimate_spread_and_benefit(
+            g, attrs, SeedSet.build([], attrs), 10, 0)
         assert spread == 0.0 and benefit == 0.0
         assert np.all(per == 0.0)
 
@@ -166,9 +167,10 @@ class TestChunkedRollouts:
         m = rows + 5
         assert 1 < rows < m  # rollouts land in two chunks
         live = live_arcs(g, m, seed=11)
-        assert [c.shape for c in live] == [(rows, g.num_arcs),
-                                           (5, g.num_arcs)]
-        masks = np.concatenate(list(rollout_masks(g, s, live)))
+        assert live.words.shape == (g.num_arcs, -(-m // 64))
+        chunks = list(rollout_masks(g, s, live))
+        assert [c.shape for c in chunks] == [(rows, g.n), (5, g.n)]
+        masks = np.concatenate(chunks)
         _, _, benefits = estimate_spread_and_benefit(g, attrs, s, m, seed=11)
         _, profits, _ = evaluate_seed_set(g, attrs, inst.parts, s, live,
                                           FairnessConfig())
@@ -199,7 +201,8 @@ class TestChunkedRollouts:
         arcs = g.num_arcs
         monkeypatch.setattr(diffusion, "CHUNK_ENTRIES", 5 * arcs)
         rows, m = _chunk_rows(g), 13
-        # Philox makes four draws per block: chunks 2 and 3 start mid-block
+        # mask chunks 2 and 3 start inside a byte of the packed words, and
+        # their rollouts' draws inside a four-draw Philox block
         assert rows == 5 and (rows * arcs) % 4 and (2 * rows * arcs) % 4
         _, _, benefits = estimate_spread_and_benefit(g, attrs, s, m, seed=23)
         assert len(set(benefits)) > 1
@@ -241,18 +244,20 @@ class TestLiveArcs:
         g, _, _ = TestChunkedRollouts.odd_arc_instance()
         arcs = g.num_arcs
         monkeypatch.setattr(diffusion, "CHUNK_ENTRIES", 5 * arcs)
-        live = np.concatenate(live_arcs(g, 13, seed=9))
+        packed = live_arcs(g, 13, seed=9)
+        assert packed.m == 13 and packed.words.dtype == np.uint64
+        live = unpack_live(packed)
         assert live.shape == (13, arcs) and live.dtype == bool
         for i in range(13):
             assert np.array_equal(live[i], stream_row(g, 9, i))
 
     def test_chunks_are_read_only(self):
         g, _, _ = TestChunkedRollouts.odd_arc_instance()
-        for chunk in live_arcs(g, 20, seed=1):
-            with pytest.raises(ValueError, match="read-only"):
-                chunk[0, 0] = not chunk[0, 0]
-            with pytest.raises(ValueError, match="read-only"):
-                chunk |= True
+        words = live_arcs(g, 20, seed=1).words
+        with pytest.raises(ValueError, match="read-only"):
+            words[0, 0] = ~words[0, 0]
+        with pytest.raises(ValueError, match="read-only"):
+            words |= np.uint64(1)
 
     def test_one_draw_serves_every_seed_set(self):
         # a shared draw gives each seed set the rollouts of its own draw
@@ -323,14 +328,15 @@ class TestIncrementalReach:
                 for k, v in enumerate(order, start=1):
                     grown = simulate_ic(g, live, reached, (v,))
                     assert np.all(grown >= reached) and grown[v]
-                    whole = _reach(g, order[:k], live[None])[0]
+                    whole = _reach(g, order[:k], live)
                     assert np.array_equal(grown, whole)
                     reached = grown
 
     def test_start_mask_on_many_rows(self, rng):
-        # the starting mask works row by row on a batch of live-arc rows
+        # the starting words work bit by bit on the packed words of many
+        # rollouts
         g, _, _ = TestChunkedRollouts.odd_arc_instance()
-        live = np.concatenate(live_arcs(g, 30, seed=6))
+        live = live_arcs(g, 30, seed=6).words
         first = _reach(g, [0, 5], live)
         both = _reach(g, [0, 3, 5, 9], live)
         assert np.array_equal(_reach(g, [3, 5, 9], live, start=first), both)
@@ -341,6 +347,67 @@ class TestIncrementalReach:
         live = np.ones(g.num_arcs, dtype=bool)
         reached = simulate_ic(g, live, np.zeros(g.n, dtype=bool), (0,))
         assert np.array_equal(simulate_ic(g, live, reached, (2,)), reached)
+
+
+def bfs_reach(n, src, dst, live_row, seeds):
+    """Nodes reached from `seeds` over the arcs live in one rollout."""
+    reached, stack = set(seeds), list(seeds)
+    while stack:
+        v = stack.pop()
+        for a in np.flatnonzero(live_row & (src == v)):
+            if int(dst[a]) not in reached:
+                reached.add(int(dst[a]))
+                stack.append(int(dst[a]))
+    mask = np.zeros(n, dtype=bool)
+    mask[list(reached)] = True
+    return mask
+
+
+@st.composite
+def packed_cases(draw):
+    """A tiny directed graph of at most 20 arcs, a rollout count around the
+    64-rollout word boundaries, a stream seed and two seed sets: the first
+    empty, single or multi-node, the second added on top of it."""
+    n = draw(st.integers(2, 7))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    arcs = draw(st.lists(st.sampled_from(pairs), max_size=20, unique=True))
+    g = graph_from_edges(n, [(u, v, draw(st.floats(0.05, 1.0)))
+                             for u, v in arcs], directed=True)
+    nodes = st.integers(0, n - 1)
+    first = draw(st.one_of(st.just([]), st.lists(nodes, min_size=1,
+                                                 max_size=1),
+                           st.lists(nodes, min_size=2, unique=True)))
+    added = draw(st.lists(nodes, max_size=3, unique=True))
+    return (g, first, added, draw(st.sampled_from([1, 63, 64, 65, 129])),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+class TestPackedKernel:
+    """Each bit of the packed kernel's words is one rollout's cascade."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(packed_cases())
+    def test_rows_equal_breadth_first_search(self, case):
+        g, first, added, m, seed = case
+        src, dst, _ = g.arc_arrays()
+        live = live_arcs(g, m, seed)
+        rows = unpack_live(live)
+        attrs = make_attrs(g.n)
+        masks = np.concatenate(list(rollout_masks(
+            g, SeedSet.build(first, attrs), live)))
+        assert masks.shape == (m, g.n) and masks.dtype == bool
+        start = _reach(g, first, live.words)
+        grown = np.unpackbits(
+            _reach(g, added, live.words, start=start).view(np.uint8),
+            axis=1, bitorder="little").T
+        for i in range(m):
+            expected = bfs_reach(g.n, src, dst, rows[i], first)
+            assert np.array_equal(masks[i], expected)
+            assert np.array_equal(
+                simulate_ic(g, rows[i], np.zeros(g.n, dtype=bool), first),
+                expected)
+            both = bfs_reach(g.n, src, dst, rows[i], first + added)
+            assert np.array_equal(grown[i].astype(bool), both)
 
 
 @st.composite
@@ -384,7 +451,7 @@ class TestMonotonicity:
 class TestExactOracle:
     def test_empty(self):
         g, attrs = two_node_path()
-        assert exact_expected_profit(g, attrs, SeedSet.empty()) == 0.0
+        assert exact_expected_profit(g, attrs, SeedSet.build([], attrs)) == 0.0
 
     def test_two_node_hand_value(self):
         # 0.5 * 20 + 0.5 * 10 - 3 = 12
@@ -402,8 +469,9 @@ class TestExactOracle:
     def test_too_many_arcs_rejected(self):
         g = graph_from_edges(
             30, [(i, i + 1, 0.5) for i in range(25)], directed=True)
+        attrs = make_attrs(30)
         with pytest.raises(ValueError, match="oracle"):
-            exact_expected_profit(g, make_attrs(30), SeedSet.empty())
+            exact_expected_profit(g, attrs, SeedSet.build([], attrs))
 
     def test_matches_monte_carlo(self, rng):
         # light version of the acceptance criterion

@@ -7,7 +7,7 @@ from fairseed.graph import CommunityPartition, graph_from_edges
 from fairseed.metrics import (FairnessConfig, community_ratios,
                               evaluate_seed_set, shaped_reward)
 
-from conftest import make_attrs, make_instance
+from conftest import make_attrs, make_instance, unpack_live
 
 
 def influenced(n, nodes):
@@ -19,7 +19,7 @@ def influenced(n, nodes):
 class TestBasicMetrics:
     def test_selection_cost(self):
         attrs = make_attrs(3, cost=[3.0, 7.0, 1.0])
-        assert SeedSet.empty().total_cost == 0.0
+        assert SeedSet.build([], attrs).total_cost == 0.0
         assert SeedSet.build([0, 1], attrs).total_cost == 10.0
         assert SeedSet.build([2], attrs).total_cost == 1.0
 
@@ -155,7 +155,7 @@ class TestShapedReward:
         _, profits, fairs = evaluate_seed_set(g, attrs, parts, s, live,
                                               FairnessConfig())
         assert len(set(profits)) > 1
-        for i, row in enumerate(live[0]):
+        for i, row in enumerate(unpack_live(live)):
             mask = simulate_ic(g, row, influenced(4, []), s.nodes)
             assert shaped_reward(attrs, parts, mask, s.total_cost, 0.0) \
                 == profits[i]

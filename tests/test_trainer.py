@@ -1,5 +1,8 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import chisquare
 
 from fairseed.diffusion import (SeedSet, _reach,
@@ -12,7 +15,8 @@ from fairseed.qnet import (QNetwork, adam_step, encode_states, hidden_table,
                            q_forward_batch)
 from fairseed.trainer import (CheckpointError, ReplayBuffer, TrainConfig,
                               TrainedPolicy, Transition, _bellman_targets,
-                              epsilon_greedy_select, load_checkpoint, run_episode, save_checkpoint,
+                              epsilon_greedy_select, feasible_candidates,
+                              load_checkpoint, run_episode, save_checkpoint,
                               select_seed_set, train)
 
 from conftest import make_instance, random_tiny_instance
@@ -92,11 +96,14 @@ class TestEpsilonGreedy:
         cfg = toy_config()
         policy, h = toy_policy(inst, cfg)
         table = hidden_table(policy.net, h, inst.attrs.cost, 100.0)
-        got = epsilon_greedy_select(policy.net, table, set(range(6)), 0.5,
-                                    100.0, inst.attrs, 100.0, 10, rng)
+        cost = inst.attrs.cost
+        got = epsilon_greedy_select(
+            policy.net, table, feasible_candidates(set(range(6)), cost, 100.0),
+            6, 0.5, 100.0, 100.0, 10, rng)
         assert got is None
-        got = epsilon_greedy_select(policy.net, table, set(), 0.5, 0.5,
-                                    inst.attrs, 100.0, 10, rng)
+        got = epsilon_greedy_select(
+            policy.net, table, feasible_candidates(set(), cost, 0.5), 0, 0.5,
+            0.5, 100.0, 10, rng)
         assert got is None  # cheapest node costs 1
 
     def test_zero_net_tie_breaks_to_lowest_id(self, rng):
@@ -106,8 +113,9 @@ class TestEpsilonGreedy:
         for name in policy.net.PARAM_NAMES:
             getattr(policy.net, name)[:] = 0.0
         table = hidden_table(policy.net, h, inst.attrs.cost, 10.0)
-        got = epsilon_greedy_select(policy.net, table, set(), 0.0, 10.0,
-                                    inst.attrs, 10.0, 10, rng)
+        got = epsilon_greedy_select(
+            policy.net, table, feasible_candidates(set(), inst.attrs.cost, 10.0),
+            0, 0.0, 10.0, 10.0, 10, rng)
         assert got == 0
 
     def test_selected_skipped(self, rng):
@@ -117,8 +125,9 @@ class TestEpsilonGreedy:
         for name in policy.net.PARAM_NAMES:
             getattr(policy.net, name)[:] = 0.0
         table = hidden_table(policy.net, h, inst.attrs.cost, 10.0)
-        got = epsilon_greedy_select(policy.net, table, {0, 1}, 0.0, 10.0,
-                                    inst.attrs, 10.0, 10, rng)
+        got = epsilon_greedy_select(
+            policy.net, table, feasible_candidates({0, 1}, inst.attrs.cost, 10.0),
+            2, 0.0, 10.0, 10.0, 10, rng)
         assert got == 2
 
     def test_epsilon_one_uniform(self, rng):
@@ -126,14 +135,48 @@ class TestEpsilonGreedy:
         cfg = toy_config()
         policy, h = toy_policy(inst, cfg)
         table = hidden_table(policy.net, h, inst.attrs.cost, 100.0)
+        cands = feasible_candidates(set(), inst.attrs.cost, 100.0)
         draws = [
-            epsilon_greedy_select(policy.net, table, set(), 1.0, 100.0,
-                                  inst.attrs, 100.0, 10, rng)
+            epsilon_greedy_select(policy.net, table, cands, 0, 1.0, 100.0,
+                                  100.0, 10, rng)
             for _ in range(10_000)
         ]
         counts = np.bincount(draws, minlength=6)
         _, p = chisquare(counts)
         assert p > 0.001
+
+
+class TestKeptFeasibleMask:
+    @settings(deadline=None, max_examples=60)
+    @given(st.lists(st.floats(0.5, 10.0), min_size=1, max_size=12),
+           st.floats(0.0, 1.2), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    def test_candidates_equal_feasible_candidates(self, costs, share,
+                                                  epsilon, seed):
+        # the mask kept across an episode's steps offers, at every step,
+        # exactly the unselected nodes that fit the remaining budget
+        n = len(costs)
+        inst = make_instance("kept", n, [(v, v + 1, 0.5) for v in range(n - 1)],
+                             cost=costs, benefit=[1.0] * n)
+        cost = inst.attrs.cost
+        budget = float(cost.min()) + share * float(cost.sum())
+        policy, h = toy_policy(inst, toy_config(budget=budget))
+        chosen, offered = [], []
+
+        def spy(net, table, cands, seed_count, eps, remaining, *rest):
+            offered.append((cands.copy(), seed_count, remaining, list(chosen)))
+            return select(net, table, cands, seed_count, eps, remaining, *rest)
+
+        select = trainer.epsilon_greedy_select
+        with mock.patch.object(trainer, "epsilon_greedy_select", spy):
+            for action, _ in trainer._steps(policy.net, h, inst.attrs, budget,
+                                            epsilon,
+                                            np.random.default_rng(seed)):
+                chosen.append(action)
+        assert offered
+        for cands, seed_count, remaining, before in offered:
+            assert seed_count == len(before)
+            assert np.array_equal(
+                cands, feasible_candidates(set(before), cost, remaining))
 
 
 class TestRunEpisode:
@@ -181,7 +224,7 @@ class TestRunEpisode:
             for t in ts:
                 total += t.reward
                 s = SeedSet.build(t.seeds_after, attrs)
-                mask = _reach(g, s.nodes, live[None])[0]
+                mask = _reach(g, s.nodes, live)
                 assert total == pytest.approx(
                     shaped_reward(attrs, inst.parts, mask, s.total_cost,
                                   cfg.fairness_weight), rel=1e-12, abs=1e-12)
