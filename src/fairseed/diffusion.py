@@ -46,12 +46,14 @@ class SeedSet:
         return len(self.nodes)
 
 
-# Size of one chunk of rollouts, in matrix entries: live_arcs fills the
-# uniforms of about CHUNK_ENTRIES // E rollouts at a time (a whole number of
-# 64-rollout words), and rollout_masks yields (R, n) reached masks of
-# CHUNK_ENTRIES // max(E, n) rows. Evaluation sums each mask chunk with
-# matrix-vector products, whose rounding can depend on a row's place in its
-# chunk, so that row count is part of the reported results.
+# Size of one chunk of rollouts, in matrix entries: rollout_masks yields
+# (R, n) reached masks of CHUNK_ENTRIES // max(E, n) rows. Evaluation sums
+# each mask chunk with matrix-vector products, whose rounding can depend on
+# a row's place in its chunk, so that row count is part of the reported
+# results. live_arcs fills float64 uniforms, eight bytes to an entry, so it
+# fills about CHUNK_ENTRIES // 8 draws at a time (a whole number of
+# 64-rollout words): its buffer takes about as many bytes as a bool mask
+# chunk.
 CHUNK_ENTRIES = 1 << 20
 WORD_BITS = 64
 WORD = np.dtype("<u8")  # little-endian: byte k holds rollouts 8k..8k+7
@@ -151,16 +153,18 @@ def live_arcs(g: Graph, m: int, seed: int) -> LiveArcs:
     Rollout i reads draws [i*E, (i+1)*E) of the Philox stream keyed by
     `seed` (E = g.num_arcs), so its arcs are
     RolloutStreams(seed).at(i * E).random(E) < g.probs whatever the
-    chunking. A chunk of whole words is one contiguous run of draws, filled
-    by a single call into one float64 buffer that every chunk reuses; its
-    bools are packed eight rollouts to a byte by a weighted sum and kept,
-    about m * E / 8 bytes in all.
+    chunking. A chunk of whole words, about CHUNK_ENTRIES // 8 draws, is one
+    contiguous run of draws, filled by a single call into one float64
+    buffer that every chunk reuses; its bools are packed eight rollouts to a
+    byte by a weighted sum and kept, about m * E / 8 bytes in all. The fill
+    chunk is set by memory alone and is smaller than rollout_masks' mask
+    chunk, whose row count sets the rounding of the evaluation sums.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     streams = RolloutStreams(seed)
     arcs, words = g.num_arcs, -(-m // WORD_BITS)
-    step = WORD_BITS * min(words, max(1, CHUNK_ENTRIES // max(arcs, 1)
+    step = WORD_BITS * min(words, max(1, CHUNK_ENTRIES // 8 // max(arcs, 1)
                                       // WORD_BITS))
     buffer = np.empty(min(step, m) * arcs)
     bits = np.zeros((step, arcs), dtype=bool)

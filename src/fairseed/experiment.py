@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -137,47 +138,59 @@ def run_experiment(cfg: ExperimentConfig, pool: InstancePool | None = None,
     Rollout streams are derived from (seed, instance, exact budget) only, so
     all algorithms are compared under common random numbers: the live arcs
     of a budget's m rollouts are drawn once, before its algorithms run, and
-    every seed set at that budget is reached through the same draw. Only
-    one such draw (m * E / 8 bytes, 64 rollouts to a word) is alive at a
-    time. Timing covers seed selection only; Monte Carlo evaluation is
-    shared and excluded. Work that depends on the instance alone
-    (embeddings, PageRank) is done once per instance and timed with the
-    first selection that uses it.
+    every seed set at that budget is reached through the same draw. The
+    draws are made on one worker thread, which lives for this call only: as
+    soon as an (instance, budget)'s draw is taken, the worker starts the
+    next pair's while this thread selects and evaluates, so at most two
+    draws (m * E / 8 bytes each, 64 rollouts to a word) are alive at a
+    time. A draw depends on (graph, m, seed) alone and makes its own stream,
+    so the thread it runs on changes no result. Timing covers seed
+    selection only; Monte Carlo evaluation is shared and excluded. Work that
+    depends on the instance alone (embeddings, PageRank) is done once per
+    instance and timed with the first selection that uses it.
     """
     if pool is None:
         pool = build_pool(cfg)
     if "rl" in cfg.algorithms and policy is None:
         policy = train(cfg.train, pool)
     results = []
-    for instance in pool.test:
-        embeddings = cache(lambda: policy.embeddings_for(instance))
-        ranking = cache(lambda: baselines.pagerank(instance.graph))
-        for budget in cfg.budgets:
-            live = live_arcs(instance.graph, cfg.m,
-                             eval_seed(cfg, instance, budget))
-            for algorithm in cfg.algorithms:
-                t0 = time.perf_counter()
-                seeds = _select(algorithm, instance, budget, policy, cfg,
-                                embeddings, ranking)
-                elapsed = time.perf_counter() - t0
-                assert seeds.total_cost <= budget + 1e-9, "budget violated"
-                report, profits, _ = evaluate_seed_set(
-                    instance.graph, instance.attrs, instance.parts, seeds,
-                    live, cfg.fairness)
-                results.append(ExperimentResult(
-                    algorithm=algorithm,
-                    budget=float(budget),
-                    instance=instance.id,
-                    profit_mean=report.profit,
-                    profit_std=float(profits.std()),
-                    fairness_mean=report.fairness,
-                    min_community_ratio=float(min(report.community_ratios)),
-                    tau_ok=report.tau_ok,
-                    seed_size=len(seeds),
-                    seed_cost=seeds.total_cost,
-                    seconds=elapsed,
-                ))
-            del live  # free this draw before the next budget's is made
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        # lazy: each next() submits the draw of the following pair
+        draws = (worker.submit(live_arcs, instance.graph, cfg.m,
+                               eval_seed(cfg, instance, budget))
+                 for instance in pool.test for budget in cfg.budgets)
+        pending = next(draws, None)
+        for instance in pool.test:
+            embeddings = cache(lambda: policy.embeddings_for(instance))
+            ranking = cache(lambda: baselines.pagerank(instance.graph))
+            for budget in cfg.budgets:
+                live = pending.result()
+                pending = next(draws, None)
+                for algorithm in cfg.algorithms:
+                    t0 = time.perf_counter()
+                    seeds = _select(algorithm, instance, budget, policy, cfg,
+                                    embeddings, ranking)
+                    elapsed = time.perf_counter() - t0
+                    assert seeds.total_cost <= budget + 1e-9, "budget violated"
+                    report, profits, _ = evaluate_seed_set(
+                        instance.graph, instance.attrs, instance.parts, seeds,
+                        live, cfg.fairness)
+                    results.append(ExperimentResult(
+                        algorithm=algorithm,
+                        budget=float(budget),
+                        instance=instance.id,
+                        profit_mean=report.profit,
+                        profit_std=float(profits.std()),
+                        fairness_mean=report.fairness,
+                        min_community_ratio=float(min(report.community_ratios)),
+                        tau_ok=report.tau_ok,
+                        seed_size=len(seeds),
+                        seed_cost=seeds.total_cost,
+                        seconds=elapsed,
+                    ))
+                # free this draw now: while the next pair's is awaited, the
+                # worker's is the only one alive
+                del live
     results.sort(key=lambda r: (r.algorithm, r.budget, r.instance))
     return results
 

@@ -9,7 +9,12 @@ contiguous run of draws, and rollout i is the same whether rollouts run one
 at a time, in chunks of any size, or in any order. The draws under one
 evaluation seed are read once per (instance, budget), by
 diffusion.live_arcs, which keeps only each arc's live bit, 64 rollouts to a
-uint64 word; every seed set evaluated there shares those words.
+uint64 word; every seed set evaluated there shares those words. live_arcs
+fills about CHUNK_ENTRIES // 8 draws at a time, so its float64 buffer is
+about as large as one of rollout_masks' bool mask chunks; its chunks are set
+by memory alone, while the row count of a mask chunk sets the rounding of
+the reported sums. Each live_arcs call makes its own RolloutStreams, so draws
+made on another thread share no generator state and give the same words.
 """
 
 from __future__ import annotations

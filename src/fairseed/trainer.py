@@ -127,13 +127,14 @@ def feasible_candidates(selected: set[int], cost: np.ndarray,
 def epsilon_greedy_select(net: QNetwork, table: np.ndarray, cands: np.ndarray,
                           seed_count: int, epsilon: float, remaining: float,
                           budget: float, k_max: int,
-                          rng: np.random.Generator) -> int | None:
+                          rng: np.random.Generator | None) -> int | None:
     """Pick one of the feasible candidates `cands` (node ids, ascending), or
     None when there is none; `seed_count` seeds are selected so far.
 
     With probability epsilon a uniform random candidate, otherwise the
     Q-argmax (ties to the lowest node id). `table` is `net`'s
-    `hidden_table` for this instance and budget.
+    `hidden_table` for this instance and budget. `rng` is read only when
+    epsilon > 0, and may be None at epsilon 0.
     """
     if len(cands) == 0:
         return None
@@ -145,7 +146,7 @@ def epsilon_greedy_select(net: QNetwork, table: np.ndarray, cands: np.ndarray,
 
 
 def _steps(net: QNetwork, h: NodeEmbeddings, attrs: NodeAttrs, budget: float,
-           epsilon: float, rng: np.random.Generator):
+           epsilon: float, rng: np.random.Generator | None):
     """Yield (action, remaining budget after it) while a candidate fits."""
     # the network is not updated between the steps, so one table serves them
     table = hidden_table(net, h, attrs.cost, budget)
@@ -302,8 +303,7 @@ def select_seed_set(policy: TrainedPolicy, instance: Instance, budget: float,
     """Greedy (epsilon=0) budget-constrained selection; deterministic. `h`,
     when given, is `policy.embeddings_for(instance)`, computed by the caller."""
     h = policy.embeddings_for(instance) if h is None else h
-    rng = np.random.default_rng(0)  # unused at epsilon=0
-    steps = _steps(policy.net, h, instance.attrs, budget, 0.0, rng)
+    steps = _steps(policy.net, h, instance.attrs, budget, 0.0, None)
     return SeedSet.build([action for action, _ in steps], instance.attrs)
 
 

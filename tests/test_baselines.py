@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fairseed.baselines import (ScoreTable, fair_pagerank_seeds,
                                 high_degree_seeds, pagerank, pagerank_seeds,
                                 parity_seeds, random_seeds)
+from fairseed.embedding import init_embedding_params
 from fairseed.graph import CommunityPartition, graph_from_edges
+from fairseed.qnet import QNetwork
+from fairseed.trainer import TrainedPolicy, select_seed_set
 
 from conftest import make_attrs, make_instance
 
@@ -198,3 +202,39 @@ class TestFairPageRank:
         a = fair_pagerank_seeds(inst.graph, inst.attrs, inst.parts, 2.0)
         b = fair_pagerank_seeds(inst.graph, inst.attrs, inst.parts, 2.0)
         assert a.nodes == b.nodes
+
+
+class TestBudgetSafety:
+    @settings(deadline=None, max_examples=60)
+    @given(st.lists(st.floats(0.5, 50.0), min_size=2, max_size=12),
+           st.floats(0.01, 1.2), st.integers(0, 2**32 - 1))
+    def test_every_selector_fills_the_budget_without_overspending(
+            self, costs, share, seed):
+        # every selector fills greedily: it spends at most the budget and
+        # leaves no unpicked node that the rest of the budget would buy
+        n = len(costs)
+        rng = np.random.default_rng(seed)
+        pairs = {(v, v + 1) for v in range(n - 1)}
+        pairs |= {(min(u, v), max(u, v)) for u, v in
+                  rng.integers(n, size=(n, 2)).tolist() if u != v}
+        edges = [(u, v, 0.5) for u, v in sorted(pairs)]
+        inst = make_instance("budget", n, edges, cost=costs,
+                             benefit=rng.uniform(1.0, 10.0, n),
+                             labels=[0] * (n // 2) + [1] * (n - n // 2))
+        g, attrs, parts = inst.graph, inst.attrs, inst.parts
+        budget = share * float(attrs.cost.sum())
+        policy = TrainedPolicy(net=QNetwork.init(8 + 3, seed, hidden=16),
+                               embed=init_embedding_params(8, seed), t_emb=2)
+        selected = {
+            "random": random_seeds(g, attrs, budget, rng),
+            "highdegree": high_degree_seeds(g, attrs, budget),
+            "pagerank": pagerank_seeds(g, attrs, budget),
+            "parity": parity_seeds(g, attrs, parts, budget),
+            "fairpagerank": fair_pagerank_seeds(g, attrs, parts, budget),
+            "rl": select_seed_set(policy, inst, budget),
+        }
+        for name, s in selected.items():
+            assert s.total_cost <= budget + 1e-9, name
+            left = budget - s.total_cost
+            unpicked = np.setdiff1d(np.arange(n), s.nodes)
+            assert np.all(attrs.cost[unpicked] > left - 1e-9), name

@@ -244,12 +244,14 @@ class TestLiveArcs:
         g, _, _ = TestChunkedRollouts.odd_arc_instance()
         arcs = g.num_arcs
         monkeypatch.setattr(diffusion, "CHUNK_ENTRIES", 5 * arcs)
-        packed = live_arcs(g, 13, seed=9)
-        assert packed.m == 13 and packed.words.dtype == np.uint64
-        live = unpack_live(packed)
-        assert live.shape == (13, arcs) and live.dtype == bool
-        for i in range(13):
-            assert np.array_equal(live[i], stream_row(g, 9, i))
+        # 200 rollouts are filled one 64-rollout word at a time
+        for m in (13, 200):
+            packed = live_arcs(g, m, seed=9)
+            assert packed.m == m and packed.words.dtype == np.uint64
+            live = unpack_live(packed)
+            assert live.shape == (m, arcs) and live.dtype == bool
+            for i in range(m):
+                assert np.array_equal(live[i], stream_row(g, 9, i))
 
     def test_chunks_are_read_only(self):
         g, _, _ = TestChunkedRollouts.odd_arc_instance()

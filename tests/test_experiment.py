@@ -1,5 +1,8 @@
 import csv
 import os
+import threading
+import time
+import weakref
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from fairseed import baselines, embedding, experiment, trainer
 from fairseed.diffusion import live_arcs
 from fairseed.experiment import (ALGORITHMS, ExperimentConfig,
                                  ExperimentResult, build_pool, emit_report,
-                                 run_experiment)
+                                 eval_seed, run_experiment)
 from fairseed.graph import InstancePool, UniformProbabilities
 from fairseed.metrics import evaluate_seed_set
 from fairseed.seeding import derive_seed
@@ -169,6 +172,89 @@ class TestRunExperiment:
             small_config(m=0)
         with pytest.raises(ValueError):
             small_config(budgets=(float("nan"),))
+
+
+def two_test_pool():
+    pool = small_pool()
+    b = pool.test[0]
+    c = make_instance("test-01", 6, [(0, 2, 0.5), (2, 4, 0.5), (4, 0, 0.5),
+                                     (1, 3, 0.5), (3, 5, 0.5)],
+                      cost=[2, 1, 1, 2, 3, 1], benefit=[1, 2, 3, 4, 5, 6],
+                      labels=[0, 0, 0, 1, 1, 1])
+    return InstancePool(train=pool.train, test=(b, c), seed=0)
+
+
+def run_bounded(*args, **kwargs):
+    """run_experiment on a helper thread that must end within a minute;
+    returns the exception it raised, or None. The thread count after it
+    must be the count before it: the call leaves no worker running."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["rows"] = run_experiment(*args, **kwargs)
+        except Exception as exc:
+            outcome["error"] = exc
+
+    before = threading.active_count()
+    helper = threading.Thread(target=target)
+    helper.start()
+    helper.join(timeout=60)
+    assert not helper.is_alive(), "run_experiment hangs"
+    assert threading.active_count() == before
+    return outcome.get("error")
+
+
+class TestDrawPipeline:
+    """Each evaluation draw is made on a worker thread while the previous
+    (instance, budget) is selected and evaluated."""
+
+    def test_each_stream_drawn_once_and_two_alive_at_most(self, monkeypatch):
+        cfg = small_config(budgets=(2.0, 4.0, 6.0))
+        pool = two_test_pool()
+        calls, alive = [], []
+
+        def recorded(g, m, seed):
+            # the draw in flight and the one the caller reads, no more
+            assert sum(ref() is not None for ref in alive) <= 1
+            calls.append((g, m, seed))
+            live = live_arcs(g, m, seed)
+            alive.append(weakref.ref(live))
+            return live
+
+        monkeypatch.setattr(experiment, "live_arcs", recorded)
+        assert run_bounded(cfg, pool=pool) is None
+        assert calls == [(inst.graph, cfg.m, eval_seed(cfg, inst, b))
+                         for inst in pool.test for b in cfg.budgets]
+        assert [ref() for ref in alive] == [None] * len(calls)
+
+    def test_error_in_a_draw_propagates(self, monkeypatch):
+        draws = []
+
+        def failing(g, m, seed):
+            draws.append(seed)
+            if len(draws) == 2:
+                raise RuntimeError("draw failed")
+            return live_arcs(g, m, seed)
+
+        monkeypatch.setattr(experiment, "live_arcs", failing)
+        error = run_bounded(small_config(), pool=two_test_pool())
+        assert isinstance(error, RuntimeError) and str(error) == "draw failed"
+        assert len(draws) == 2  # no draw is made after the failed one
+
+    def test_error_while_selecting_propagates(self, monkeypatch):
+        def slow(g, m, seed):
+            time.sleep(0.05)  # the next draw is still in flight
+            return live_arcs(g, m, seed)
+
+        def failing(*args):
+            raise RuntimeError("selection failed")
+
+        monkeypatch.setattr(experiment, "live_arcs", slow)
+        monkeypatch.setattr(experiment, "_select", failing)
+        error = run_bounded(small_config(), pool=two_test_pool())
+        assert isinstance(error, RuntimeError) \
+            and str(error) == "selection failed"
 
 
 class TestEmitReport:
