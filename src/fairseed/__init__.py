@@ -23,7 +23,7 @@ from .graph import (CommunityPartition, Graph, Instance, InstancePool,
 from .metrics import (FairnessConfig, MetricReport, community_ratios,
                       evaluate_seed_set, shaped_reward)
 from .qnet import (QNetwork, adam_step, encode_states, hidden_table,
-                   q_forward_batch, q_forward_table, q_loss_and_grad)
+                   q_forward_table, q_loss_and_grad)
 from .trainer import (CheckpointError, ReplayBuffer, TrainConfig,
                       TrainedPolicy, Transition, epsilon_greedy_select,
                       load_checkpoint, run_episode, save_checkpoint,

@@ -208,16 +208,16 @@ def estimate_spread_and_benefit(g: Graph, attrs: NodeAttrs, s: SeedSet,
                                 ) -> tuple[float, float, np.ndarray]:
     """Monte Carlo means of spread and earned benefit over m rollouts.
 
-    Returns (mean spread, mean benefit, per-rollout benefits). Rollout i
-    always reads the same draws of the stream keyed by `seed` (see
-    live_arcs), so results do not depend on execution order.
+    Returns (mean spread, mean benefit, per-rollout benefits); the mean
+    spread is the count of reached bits over m. Rollout i always reads the
+    same draws of the stream keyed by `seed` (see live_arcs).
     """
-    spreads, benefits = [], []
+    reached, benefits = 0, []
     for masks in rollout_masks(g, s, live_arcs(g, m, seed)):
-        spreads.append(masks.sum(axis=1))
+        reached += np.count_nonzero(masks)
         benefits.append(masks @ attrs.benefit)
-    spreads, benefits = np.concatenate(spreads), np.concatenate(benefits)
-    return float(spreads.mean()), float(benefits.mean()), benefits
+    benefits = np.concatenate(benefits)
+    return float(reached / m), float(benefits.mean()), benefits
 
 
 MAX_ORACLE_ARCS = 20

@@ -387,6 +387,9 @@ def load_node_attributes(path: str, g: Graph) -> tuple[NodeAttrs, CommunityParti
                 except (KeyError, ValueError):
                     raise AttributeFileError(
                         f"{path}:{lineno}: bad row {row!r}") from None
+                if seen[node]:
+                    raise AttributeFileError(
+                        f"{path}:{lineno}: node {row[0]} listed twice")
                 seen[node] = True
     except OSError as exc:
         raise AttributeFileError(f"cannot read {path}: {exc}") from exc

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import SeedSet, rollout_masks
+from .diffusion import LiveArcs, SeedSet, rollout_masks
 from .graph import CommunityPartition, Graph, NodeAttrs
 
 
@@ -59,13 +59,12 @@ def shaped_reward(attrs: NodeAttrs, parts: CommunityPartition,
 
 
 def evaluate_seed_set(g: Graph, attrs: NodeAttrs, parts: CommunityPartition,
-                      s: SeedSet, live: tuple[np.ndarray, ...],
-                      cfg: FairnessConfig
+                      s: SeedSet, live: LiveArcs, cfg: FairnessConfig
                       ) -> tuple[MetricReport, np.ndarray, np.ndarray]:
     """Monte Carlo evaluation over the rollouts whose live arcs `live` holds.
 
-    `live` comes from diffusion.live_arcs and is only read, so seed sets
-    evaluated on one draw are compared under common random numbers.
+    `live` is the packed draw of diffusion.live_arcs and is only read, so
+    seed sets evaluated on one draw are compared under common random numbers.
 
     Returns the aggregate report plus per-rollout profits and per-rollout
     fairness min_c ratio_c. The report's `fairness` (and the tau flag on it)
@@ -77,8 +76,10 @@ def evaluate_seed_set(g: Graph, attrs: NodeAttrs, parts: CommunityPartition,
     cost = s.total_cost
     profits, ratios = [], []
     for masks in rollout_masks(g, s, live):
-        profits.append(masks @ attrs.benefit - cost)
-        ratios.append(community_ratios(masks, parts))
+        reached = masks.astype(np.float64)  # matmul's cast, made once
+        profits.append(reached @ attrs.benefit - cost)
+        ratios.append(community_ratios(reached, parts))
+        del reached  # freed before the next chunk is unpacked
     profits, ratios = np.concatenate(profits), np.concatenate(ratios)
     fairs = ratios.min(axis=1)
     fairness = float(fairs.mean())

@@ -78,10 +78,6 @@ def encode_states(candidates: np.ndarray, h: NodeEmbeddings, seed_count,
     return out
 
 
-def q_forward_batch(net: QNetwork, states: np.ndarray) -> np.ndarray:
-    return np.maximum(states @ net.w1.T + net.b1, 0.0) @ net.w2 + net.b2[0]
-
-
 def hidden_table(net: QNetwork, h: NodeEmbeddings, cost: np.ndarray,
                  budget: float) -> np.ndarray:
     """The table T above; valid until the next update of `net`."""
@@ -94,7 +90,7 @@ def hidden_table(net: QNetwork, h: NodeEmbeddings, cost: np.ndarray,
 def q_forward_table(net: QNetwork, table: np.ndarray, candidates: np.ndarray,
                     seed_count: int, remaining_budget: float, budget: float,
                     k_max: int) -> np.ndarray:
-    """q_forward_batch over the candidates' encode_states rows, computed as
+    """Q-values of the candidates' encode_states rows, computed from T as
     relu(T[v] + s) . w2 = max(T[v], -s) . w2 + s . w2 for the step's shift s."""
     d = net.in_dim - 3
     shift = (remaining_budget / budget) * net.w1[:, d + 1] \

@@ -45,6 +45,12 @@ def unpack_live(live) -> np.ndarray:
     return bits[:, :live.m].T.astype(bool)
 
 
+def q_forward_batch(net, states: np.ndarray) -> np.ndarray:
+    """Reference scorer: the value network on whole encode_states rows,
+    relu(states W1^T + b1) . w2 + b2."""
+    return np.maximum(states @ net.w1.T + net.b1, 0.0) @ net.w2 + net.b2[0]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -232,6 +232,17 @@ class TestOracleCommand:
         assert code == EXIT_DATA
         assert "nan" not in capsys.readouterr().out
 
+    def test_repeated_attribute_row_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "path.txt"
+        path.write_text("0 1\n1 2\n")
+        attrs = tmp_path / "attrs.csv"
+        attrs.write_text("node_id,cost,benefit,community\n"
+                         "0,1,1,0\n1,1,1,0\n2,1,1,0\n1,99,1,0\n")
+        code = main(["oracle", "--dataset", str(path), "--attrs", str(attrs),
+                     "--seeds", "0"])
+        assert code == EXIT_DATA
+        assert "listed twice" in capsys.readouterr().err
+
     @pytest.mark.parametrize("labels", [(-1, 0, 0), (0, 2, 2)])
     def test_bad_community_labels_are_data_errors(self, tmp_path, labels):
         # -1 would leave node 0 in no community; 0, 2, 2 leaves community 1

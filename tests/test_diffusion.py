@@ -1,4 +1,5 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -431,6 +432,42 @@ def monotone_cases(draw):
     live = draw(st.lists(st.booleans(), min_size=g.num_arcs,
                          max_size=g.num_arcs))
     return g, attrs, nodes, extra, np.array(live, dtype=bool)
+
+
+@st.composite
+def spread_cases(draw):
+    """A tiny directed graph with random arc probabilities, a seed set, a
+    rollout count around the 64-rollout word boundaries, a stream seed and
+    a chunk size: one row per chunk, a few rows, or the default."""
+    n = draw(st.integers(2, 7))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    arcs = draw(st.lists(st.sampled_from(pairs), max_size=20, unique=True))
+    g = graph_from_edges(n, [(u, v, draw(st.floats(0.05, 1.0)))
+                             for u, v in arcs], directed=True)
+    attrs = make_attrs(n)
+    nodes = draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True))
+    return (g, attrs, SeedSet.build(nodes, attrs),
+            draw(st.sampled_from([1, 63, 64, 65, 200])),
+            draw(st.integers(0, 2**32 - 1)),
+            draw(st.sampled_from([1, 100, diffusion.CHUNK_ENTRIES])))
+
+
+class TestSpreadCount:
+    """The mean spread, a count of reached bits over m, is the same double
+    as the mean of the per-rollout spreads."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(spread_cases())
+    def test_mean_spread_equals_mean_of_row_sums(self, case):
+        g, attrs, s, m, seed, entries = case
+        with mock.patch.object(diffusion, "CHUNK_ENTRIES", entries):
+            spread, _, _ = estimate_spread_and_benefit(g, attrs, s, m, seed)
+            rows = np.concatenate([
+                masks.sum(axis=1)
+                for masks in rollout_masks(g, s, live_arcs(g, m, seed))])
+        assert len(rows) == m
+        assert type(spread) is float
+        assert spread == float(rows.mean())
 
 
 class TestMonotonicity:

@@ -347,6 +347,16 @@ class TestAttributeCsv:
         with pytest.raises(AttributeFileError, match="missing"):
             load_node_attributes(path, g)
 
+    def test_repeated_node_is_a_file_error(self, tmp_path):
+        # a second row for node 1 would otherwise overwrite the first
+        g = graph_from_edges(3, [(0, 1), (1, 2)], directed=False)
+        path = write(tmp_path, "node_id,cost,benefit,community\n"
+                               "0,1,1,0\n1,1,1,0\n2,1,1,0\n1,99,1,0\n",
+                     name="attrs.csv")
+        with pytest.raises(AttributeFileError,
+                           match=r"attrs\.csv:5: node 1 listed twice"):
+            load_node_attributes(path, g)
+
     def test_nan_benefit_is_a_file_error(self, tmp_path):
         g = graph_from_edges(2, [(0, 1)], directed=False)
         path = write(tmp_path, "node_id,cost,benefit,community\n"

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fairseed.diffusion import SeedSet, live_arcs, simulate_ic
+from fairseed import diffusion
+from fairseed.diffusion import SeedSet, live_arcs, rollout_masks, simulate_ic
 from fairseed.graph import CommunityPartition, graph_from_edges
 from fairseed.metrics import (FairnessConfig, community_ratios,
                               evaluate_seed_set, shaped_reward)
@@ -194,6 +195,34 @@ class TestEvaluateSeedSet:
         assert np.array_equal(profits1, profits2)  # same streams, same numbers
         assert rep1.profit == pytest.approx(profits1.mean())
         assert rep1.fairness == pytest.approx(fairs1.mean())
+
+    def test_rollout_values_equal_bool_chunk_products(self, monkeypatch):
+        # per-rollout profits and fairness are the products on the bool mask
+        # chunks, bit for bit, over several chunks of seven rollouts
+        rng = np.random.default_rng(8)
+        n = 30
+        edges = [(u, v, float(rng.uniform(0.05, 0.4)))
+                 for u in range(n) for v in range(u + 1, n)
+                 if rng.random() < 0.15]
+        inst = make_instance("chunks", n, edges, directed=True,
+                             cost=rng.uniform(1, 5, n),
+                             benefit=rng.uniform(1, 10, n),
+                             labels=rng.integers(0, 3, n))
+        g, attrs, parts = inst.graph, inst.attrs, inst.parts
+        monkeypatch.setattr(diffusion, "CHUNK_ENTRIES",
+                            7 * max(g.num_arcs, n))
+        s = SeedSet.build([0, 5, 11], attrs)
+        live = live_arcs(g, 50, 13)
+        chunks = list(rollout_masks(g, s, live))
+        assert len(chunks) >= 3 and chunks[0].dtype == bool
+        _, profits, fairs = evaluate_seed_set(g, attrs, parts, s, live,
+                                              FairnessConfig())
+        want = np.concatenate([masks @ attrs.benefit - s.total_cost
+                               for masks in chunks])
+        assert len(set(want)) > 1
+        assert np.array_equal(profits, want)
+        assert np.array_equal(fairs, np.concatenate([
+            community_ratios(masks, parts).min(axis=1) for masks in chunks]))
 
     def test_fairness_config_validation(self):
         with pytest.raises(ValueError):

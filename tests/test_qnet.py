@@ -3,9 +3,9 @@ import pytest
 
 from fairseed.embedding import NodeEmbeddings
 from fairseed.qnet import (QNetwork, adam_step, encode_states, hidden_table,
-                           q_forward_batch, q_forward_table, q_loss_and_grad)
+                           q_forward_table, q_loss_and_grad)
 
-from conftest import make_attrs
+from conftest import make_attrs, q_forward_batch
 
 IN_DIM = 67
 

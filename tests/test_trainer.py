@@ -11,15 +11,14 @@ from fairseed.embedding import compute_embeddings, init_embedding_params
 from fairseed.graph import InstancePool
 from fairseed.metrics import FairnessConfig, evaluate_seed_set, shaped_reward
 from fairseed import trainer
-from fairseed.qnet import (QNetwork, adam_step, encode_states, hidden_table,
-                           q_forward_batch)
+from fairseed.qnet import QNetwork, adam_step, encode_states, hidden_table
 from fairseed.trainer import (CheckpointError, ReplayBuffer, TrainConfig,
                               TrainedPolicy, Transition, _bellman_targets,
                               epsilon_greedy_select, feasible_candidates,
                               load_checkpoint, run_episode, save_checkpoint,
                               select_seed_set, train)
 
-from conftest import make_instance, random_tiny_instance
+from conftest import make_instance, q_forward_batch, random_tiny_instance
 
 D_EMB = 8
 
