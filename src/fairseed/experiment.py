@@ -57,9 +57,13 @@ class ExperimentConfig:
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if unknown:
             raise ValueError(f"unknown algorithms: {sorted(unknown)}")
-        if not all(0 < b < np.inf for b in self.budgets) or \
-                list(self.budgets) != sorted(self.budgets):
-            raise ValueError("budgets must be positive, finite and ascending")
+        if len(set(self.algorithms)) < len(self.algorithms):
+            raise ValueError("algorithms must be distinct")
+        b = self.budgets  # a repeated budget or algorithm writes its rows twice
+        if not b or not all(0 < x < np.inf for x in b) or \
+                not all(x < y for x, y in zip(b, b[1:])):
+            raise ValueError("budgets must be nonempty, positive, finite and "
+                             "strictly ascending")
 
 
 @dataclass(frozen=True)

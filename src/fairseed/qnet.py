@@ -9,7 +9,7 @@ The first layer is linear in s_v = [h_v, c_v/B, R/B, k/k_max]: its
 pre-activation is T[v] + (R/B) W1[:, d+1] + (k/k_max) W1[:, d+2], where the
 (n, hidden) table T = [h, c/B] W1[:, :d+1]^T + b1 (`hidden_table`) is fixed
 per instance and budget. A table is valid only until the next `adam_step`:
-build one per episode, selection or target batch, never across an update.
+build one per network update, never use one across an update.
 """
 
 from __future__ import annotations
@@ -87,17 +87,15 @@ def hidden_table(net: QNetwork, h: NodeEmbeddings, cost: np.ndarray,
     return table
 
 
-def q_forward_table(net: QNetwork, table: np.ndarray, candidates: np.ndarray,
-                    seed_count: int, remaining_budget: float, budget: float,
-                    k_max: int) -> np.ndarray:
-    """Q-values of the candidates' encode_states rows, computed from T as
-    relu(T[v] + s) . w2 = max(T[v], -s) . w2 + s . w2 for the step's shift s."""
+def q_forward_table(net: QNetwork, table: np.ndarray, seed_count: int,
+                    remaining_budget: float, budget: float, k_max: int) -> np.ndarray:
+    """(n,) Q-values of every node's encode_states row at this step, from T
+    as relu(T[v] + s) . w2 = max(T[v], -s) . w2 + s . w2 for the step's
+    shift s; the caller masks the nodes it may not pick."""
     d = net.in_dim - 3
     shift = (remaining_budget / budget) * net.w1[:, d + 1] \
         + (seed_count / k_max) * net.w1[:, d + 2]
-    z = table[candidates]
-    np.maximum(z, -shift, out=z)
-    return z @ net.w2 + (shift @ net.w2 + net.b2[0])
+    return np.maximum(table, -shift) @ net.w2 + (shift @ net.w2 + net.b2[0])
 
 
 def q_loss_and_grad(net: QNetwork, states: np.ndarray, targets: np.ndarray

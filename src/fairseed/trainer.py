@@ -13,7 +13,7 @@ import numpy as np
 from .diffusion import SeedSet, simulate_ic
 from .embedding import (EmbeddingParams, NodeEmbeddings, compute_embeddings,
                         init_embedding_params)
-from .graph import Instance, InstancePool, NodeAttrs
+from .graph import Instance, InstancePool
 from .metrics import shaped_reward
 from .qnet import QNetwork, adam_step, encode_states, hidden_table, \
     q_forward_table, q_loss_and_grad
@@ -85,9 +85,6 @@ class ReplayBuffer:
         self.capacity = capacity
         self._items: deque[Transition] = deque(maxlen=capacity)
 
-    def add(self, t: Transition) -> None:
-        self._items.append(t)
-
     def extend(self, ts) -> None:
         self._items.extend(ts)
 
@@ -116,69 +113,59 @@ class TrainedPolicy:
                                   self.t_emb)
 
 
-def feasible_candidates(selected: set[int], cost: np.ndarray,
-                        remaining: float) -> np.ndarray:
-    """Unselected nodes whose cost fits the remaining budget."""
-    mask = cost <= remaining
-    mask[list(selected)] = False
-    return np.flatnonzero(mask)
-
-
-def epsilon_greedy_select(net: QNetwork, table: np.ndarray, cands: np.ndarray,
+def epsilon_greedy_select(net: QNetwork, table: np.ndarray, feasible: np.ndarray,
                           seed_count: int, epsilon: float, remaining: float,
                           budget: float, k_max: int,
                           rng: np.random.Generator | None) -> int | None:
-    """Pick one of the feasible candidates `cands` (node ids, ascending), or
-    None when there is none; `seed_count` seeds are selected so far.
+    """Pick a node of the (n,) bool mask `feasible` (unselected, affordable),
+    or None when it is all False; `seed_count` seeds are selected so far.
 
-    With probability epsilon a uniform random candidate, otherwise the
-    Q-argmax (ties to the lowest node id). `table` is `net`'s
-    `hidden_table` for this instance and budget. `rng` is read only when
-    epsilon > 0, and may be None at epsilon 0.
+    With probability epsilon a uniform random feasible node, otherwise the
+    Q-argmax over the feasible nodes (ties to the lowest node id). `table`
+    is `net`'s current `hidden_table` for this instance and budget. `rng`
+    is read only when epsilon > 0, and may be None at epsilon 0.
     """
-    if len(cands) == 0:
+    if not feasible.any():
         return None
     if epsilon > 0.0 and rng.random() < epsilon:
-        return int(cands[rng.integers(len(cands))])
-    qvals = q_forward_table(net, table, cands, seed_count, remaining, budget,
-                            k_max)
-    return int(cands[int(np.argmax(qvals))])  # argmax takes the first (lowest id) tie
+        ids = np.flatnonzero(feasible)
+        return int(ids[rng.integers(len(ids))])
+    q = q_forward_table(net, table, seed_count, remaining, budget, k_max)
+    return int(np.argmax(np.where(feasible, q, -np.inf)))  # first max: lowest id
 
 
-def _steps(net: QNetwork, h: NodeEmbeddings, attrs: NodeAttrs, budget: float,
+def _steps(net: QNetwork, table: np.ndarray, cost: np.ndarray, budget: float,
            epsilon: float, rng: np.random.Generator | None):
     """Yield (action, remaining budget after it) while a candidate fits."""
-    # the network is not updated between the steps, so one table serves them
-    table = hidden_table(net, h, attrs.cost, budget)
-    c_min = float(attrs.cost.min())
+    c_min = float(cost.min())
     k_max = max(1, int(budget // c_min))
     # the remaining budget only falls, so the mask of feasible candidates
     # (unselected and affordable) only loses nodes
-    feasible = attrs.cost <= budget
+    feasible = cost <= budget
     remaining, seed_count = budget, 0
     while remaining >= c_min:
-        action = epsilon_greedy_select(net, table, np.flatnonzero(feasible),
-                                       seed_count, epsilon, remaining, budget,
-                                       k_max, rng)
+        action = epsilon_greedy_select(net, table, feasible, seed_count,
+                                       epsilon, remaining, budget, k_max, rng)
         if action is None:
             return
-        remaining -= float(attrs.cost[action])
+        remaining -= float(cost[action])
         seed_count += 1
         feasible[action] = False
-        feasible &= attrs.cost <= remaining
+        feasible &= cost <= remaining
         yield action, remaining
 
 
-def run_episode(net: QNetwork, instance: Instance, h: NodeEmbeddings,
+def run_episode(net: QNetwork, instance: Instance, table: np.ndarray,
                 config: TrainConfig, epsilon: float,
                 rng: np.random.Generator) -> list[Transition]:
     """One seed-construction episode; returns the emitted transitions.
 
-    The episode runs on one live-arc realization, drawn from `rng` before
-    the first step. Each step extends the reached mask from the new seed
-    only, and its reward is the increase of the shaped return under that
-    realization, so the rewards of an episode sum to its final seed set's
-    shaped return.
+    `table` is `net`'s current `hidden_table` for the instance at
+    `config.budget`. The episode runs on one live-arc realization, drawn
+    from `rng` before the first step. Each step extends the reached mask
+    from the new seed only, and its reward is the increase of the shaped
+    return under that realization, so an episode's rewards sum to its
+    final seed set's shaped return.
     """
     g, attrs, parts = instance.graph, instance.attrs, instance.parts
     live = rng.random(g.num_arcs) < g.probs
@@ -187,7 +174,8 @@ def run_episode(net: QNetwork, instance: Instance, h: NodeEmbeddings,
     spent = 0.0
     r_prev = 0.0
     transitions: list[Transition] = []
-    for action, remaining in _steps(net, h, attrs, config.budget, epsilon, rng):
+    for action, remaining in _steps(net, table, attrs.cost, config.budget,
+                                    epsilon, rng):
         assert remaining >= 0.0, "budget overdraw"
         before = tuple(selected)
         selected.append(action)
@@ -210,13 +198,14 @@ def run_episode(net: QNetwork, instance: Instance, h: NodeEmbeddings,
 
 def _bellman_targets(net: QNetwork, batch: list[Transition],
                      instances: dict[str, Instance],
-                     embeddings: dict[str, NodeEmbeddings],
+                     embeddings: dict[str, NodeEmbeddings], table_of,
                      config: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
     """Encode batch states and compute one-step bootstrapped targets.
 
-    The next-state max ranges over unselected candidates feasible under the
-    transition's stored remaining budget; when that set is empty the
-    transition is treated as terminal. Rows keep the batch order.
+    `table_of(instance_id)` is `net`'s current `hidden_table` for it. The
+    next-state max ranges over the nodes that fit the stored remaining
+    budget, less `seeds_after`; when none is left the transition is
+    treated as terminal. Rows keep the batch order.
     """
     states = np.empty((len(batch), net.in_dim))
     targets = np.array([t.reward for t in batch])
@@ -230,16 +219,17 @@ def _bellman_targets(net: QNetwork, batch: list[Transition],
             actions, h, np.array([len(batch[i].seeds_before) for i in rows]),
             np.array([batch[i].budget_after for i in rows]) + cost[actions],
             inst.attrs, config.budget, k_max)
-        table = hidden_table(net, h, cost, config.budget)
+        table = table_of(inst_id)
         for i in rows:
             t = batch[i]
             if t.terminal:
                 continue
-            cands = feasible_candidates(set(t.seeds_after), cost, t.budget_after)
-            if len(cands):
-                q = q_forward_table(net, table, cands, len(t.seeds_after),
+            feasible = cost <= t.budget_after
+            feasible[np.array(t.seeds_after)] = False
+            if feasible.any():
+                q = q_forward_table(net, table, len(t.seeds_after),
                                     t.budget_after, config.budget, k_max)
-                targets[i] += config.discount * float(q.max())
+                targets[i] += config.discount * float(q[feasible].max())
     return states, targets
 
 
@@ -264,29 +254,35 @@ def train(config: TrainConfig, pool: InstancePool,
     seeds = stage_seeds(config.seed)
     embed = init_embedding_params(config.d_emb, seeds["embed"])
     # embedding params are fixed; cache per-instance embeddings
-    embeddings = {
-        inst.id: compute_embeddings(inst.graph, inst.attrs, embed, config.t_emb)
-        for inst in pool.train
-    }
-    in_dim = config.d_emb + 3
-    net = QNetwork.init(in_dim, seeds["qnet"])
+    embeddings = {inst.id: compute_embeddings(inst.graph, inst.attrs, embed,
+                                              config.t_emb) for inst in pool.train}
+    net = QNetwork.init(config.d_emb + 3, seeds["qnet"])
     buffer = ReplayBuffer(config.replay_capacity)
     rng = np.random.default_rng(seeds["loop"])
     train_ids = sorted(instances)
+    tables: dict[str, np.ndarray] = {}  # built on first use, dropped at updates
+
+    def table_of(i: str) -> np.ndarray:
+        if i not in tables:
+            tables[i] = hidden_table(net, embeddings[i],
+                                     instances[i].attrs.cost, config.budget)
+        return tables[i]
+
     for episode in range(1, config.episodes + 1):
         epsilon = max(config.epsilon_start * config.epsilon_decay ** episode,
                       config.epsilon_min)
         inst = instances[train_ids[rng.integers(len(train_ids))]]
-        transitions = run_episode(net, inst, embeddings[inst.id], config,
+        transitions = run_episode(net, inst, table_of(inst.id), config,
                                   epsilon, rng)
         buffer.extend(transitions)
         loss = None
         if episode % config.update_period == 0 and len(buffer) >= config.batch_size:
             batch = buffer.sample(config.batch_size, rng)
             states, targets = _bellman_targets(net, batch, instances, embeddings,
-                                               config)
+                                               table_of, config)
             loss, grads = q_loss_and_grad(net, states, targets)
             adam_step(net, grads, config.learning_rate)
+            tables.clear()
         if progress is not None:
             progress({
                 "episode": episode,
@@ -303,7 +299,9 @@ def select_seed_set(policy: TrainedPolicy, instance: Instance, budget: float,
     """Greedy (epsilon=0) budget-constrained selection; deterministic. `h`,
     when given, is `policy.embeddings_for(instance)`, computed by the caller."""
     h = policy.embeddings_for(instance) if h is None else h
-    steps = _steps(policy.net, h, instance.attrs, budget, 0.0, None)
+    cost = instance.attrs.cost
+    steps = _steps(policy.net, hidden_table(policy.net, h, cost, budget), cost,
+                   budget, 0.0, None)
     return SeedSet.build([action for action, _ in steps], instance.attrs)
 
 

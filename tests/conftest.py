@@ -51,6 +51,15 @@ def q_forward_batch(net, states: np.ndarray) -> np.ndarray:
     return np.maximum(states @ net.w1.T + net.b1, 0.0) @ net.w2 + net.b2[0]
 
 
+def feasible_candidates(selected, cost: np.ndarray,
+                        remaining: float) -> np.ndarray:
+    """Reference candidate set: the unselected nodes whose cost fits the
+    remaining budget, as ascending node ids."""
+    mask = cost <= remaining
+    mask[list(selected)] = False
+    return np.flatnonzero(mask)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

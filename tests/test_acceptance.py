@@ -22,7 +22,7 @@ from fairseed.experiment import ExperimentConfig, run_experiment
 from fairseed.graph import (InstancePool, UniformProbabilities,
                             graph_from_edges)
 from fairseed.metrics import community_ratios
-from fairseed.qnet import QNetwork, q_loss_and_grad
+from fairseed.qnet import QNetwork, hidden_table, q_loss_and_grad
 from fairseed.seeding import derive_seed
 from fairseed.trainer import (ReplayBuffer, TrainConfig, TrainedPolicy,
                               Transition, run_episode, select_seed_set, train)
@@ -166,8 +166,10 @@ def test_criterion_4_budget_safety():
         if algo == "rl":
             s = select_seed_set(policy, inst, budget)
             cfg = TrainConfig(budget=budget, d_emb=d_emb, t_emb=t_emb)
-            ts = run_episode(policy.net, inst, policy.embeddings_for(inst),
-                             cfg, float(rng.random()), rng)
+            table = hidden_table(policy.net, policy.embeddings_for(inst),
+                                 attrs.cost, budget)
+            ts = run_episode(policy.net, inst, table, cfg, float(rng.random()),
+                             rng)
             assert all(t.budget_after >= 0.0 for t in ts)
             episodes_checked += 1
         elif algo == "random":
@@ -228,7 +230,7 @@ def test_criterion_6_training_loop_mechanics():
     # FIFO eviction at full capacity
     buf = ReplayBuffer(10_000)
     for i in range(10_010):
-        buf.add(Transition("x", (), i, 0.0, (i,), False, 1.0))
+        buf.extend([Transition("x", (), i, 0.0, (i,), False, 1.0)])
     assert len(buf) == 10_000
     actions = [t.action for t in buf]
     assert actions == list(range(10, 10_010))

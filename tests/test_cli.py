@@ -203,6 +203,17 @@ class TestEvalCommand:
                      "--algorithms", "random,parity", "--out", out])
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize("extra", [
+        ["--budgets", "500,500"], ["--algorithms", "random,random"],
+    ])
+    def test_repeated_grid_value_is_usage_error(self, dataset, tmp_path,
+                                                extra):
+        out = tmp_path / "r4"
+        code = main(["eval", "--dataset", dataset, *FAST_TRAIN, "--m", "5",
+                     "--algorithms", "random", *extra, "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert not out.exists()
+
     def test_unknown_algorithm_is_usage_error(self, dataset, tmp_path):
         code = main(["eval", "--dataset", dataset, *FAST_TRAIN,
                      "--m", "5", "--algorithms", "bogus",

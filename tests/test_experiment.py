@@ -173,6 +173,16 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             small_config(budgets=(float("nan"),))
 
+    @pytest.mark.parametrize("kw", [
+        dict(budgets=(500.0, 500.0)), dict(budgets=(3.0, 6.0, 6.0)),
+        dict(budgets=()), dict(algorithms=("random", "random")),
+        dict(algorithms=("parity", "highdegree", "parity")),
+    ])
+    def test_repeated_or_empty_grid_rejected(self, kw):
+        # a repeated budget or algorithm would write each of its rows twice
+        with pytest.raises(ValueError):
+            small_config(**kw)
+
 
 def two_test_pool():
     pool = small_pool()

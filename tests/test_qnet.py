@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fairseed.embedding import NodeEmbeddings
 from fairseed.qnet import (QNetwork, adam_step, encode_states, hidden_table,
                            q_forward_table, q_loss_and_grad)
+from fairseed.trainer import epsilon_greedy_select
 
 from conftest import make_attrs, q_forward_batch
 
@@ -136,12 +138,47 @@ class TestHiddenTable:
                                            replace=False))
                 seed_count = int(rng.integers(0, k_max + 1))
                 remaining = float(rng.uniform(0, budget))
-                got = q_forward_table(net, table, cands, seed_count, remaining,
-                                      budget, k_max)
+                got = q_forward_table(net, table, seed_count, remaining,
+                                      budget, k_max)[cands]
                 want = self.reference(net, h, attrs, cands, seed_count,
                                       remaining, budget, k_max)
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
                 assert cands[np.argmax(got)] == cands[np.argmax(want)]
+
+    @settings(deadline=None, max_examples=80)
+    @given(st.integers(1, 40), st.integers(1, 16), st.integers(1, 64),
+           st.floats(1.0, 1000.0), st.integers(1, 50), st.floats(0.0, 1.0),
+           st.floats(0.0, 1.0), st.booleans(), st.integers(0, 2**32 - 1),
+           st.data())
+    def test_whole_table_and_masked_argmax(self, n, d, hidden, budget, k_max,
+                                           spent, picked, flat, seed, data):
+        # every node's table score equals the reference on its state row,
+        # and the greedy pick is the first maximum over the feasible nodes
+        rng = np.random.default_rng(seed)
+        net = QNetwork.init(d + 3, seed=seed, hidden=hidden)
+        if flat:
+            net.w2[:] = 0.0  # every score ties
+        h = NodeEmbeddings(vectors=rng.normal(size=(n, d)), dim=d)
+        attrs = make_attrs(n, cost=rng.uniform(1, 100, n))
+        seed_count, remaining = int(picked * k_max), (1.0 - spent) * budget
+        table = hidden_table(net, h, attrs.cost, budget)
+        q = q_forward_table(net, table, seed_count, remaining, budget, k_max)
+        want = self.reference(net, h, attrs, np.arange(n), seed_count,
+                              remaining, budget, k_max)
+        assert q.shape == (n,)
+        np.testing.assert_allclose(q, want, rtol=0, atol=1e-12)
+        for mask in (np.zeros(n, dtype=bool), np.ones(n, dtype=bool),
+                     np.array(data.draw(st.lists(st.booleans(), min_size=n,
+                                                 max_size=n)))):
+            pick = epsilon_greedy_select(net, table, mask, seed_count, 0.0,
+                                         remaining, budget, k_max, None)
+            ids = np.flatnonzero(mask)
+            if len(ids) == 0:
+                assert pick is None
+            else:
+                assert pick == ids[np.argmax(q[ids])]
+                assert q[pick] == q[ids].max()
+                assert not (q[ids[ids < pick]] == q[pick]).any()
 
     def test_tie_goes_to_lowest_candidate(self):
         # nodes 1 and 3 share an embedding and a cost, so their Q-values tie
@@ -155,7 +192,7 @@ class TestHiddenTable:
             h.vectors[1] - h.vectors.mean(axis=0))
         table = hidden_table(net, h, attrs.cost, 100.0)
         cands = np.array([0, 1, 2, 3, 4])
-        got = q_forward_table(net, table, cands, 2, 60.0, 100.0, 10)
+        got = q_forward_table(net, table, 2, 60.0, 100.0, 10)
         want = self.reference(net, h, attrs, cands, 2, 60.0, 100.0, 10)
         assert got[1] == got[3] == got.max()
         assert int(np.argmax(got)) == int(np.argmax(want)) == 1

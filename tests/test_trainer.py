@@ -11,14 +11,15 @@ from fairseed.embedding import compute_embeddings, init_embedding_params
 from fairseed.graph import InstancePool
 from fairseed.metrics import FairnessConfig, evaluate_seed_set, shaped_reward
 from fairseed import trainer
+from fairseed import qnet
 from fairseed.qnet import QNetwork, adam_step, encode_states, hidden_table
 from fairseed.trainer import (CheckpointError, ReplayBuffer, TrainConfig,
                               TrainedPolicy, Transition, _bellman_targets,
-                              epsilon_greedy_select, feasible_candidates,
-                              load_checkpoint, run_episode, save_checkpoint,
-                              select_seed_set, train)
+                              epsilon_greedy_select, load_checkpoint,
+                              save_checkpoint, select_seed_set, train)
 
-from conftest import make_instance, q_forward_batch, random_tiny_instance
+from conftest import (feasible_candidates, make_instance, q_forward_batch,
+                      random_tiny_instance)
 
 D_EMB = 8
 
@@ -45,6 +46,18 @@ def toy_policy(instance, config, seed=0):
     return TrainedPolicy(net=net, embed=embed, t_emb=config.t_emb), h
 
 
+def run_episode(net, instance, h, config, epsilon, rng):
+    """trainer.run_episode on a table built from `net` as it stands."""
+    table = hidden_table(net, h, instance.attrs.cost, config.budget)
+    return trainer.run_episode(net, instance, table, config, epsilon, rng)
+
+
+def feasible_mask(selected, cost, remaining):
+    mask = np.zeros(len(cost), dtype=bool)
+    mask[feasible_candidates(selected, cost, remaining)] = True
+    return mask
+
+
 class TestReplayBuffer:
     @staticmethod
     def t(i):
@@ -53,14 +66,14 @@ class TestReplayBuffer:
     def test_fifo_eviction(self):
         buf = ReplayBuffer(5)
         for i in range(8):
-            buf.add(self.t(i))
+            buf.extend([self.t(i)])
         assert len(buf) == 5
         assert [tr.action for tr in buf] == [3, 4, 5, 6, 7]
 
     def test_sample_size(self, rng):
         buf = ReplayBuffer(10)
         for i in range(10):
-            buf.add(self.t(i))
+            buf.extend([self.t(i)])
         assert len(buf.sample(4, rng)) == 4
 
     def test_bad_capacity(self):
@@ -97,11 +110,11 @@ class TestEpsilonGreedy:
         table = hidden_table(policy.net, h, inst.attrs.cost, 100.0)
         cost = inst.attrs.cost
         got = epsilon_greedy_select(
-            policy.net, table, feasible_candidates(set(range(6)), cost, 100.0),
+            policy.net, table, feasible_mask(set(range(6)), cost, 100.0),
             6, 0.5, 100.0, 100.0, 10, rng)
         assert got is None
         got = epsilon_greedy_select(
-            policy.net, table, feasible_candidates(set(), cost, 0.5), 0, 0.5,
+            policy.net, table, feasible_mask(set(), cost, 0.5), 0, 0.5,
             0.5, 100.0, 10, rng)
         assert got is None  # cheapest node costs 1
 
@@ -113,7 +126,7 @@ class TestEpsilonGreedy:
             getattr(policy.net, name)[:] = 0.0
         table = hidden_table(policy.net, h, inst.attrs.cost, 10.0)
         got = epsilon_greedy_select(
-            policy.net, table, feasible_candidates(set(), inst.attrs.cost, 10.0),
+            policy.net, table, feasible_mask(set(), inst.attrs.cost, 10.0),
             0, 0.0, 10.0, 10.0, 10, rng)
         assert got == 0
 
@@ -125,7 +138,7 @@ class TestEpsilonGreedy:
             getattr(policy.net, name)[:] = 0.0
         table = hidden_table(policy.net, h, inst.attrs.cost, 10.0)
         got = epsilon_greedy_select(
-            policy.net, table, feasible_candidates({0, 1}, inst.attrs.cost, 10.0),
+            policy.net, table, feasible_mask({0, 1}, inst.attrs.cost, 10.0),
             2, 0.0, 10.0, 10.0, 10, rng)
         assert got == 2
 
@@ -134,9 +147,9 @@ class TestEpsilonGreedy:
         cfg = toy_config()
         policy, h = toy_policy(inst, cfg)
         table = hidden_table(policy.net, h, inst.attrs.cost, 100.0)
-        cands = feasible_candidates(set(), inst.attrs.cost, 100.0)
+        feasible = feasible_mask(set(), inst.attrs.cost, 100.0)
         draws = [
-            epsilon_greedy_select(policy.net, table, cands, 0, 1.0, 100.0,
+            epsilon_greedy_select(policy.net, table, feasible, 0, 1.0, 100.0,
                                   100.0, 10, rng)
             for _ in range(10_000)
         ]
@@ -161,13 +174,16 @@ class TestKeptFeasibleMask:
         policy, h = toy_policy(inst, toy_config(budget=budget))
         chosen, offered = [], []
 
-        def spy(net, table, cands, seed_count, eps, remaining, *rest):
-            offered.append((cands.copy(), seed_count, remaining, list(chosen)))
-            return select(net, table, cands, seed_count, eps, remaining, *rest)
+        def spy(net, table, feasible, seed_count, eps, remaining, *rest):
+            offered.append((np.flatnonzero(feasible), seed_count, remaining,
+                            list(chosen)))
+            return select(net, table, feasible, seed_count, eps, remaining,
+                          *rest)
 
         select = trainer.epsilon_greedy_select
+        table = hidden_table(policy.net, h, cost, budget)
         with mock.patch.object(trainer, "epsilon_greedy_select", spy):
-            for action, _ in trainer._steps(policy.net, h, inst.attrs, budget,
+            for action, _ in trainer._steps(policy.net, table, cost, budget,
                                             epsilon,
                                             np.random.default_rng(seed)):
                 chosen.append(action)
@@ -341,11 +357,10 @@ class TestTableLifetime:
         scored = []  # per call: (table Q-values, reference Q-values)
         original = trainer.q_forward_table
 
-        def checked(net_, table, cands, seed_count, remaining, budget, k_max):
-            got = original(net_, table, cands, seed_count, remaining, budget,
-                           k_max)
-            states = encode_states(cands, h, seed_count, remaining, inst.attrs,
-                                   budget, k_max)
+        def checked(net_, table, seed_count, remaining, budget, k_max):
+            got = original(net_, table, seed_count, remaining, budget, k_max)
+            states = encode_states(np.arange(inst.graph.n), h, seed_count,
+                                   remaining, inst.attrs, budget, k_max)
             scored.append((got, q_forward_batch(net, states)))
             return got
 
@@ -394,7 +409,11 @@ class TestTableLifetime:
                 targets.append(y)
             return np.array(states), np.array(targets)
 
-        args = (batch, insts, embeddings, cfg)
+        def table_of(k):
+            return hidden_table(net, embeddings[k], insts[k].attrs.cost,
+                                cfg.budget)
+
+        args = (batch, insts, embeddings, table_of, cfg)
         _, before = _bellman_targets(net, *args)
         self.update(net, rng)
         states, targets = _bellman_targets(net, *args)
@@ -402,6 +421,59 @@ class TestTableLifetime:
         assert np.array_equal(states, want_states)
         np.testing.assert_allclose(targets, want_targets, rtol=0, atol=1e-12)
         assert np.abs(targets - before).max() > 1e-6
+
+    def test_train_scores_from_current_tables(self, monkeypatch):
+        # every table that scores an episode step or a Bellman target is
+        # hidden_table of the network as it stands, bit for bit; none
+        # outlives an update, and each instance's table is built at most
+        # once per update
+        pool = InstancePool(train=(toy_instance("a"),
+                                   toy_instance("b", cost=[1, 2, 2, 3, 1, 4])),
+                            test=(toy_instance("c"),), seed=0)
+        cfg = toy_config(budget=8.0, episodes=14, batch_size=4,
+                         epsilon_start=0.3, epsilon_min=0.1)
+        update = [0]
+        built = {}       # id(table) -> (table, h, cost, budget, update)
+        builds = []      # (update, id(cost)) per hidden_table call
+        scored = {"episode": 0, "target": 0}
+        phase = ["episode"]
+        nets = []
+
+        def counting_table(net, h, cost, budget):
+            nets.append(net)
+            table = qnet.hidden_table(net, h, cost, budget)
+            built[id(table)] = (table, h, cost, budget, update[0])
+            builds.append((update[0], id(cost)))
+            return table
+
+        def checked_score(net, table, *rest):
+            kept, h, cost, budget, made = built[id(table)]
+            assert kept is table and made == update[0]
+            assert np.array_equal(table, qnet.hidden_table(net, h, cost,
+                                                           budget))
+            scored[phase[0]] += 1
+            return qnet.q_forward_table(net, table, *rest)
+
+        def counted_step(*args):
+            update[0] += 1
+            return qnet.adam_step(*args)
+
+        def in_targets(*args):
+            phase[0] = "target"
+            try:
+                return _bellman_targets(*args)
+            finally:
+                phase[0] = "episode"
+
+        monkeypatch.setattr(trainer, "hidden_table", counting_table)
+        monkeypatch.setattr(trainer, "q_forward_table", checked_score)
+        monkeypatch.setattr(trainer, "adam_step", counted_step)
+        monkeypatch.setattr(trainer, "_bellman_targets", in_targets)
+        train(cfg, pool)
+        assert update[0] >= 5
+        assert scored["episode"] > 0 and scored["target"] > 0
+        assert len(builds) == len(set(builds))
+        assert all(net is nets[0] for net in nets)
 
 
 class TestInference:
