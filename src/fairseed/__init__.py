@@ -9,7 +9,7 @@ from .baselines import (fair_pagerank_seeds, high_degree_seeds, pagerank,
                         pagerank_seeds, parity_seeds, random_seeds)
 from .diffusion import (LiveArcs, SeedSet, estimate_spread_and_benefit,
                         exact_expected_profit, exact_expected_shaped_objective,
-                        live_arcs, simulate_ic)
+                        live_arc_lists, live_arcs, simulate_ic)
 from .embedding import (EmbeddingParams, NodeEmbeddings, compute_embeddings,
                         init_embedding_params)
 from .experiment import (ExperimentConfig, ExperimentResult, emit_report,

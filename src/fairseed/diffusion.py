@@ -10,10 +10,11 @@ them 64 rollouts to a uint64 word, m * E / 8 bytes that every seed set
 evaluated under common random numbers can share. `_reach` pushes a cascade
 through those words for 64 rollouts at once, with bitwise AND and OR;
 rollout_masks unpacks its result into (R, n) reached masks, and
-estimate_spread_and_benefit averages them. simulate_ic is the kernel's
-one-word call: it extends one rollout's reached mask from new seeds, on a
-bool live-arc row the caller keeps, so a training episode that grows its
-mask one seed at a time pays only for the nodes each seed newly reaches.
+estimate_spread_and_benefit averages them. Training instead grows one
+rollout's reached mask a seed at a time: live_arc_lists turns the rollout's
+bool live-arc row into Python CSR lists once, and simulate_ic extends the
+mask by a stack search over them that stops at nodes already reached, so an
+episode expands each node at most once.
 The exact_* functions enumerate every live-arc realization (feasible up to
 20 arcs) and serve as test oracles for the Monte Carlo path.
 """
@@ -77,35 +78,21 @@ class LiveArcs:
     m: int
 
 
-def _any_bit(delta: np.ndarray) -> np.ndarray:
-    """Which rows of (R, W) words have a bit set; an (R,) bool row of
-    single-rollout words is its own answer."""
-    return delta.any(axis=1) if delta.ndim == 2 else delta
-
-
-def _reach(g: Graph, seeds, live: np.ndarray,
-           start: np.ndarray | None = None) -> np.ndarray:
+def _reach(g: Graph, seeds, live: np.ndarray) -> np.ndarray:
     """Live-arc cascade kernel: the reach of the node ids `seeds` on the
     live-arc words of E arcs, as the reached words of the n nodes.
 
-    `live` is (E, W) uint64 words, 64 rollouts each, and the result
-    (n, W) words of the same dtype; an (E,) bool row is the one-word case of
-    a single rollout, whose result is an (n,) mask. Reachability is pushed
-    from the frontier only, as (node, delta word) rows: each level gathers
-    the CSR out-arcs of the frontier nodes, ANDs their live words with the
-    source's delta and with the bits not yet reached at the destination,
-    drops all-zero rows, ORs together the rows of a destination that
-    several arcs reach and ORs the result into the reached words. `start`,
-    when given, holds the words this kernel reached on the same live words;
-    it is copied, not changed, and the push starts from the bits of `seeds`
-    it lacks, so the result is the reach of its seeds and `seeds` together.
+    `live` is (E, W) uint64 words, 64 rollouts each, and the result (n, W)
+    words of the same dtype. Reachability is pushed from the frontier only,
+    as (node, delta word) rows: each level gathers the CSR out-arcs of the
+    frontier nodes, ANDs their live words with the source's delta and with
+    the bits not yet reached at the destination, drops all-zero rows, ORs
+    together the rows of a destination that several arcs reach and ORs the
+    result into the reached words.
     """
-    reached = (np.zeros((g.n,) + live.shape[1:], dtype=live.dtype)
-               if start is None else start.copy())
+    reached = np.zeros((g.n, live.shape[1]), dtype=live.dtype)
     node = np.asarray(seeds, dtype=np.int64)
-    delta = ~reached[node]
-    keep = _any_bit(delta)
-    node, delta = node[keep], delta[keep]
+    delta = ~reached[node]  # a seed is reached in every rollout
     reached[node] |= delta
     indptr, indices, degree = g.indptr, g.indices, g.out_degree()
     owner = np.empty(g.n, dtype=np.int64)
@@ -119,7 +106,7 @@ def _reach(g: Graph, seeds, live: np.ndarray,
                                               counts)
         node = indices[arc]
         delta = live[arc] & np.repeat(delta, counts, axis=0) & ~reached[node]
-        keep = _any_bit(delta)
+        keep = delta.any(axis=1)
         node, delta = node[keep], delta[keep]
         # one row per destination; a repeated one ORs its rows together
         order = np.arange(node.size)
@@ -134,17 +121,35 @@ def _reach(g: Graph, seeds, live: np.ndarray,
     return reached
 
 
-def simulate_ic(g: Graph, live: np.ndarray, reached: np.ndarray,
-                seeds) -> np.ndarray:
-    """Extend one rollout's reached mask from new seeds: the one-word call
-    of the live-arc kernel.
+def live_arc_lists(g: Graph, live: np.ndarray) -> tuple[list, list]:
+    """One rollout's live arcs as Python CSR lists (indptr, targets): the
+    live out-arcs of node v lead to targets[indptr[v]:indptr[v + 1]], in
+    CSR order. `live` is the rollout's (E,) bool live-arc row."""
+    indptr = np.concatenate(([0], np.cumsum(live)))[g.indptr]
+    return indptr.tolist(), g.indices[live].tolist()
 
-    `live` is the rollout's (E,) bool live-arc row, and `reached` the (n,)
-    mask already reached on it (all False for a fresh rollout). Returns a new
-    mask, the reach of the old seeds and `seeds` together; `reached` is left
-    as it was.
+
+def simulate_ic(arcs: tuple[list, list], reached: np.ndarray,
+                seeds) -> np.ndarray:
+    """Extend one rollout's reached mask from new seeds.
+
+    `arcs` is the rollout's live_arc_lists, and `reached` the (n,) bool
+    mask already reached on those same live arcs (all False for a fresh
+    rollout). The search stops at reached nodes, so `reached` must have been
+    grown on these arcs: a mask from other arcs gives a wrong result.
+    Returns a new mask, the reach of the old seeds and `seeds` together;
+    `reached` is left as it was. Each call expands only the nodes it newly
+    reaches, so a mask grown one seed at a time expands each node once.
     """
-    return _reach(g, seeds, live, reached)
+    indptr, targets = arcs
+    out = reached.copy()
+    stack = list(seeds)
+    while stack:
+        v = stack.pop()
+        if not out[v]:
+            out[v] = True
+            stack.extend(targets[indptr[v]:indptr[v + 1]])
+    return out
 
 
 def live_arcs(g: Graph, m: int, seed: int) -> LiveArcs:

@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .diffusion import SeedSet, simulate_ic
+from .diffusion import SeedSet, live_arc_lists, simulate_ic
 from .embedding import (EmbeddingParams, NodeEmbeddings, compute_embeddings,
                         init_embedding_params)
 from .graph import Instance, InstancePool
@@ -162,13 +162,14 @@ def run_episode(net: QNetwork, instance: Instance, table: np.ndarray,
 
     `table` is `net`'s current `hidden_table` for the instance at
     `config.budget`. The episode runs on one live-arc realization, drawn
-    from `rng` before the first step. Each step extends the reached mask
-    from the new seed only, and its reward is the increase of the shaped
-    return under that realization, so an episode's rewards sum to its
-    final seed set's shaped return.
+    from `rng` before the first step and turned into live-arc lists once.
+    Each step extends the reached mask from the new seed only, by a search
+    over those lists that stops at nodes already reached, and its reward is
+    the increase of the shaped return under that realization, so an
+    episode's rewards sum to its final seed set's shaped return.
     """
     g, attrs, parts = instance.graph, instance.attrs, instance.parts
-    live = rng.random(g.num_arcs) < g.probs
+    arcs = live_arc_lists(g, rng.random(g.num_arcs) < g.probs)
     reached = np.zeros(g.n, dtype=bool)
     selected: list[int] = []
     spent = 0.0
@@ -180,7 +181,7 @@ def run_episode(net: QNetwork, instance: Instance, table: np.ndarray,
         before = tuple(selected)
         selected.append(action)
         spent += float(attrs.cost[action])
-        reached = simulate_ic(g, live, reached, (action,))
+        reached = simulate_ic(arcs, reached, (action,))
         r_total = shaped_reward(attrs, parts, reached, spent,
                                 config.fairness_weight)
         transitions.append(Transition(
@@ -250,6 +251,10 @@ def train(config: TrainConfig, pool: InstancePool,
     """
     if not pool.train:
         raise ValueError("empty training pool")
+    if all(config.budget < inst.attrs.cost.min() for inst in pool.train):
+        # every episode would be empty, leaving the initial network
+        raise ValueError(f"budget {config.budget} is below the cheapest node "
+                         "of every training instance")
     instances = {inst.id: inst for inst in pool.train}
     seeds = stage_seeds(config.seed)
     embed = init_embedding_params(config.d_emb, seeds["embed"])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fairseed.diffusion import live_arc_lists, simulate_ic
 from fairseed.graph import (CommunityPartition, Instance, NodeAttrs,
                             graph_from_edges)
 
@@ -43,6 +44,28 @@ def unpack_live(live) -> np.ndarray:
     """The (m, E) bool live-arc rows that diffusion.live_arcs packed."""
     bits = np.unpackbits(live.words.view(np.uint8), axis=1, bitorder="little")
     return bits[:, :live.m].T.astype(bool)
+
+
+def fresh_rollout(g, live_row, nodes) -> np.ndarray:
+    """Reached mask of `nodes` on one bool live-arc row, from nothing
+    reached."""
+    return simulate_ic(live_arc_lists(g, live_row), np.zeros(g.n, dtype=bool),
+                       nodes)
+
+
+def bfs_reach(n, src, dst, live_row, seeds) -> np.ndarray:
+    """Reference reach: the nodes reached from `seeds` over the arcs live in
+    one rollout, found arc by arc from the (src, dst) arc arrays."""
+    reached, stack = set(seeds), list(seeds)
+    while stack:
+        v = stack.pop()
+        for a in np.flatnonzero(live_row & (src == v)):
+            if int(dst[a]) not in reached:
+                reached.add(int(dst[a]))
+                stack.append(int(dst[a]))
+    mask = np.zeros(n, dtype=bool)
+    mask[list(reached)] = True
+    return mask
 
 
 def q_forward_batch(net, states: np.ndarray) -> np.ndarray:

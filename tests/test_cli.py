@@ -23,9 +23,11 @@ def dataset(tmp_path):
     return str(path)
 
 
+# node costs in [1, 5], so a budget of 6 always affords a node
 FAST_TRAIN = ["--episodes", "6", "--batch-size", "4", "--d-emb", "8",
               "--t-emb", "2", "--n-train", "1", "--n-test", "1",
-              "--nodes-per-instance", "12", "--budget", "6"]
+              "--nodes-per-instance", "12", "--budget", "6",
+              "--cost-range", "1,5"]
 
 
 def run_train(dataset, tmp_path, extra=()):
@@ -68,6 +70,14 @@ class TestTrainCommand:
     def test_no_dataset_is_usage_error(self, tmp_path):
         code = main(["train", "--checkpoint-out", str(tmp_path / "x.npz")])
         assert code == EXIT_USAGE
+
+    def test_budget_below_every_node_is_usage_error(self, dataset, tmp_path,
+                                                    capsys):
+        # FAST_TRAIN costs start at 1, so no episode could select a node
+        code, ckpt = run_train(dataset, tmp_path, extra=["--budget", "0.5"])
+        assert code == EXIT_USAGE
+        assert "cheapest node" in capsys.readouterr().err
+        assert not os.path.exists(ckpt)
 
 
 class TestEvalCommand:
@@ -291,7 +301,7 @@ class TestConfigFile:
         cfg.write_text(
             "dataset = {}\nepisodes = 4\nbatch-size = 4\nd-emb = 8\n"
             "t-emb = 2\nn-train = 1\nn-test = 1\nnodes-per-instance = 10\n"
-            "budget = 6\ndirected = false\n".format(dataset))
+            "budget = 6\ncost-range = 1,5\ndirected = false\n".format(dataset))
         ckpt = str(tmp_path / "p.npz")
         log = str(tmp_path / "log.csv")
         code = main(["train", "--config", str(cfg), "--episodes", "2",
@@ -304,7 +314,7 @@ class TestConfigFile:
         cfg.write_text(
             "dataset = {}\nepisodes = 4\nbatch-size = 4\nd-emb = 8\n"
             "t-emb = 2\nn-train = 1\nn-test = 1\nnodes-per-instance = 10\n"
-            "budget = 6\n".format(dataset))
+            "budget = 6\ncost-range = 1,5\n".format(dataset))
         log = str(tmp_path / "log.csv")
         code = main(["train", f"--config={cfg}",
                      "--checkpoint-out", str(tmp_path / "p.npz"),

@@ -6,17 +6,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fairseed import diffusion
-from fairseed.diffusion import (SeedSet, _chunk_rows, _reach,
+from fairseed.diffusion import (SeedSet, _chunk_rows,
                                 estimate_spread_and_benefit,
                                 exact_expected_profit,
-                                exact_expected_shaped_objective, live_arcs,
-                                rollout_masks, simulate_ic)
+                                exact_expected_shaped_objective,
+                                live_arc_lists, live_arcs, rollout_masks,
+                                simulate_ic)
 from fairseed.graph import CommunityPartition, graph_from_edges
 from fairseed.metrics import FairnessConfig, evaluate_seed_set
 from fairseed.seeding import RolloutStreams
 
-from conftest import (make_attrs, make_instance, random_tiny_instance,
-                      unpack_live)
+from conftest import (bfs_reach, fresh_rollout, make_attrs, make_instance,
+                      random_tiny_instance, unpack_live)
 
 
 def two_node_path(p=0.5):
@@ -28,11 +29,6 @@ def two_node_path(p=0.5):
 def stream_row(g, seed, i):
     """Live arcs of rollout i of the stream keyed by `seed`."""
     return RolloutStreams(seed).at(i * g.num_arcs).random(g.num_arcs) < g.probs
-
-
-def fresh_rollout(g, live, nodes):
-    """Reached mask of `nodes` on one live-arc row, from nothing reached."""
-    return simulate_ic(g, live, np.zeros(g.n, dtype=bool), nodes)
 
 
 class TestSeedSet:
@@ -97,8 +93,8 @@ class TestSimulateIc:
     def test_deterministic_given_stream(self):
         g, attrs = two_node_path(0.5)
         reached = np.zeros(g.n, dtype=bool)
-        a = simulate_ic(g, stream_row(g, 7, 3), reached, (0,))
-        b = simulate_ic(g, stream_row(g, 7, 3), reached, (0,))
+        a = simulate_ic(live_arc_lists(g, stream_row(g, 7, 3)), reached, (0,))
+        b = simulate_ic(live_arc_lists(g, stream_row(g, 7, 3)), reached, (0,))
         assert np.array_equal(a, b)
         assert not reached.any()
 
@@ -315,7 +311,7 @@ class TestDeterministicCascades:
 
 class TestIncrementalReach:
     """simulate_ic grows one rollout's mask seed by seed; the result must be
-    the kernel's reach from the whole set on the same live arcs."""
+    the reach of the whole set on the same live arcs."""
 
     def test_growing_one_seed_at_a_time_equals_whole_set(self, rng):
         graphs = [random_tiny_instance(rng).graph for _ in range(20)]
@@ -324,46 +320,79 @@ class TestIncrementalReach:
             40, [(u, v, 0.05) for u in range(40) for v in range(40) if u != v],
             directed=True))
         for g in graphs:
+            src, dst, _ = g.arc_arrays()
             for _ in range(5):
                 live = rng.random(g.num_arcs) < g.probs
+                arcs = live_arc_lists(g, live)
                 order = [int(v) for v in rng.permutation(g.n)]
                 reached = np.zeros(g.n, dtype=bool)
                 for k, v in enumerate(order, start=1):
-                    grown = simulate_ic(g, live, reached, (v,))
+                    grown = simulate_ic(arcs, reached, (v,))
                     assert np.all(grown >= reached) and grown[v]
-                    whole = _reach(g, order[:k], live)
+                    whole = bfs_reach(g.n, src, dst, live, order[:k])
                     assert np.array_equal(grown, whole)
                     reached = grown
 
-    def test_start_mask_on_many_rows(self, rng):
-        # the starting words work bit by bit on the packed words of many
-        # rollouts
+    def test_start_mask_on_many_rows(self):
+        # growing from a reached mask works rollout by rollout on the rows
+        # of a packed draw
         g, _, _ = TestChunkedRollouts.odd_arc_instance()
-        live = live_arcs(g, 30, seed=6).words
-        first = _reach(g, [0, 5], live)
-        both = _reach(g, [0, 3, 5, 9], live)
-        assert np.array_equal(_reach(g, [3, 5, 9], live, start=first), both)
-        assert np.array_equal(first, _reach(g, [0, 5], live))  # not changed
+        src, dst, _ = g.arc_arrays()
+        for live in unpack_live(live_arcs(g, 30, seed=6)):
+            arcs = live_arc_lists(g, live)
+            first = simulate_ic(arcs, np.zeros(g.n, dtype=bool), [0, 5])
+            kept = first.copy()
+            both = bfs_reach(g.n, src, dst, live, [0, 3, 5, 9])
+            assert np.array_equal(simulate_ic(arcs, first, [3, 5, 9]), both)
+            assert np.array_equal(first, kept)  # not changed
 
     def test_seed_already_reached_adds_nothing(self):
         g = graph_from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)], directed=True)
-        live = np.ones(g.num_arcs, dtype=bool)
-        reached = simulate_ic(g, live, np.zeros(g.n, dtype=bool), (0,))
-        assert np.array_equal(simulate_ic(g, live, reached, (2,)), reached)
+        arcs = live_arc_lists(g, np.ones(g.num_arcs, dtype=bool))
+        reached = simulate_ic(arcs, np.zeros(g.n, dtype=bool), (0,))
+        assert np.array_equal(simulate_ic(arcs, reached, (2,)), reached)
 
 
-def bfs_reach(n, src, dst, live_row, seeds):
-    """Nodes reached from `seeds` over the arcs live in one rollout."""
-    reached, stack = set(seeds), list(seeds)
-    while stack:
-        v = stack.pop()
-        for a in np.flatnonzero(live_row & (src == v)):
-            if int(dst[a]) not in reached:
-                reached.add(int(dst[a]))
-                stack.append(int(dst[a]))
-    mask = np.zeros(n, dtype=bool)
-    mask[list(reached)] = True
-    return mask
+@st.composite
+def growth_cases(draw):
+    """A tiny directed graph of at most 20 arcs, some of them always live,
+    a rollout count, a stream seed and groups of seeds added one after
+    another; a node may repeat within a group and across groups."""
+    n = draw(st.integers(2, 7))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    arcs = draw(st.lists(st.sampled_from(pairs), max_size=20, unique=True))
+    probs = st.one_of(st.just(1.0), st.floats(0.05, 1.0))
+    g = graph_from_edges(n, [(u, v, draw(probs)) for u, v in arcs],
+                         directed=True)
+    groups = st.lists(st.integers(0, n - 1), max_size=3)
+    return (g, draw(st.lists(groups, min_size=1, max_size=6)),
+            draw(st.sampled_from([1, 5, 64, 65])),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+class TestListSearch:
+    @settings(deadline=None, max_examples=60)
+    @given(growth_cases())
+    def test_growth_equals_rollout_masks(self, case):
+        # growing a mask group by group on one rollout's live-arc lists gives
+        # that rollout's row of rollout_masks for the union of the groups
+        g, groups, m, seed = case
+        live = live_arcs(g, m, seed)
+        attrs = make_attrs(g.n)
+        union, expected = set(), []
+        for group in groups:
+            union.update(group)
+            expected.append(np.concatenate(list(rollout_masks(
+                g, SeedSet.build(union, attrs), live))))
+        for i, row in enumerate(unpack_live(live)):
+            arcs = live_arc_lists(g, row)
+            reached = np.zeros(g.n, dtype=bool)
+            for group, masks in zip(groups, expected):
+                kept = reached.copy()
+                grown = simulate_ic(arcs, reached, group)
+                assert np.array_equal(reached, kept)  # never modified
+                assert np.array_equal(grown, masks[i])
+                reached = grown
 
 
 @st.composite
@@ -399,18 +428,14 @@ class TestPackedKernel:
         masks = np.concatenate(list(rollout_masks(
             g, SeedSet.build(first, attrs), live)))
         assert masks.shape == (m, g.n) and masks.dtype == bool
-        start = _reach(g, first, live.words)
-        grown = np.unpackbits(
-            _reach(g, added, live.words, start=start).view(np.uint8),
-            axis=1, bitorder="little").T
         for i in range(m):
             expected = bfs_reach(g.n, src, dst, rows[i], first)
             assert np.array_equal(masks[i], expected)
-            assert np.array_equal(
-                simulate_ic(g, rows[i], np.zeros(g.n, dtype=bool), first),
-                expected)
+            arcs = live_arc_lists(g, rows[i])
+            start = simulate_ic(arcs, np.zeros(g.n, dtype=bool), first)
+            assert np.array_equal(start, expected)
             both = bfs_reach(g.n, src, dst, rows[i], first + added)
-            assert np.array_equal(grown[i].astype(bool), both)
+            assert np.array_equal(simulate_ic(arcs, start, added), both)
 
 
 @st.composite
@@ -482,7 +507,7 @@ class TestMonotonicity:
         assert benefit_big >= benefit_small - 1e-9 * max(1.0, benefit_small)
         # on one realization the incremental mask only grows
         reached = fresh_rollout(g, live, small.nodes)
-        grown = simulate_ic(g, live, reached, (extra,))
+        grown = simulate_ic(live_arc_lists(g, live), reached, (extra,))
         assert np.all(grown >= reached) and grown[extra]
         assert np.array_equal(grown, fresh_rollout(g, live, big.nodes))
 

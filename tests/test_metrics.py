@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fairseed import diffusion
-from fairseed.diffusion import SeedSet, live_arcs, rollout_masks, simulate_ic
+from fairseed.diffusion import (SeedSet, live_arc_lists, live_arcs,
+                                rollout_masks, simulate_ic)
 from fairseed.graph import CommunityPartition, graph_from_edges
 from fairseed.metrics import (FairnessConfig, community_ratios,
                               evaluate_seed_set, shaped_reward)
@@ -157,7 +158,7 @@ class TestShapedReward:
                                               FairnessConfig())
         assert len(set(profits)) > 1
         for i, row in enumerate(unpack_live(live)):
-            mask = simulate_ic(g, row, influenced(4, []), s.nodes)
+            mask = simulate_ic(live_arc_lists(g, row), influenced(4, []), s.nodes)
             assert shaped_reward(attrs, parts, mask, s.total_cost, 0.0) \
                 == profits[i]
             assert shaped_reward(attrs, parts, mask, s.total_cost, 3.0) \
@@ -169,7 +170,7 @@ class TestShapedReward:
         g = inst.graph
         s = SeedSet.build([0], inst.attrs)
         live = np.random.default_rng(0).random(g.num_arcs) < g.probs
-        mask = simulate_ic(g, live, influenced(3, []), s.nodes)
+        mask = simulate_ic(live_arc_lists(g, live), influenced(3, []), s.nodes)
         # sum(b) - cost + phi * 1, regardless of the stream
         assert shaped_reward(inst.attrs, inst.parts, mask, s.total_cost, 3.0) \
             == pytest.approx(15.0 - 2.0 + 3.0)

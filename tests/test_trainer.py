@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chisquare
 
-from fairseed.diffusion import (SeedSet, _reach,
-                                exact_expected_shaped_objective, live_arcs)
+from fairseed.diffusion import (SeedSet, exact_expected_shaped_objective,
+                                live_arcs)
 from fairseed.embedding import compute_embeddings, init_embedding_params
 from fairseed.graph import InstancePool
 from fairseed.metrics import FairnessConfig, evaluate_seed_set, shaped_reward
@@ -18,8 +18,8 @@ from fairseed.trainer import (CheckpointError, ReplayBuffer, TrainConfig,
                               epsilon_greedy_select, load_checkpoint,
                               save_checkpoint, select_seed_set, train)
 
-from conftest import (feasible_candidates, make_instance, q_forward_batch,
-                      random_tiny_instance)
+from conftest import (bfs_reach, feasible_candidates, fresh_rollout,
+                      make_instance, q_forward_batch, random_tiny_instance)
 
 D_EMB = 8
 
@@ -234,12 +234,13 @@ class TestRunEpisode:
             ts = run_episode(policy.net, inst, h, cfg, 0.5,
                              np.random.default_rng(seed))
             live = np.random.default_rng(seed).random(g.num_arcs) < g.probs
+            src, dst, _ = g.arc_arrays()
             assert ts
             total = 0.0
             for t in ts:
                 total += t.reward
                 s = SeedSet.build(t.seeds_after, attrs)
-                mask = _reach(g, s.nodes, live)
+                mask = bfs_reach(g.n, src, dst, live, s.nodes)
                 assert total == pytest.approx(
                     shaped_reward(attrs, inst.parts, mask, s.total_cost,
                                   cfg.fairness_weight), rel=1e-12, abs=1e-12)
@@ -322,17 +323,29 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(toy_config(), InstancePool(train=(), test=(), seed=0))
 
+    def test_budget_below_every_cheapest_node_rejected(self):
+        # toy costs start at 1: no episode could select a node
+        with pytest.raises(ValueError, match="cheapest node"):
+            train(toy_config(budget=0.5), self.pool())
+
+    def test_one_affordable_instance_is_enough(self):
+        dear = toy_instance("dear", cost=[5, 5, 5, 5, 5, 5])
+        pool = InstancePool(train=(dear, toy_instance("a")), test=(), seed=0)
+        events = []
+        train(toy_config(budget=1.0, episodes=4, batch_size=1), pool,
+              progress=events.append)
+        assert any(e["loss"] is not None for e in events)
+
     def test_phi_zero_single_community_is_pure_profit(self):
         # with one community, fairness is the whole-graph benefit ratio and
         # contributes nothing when the weight is zero
         inst = make_instance("solo", 4, [(0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.5)],
                              cost=[1, 1, 1, 1], benefit=[2, 3, 4, 5],
                              labels=[0, 0, 0, 0])
-        from fairseed.diffusion import simulate_ic
         g = inst.graph
         s = SeedSet.build([0, 2], inst.attrs)
         live = np.random.default_rng(3).random(g.num_arcs) < g.probs
-        mask = simulate_ic(g, live, np.zeros(g.n, dtype=bool), s.nodes)
+        mask = fresh_rollout(g, live, s.nodes)
         reward = shaped_reward(inst.attrs, inst.parts, mask, s.total_cost, 0.0)
         assert reward == mask @ inst.attrs.benefit - s.total_cost
         fair = shaped_reward(inst.attrs, inst.parts, mask, s.total_cost, 1.0)
