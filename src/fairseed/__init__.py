@@ -22,8 +22,8 @@ from .graph import (CommunityPartition, Graph, Instance, InstancePool,
                     sample_subgraph)
 from .metrics import (FairnessConfig, MetricReport, community_ratios,
                       evaluate_seed_set, shaped_reward)
-from .qnet import (QNetwork, adam_step, encode_states, hidden_table,
-                   q_forward_table, q_loss_and_grad)
+from .qnet import (QNetwork, QTable, adam_step, best_feasible,
+                   encode_states, hidden_table, q_loss_and_grad)
 from .trainer import (CheckpointError, ReplayBuffer, TrainConfig,
                       TrainedPolicy, Transition, epsilon_greedy_select,
                       load_checkpoint, run_episode, save_checkpoint,

@@ -15,8 +15,8 @@ from .embedding import (EmbeddingParams, NodeEmbeddings, compute_embeddings,
                         init_embedding_params)
 from .graph import Instance, InstancePool
 from .metrics import shaped_reward
-from .qnet import QNetwork, adam_step, encode_states, hidden_table, \
-    q_forward_table, q_loss_and_grad
+from .qnet import QNetwork, QTable, adam_step, best_feasible, encode_states, \
+    hidden_table, q_loss_and_grad
 from .seeding import derive_seed
 
 CHECKPOINT_VERSION = 1
@@ -113,7 +113,7 @@ class TrainedPolicy:
                                   self.t_emb)
 
 
-def epsilon_greedy_select(net: QNetwork, table: np.ndarray, feasible: np.ndarray,
+def epsilon_greedy_select(net: QNetwork, table: QTable, feasible: np.ndarray,
                           seed_count: int, epsilon: float, remaining: float,
                           budget: float, k_max: int,
                           rng: np.random.Generator | None) -> int | None:
@@ -130,11 +130,11 @@ def epsilon_greedy_select(net: QNetwork, table: np.ndarray, feasible: np.ndarray
     if epsilon > 0.0 and rng.random() < epsilon:
         ids = np.flatnonzero(feasible)
         return int(ids[rng.integers(len(ids))])
-    q = q_forward_table(net, table, seed_count, remaining, budget, k_max)
-    return int(np.argmax(np.where(feasible, q, -np.inf)))  # first max: lowest id
+    return best_feasible(net, table, feasible, seed_count, remaining, budget,
+                         k_max)[0]
 
 
-def _steps(net: QNetwork, table: np.ndarray, cost: np.ndarray, budget: float,
+def _steps(net: QNetwork, table: QTable, cost: np.ndarray, budget: float,
            epsilon: float, rng: np.random.Generator | None):
     """Yield (action, remaining budget after it) while a candidate fits."""
     c_min = float(cost.min())
@@ -155,7 +155,7 @@ def _steps(net: QNetwork, table: np.ndarray, cost: np.ndarray, budget: float,
         yield action, remaining
 
 
-def run_episode(net: QNetwork, instance: Instance, table: np.ndarray,
+def run_episode(net: QNetwork, instance: Instance, table: QTable,
                 config: TrainConfig, epsilon: float,
                 rng: np.random.Generator) -> list[Transition]:
     """One seed-construction episode; returns the emitted transitions.
@@ -206,7 +206,8 @@ def _bellman_targets(net: QNetwork, batch: list[Transition],
     `table_of(instance_id)` is `net`'s current `hidden_table` for it. The
     next-state max ranges over the nodes that fit the stored remaining
     budget, less `seeds_after`; when none is left the transition is
-    treated as terminal. Rows keep the batch order.
+    treated as terminal. At discount 0 the targets are the rewards, and no
+    table is built or scored. Rows keep the batch order.
     """
     states = np.empty((len(batch), net.in_dim))
     targets = np.array([t.reward for t in batch])
@@ -220,6 +221,8 @@ def _bellman_targets(net: QNetwork, batch: list[Transition],
             actions, h, np.array([len(batch[i].seeds_before) for i in rows]),
             np.array([batch[i].budget_after for i in rows]) + cost[actions],
             inst.attrs, config.budget, k_max)
+        if config.discount == 0.0:
+            continue
         table = table_of(inst_id)
         for i in rows:
             t = batch[i]
@@ -227,10 +230,10 @@ def _bellman_targets(net: QNetwork, batch: list[Transition],
                 continue
             feasible = cost <= t.budget_after
             feasible[np.array(t.seeds_after)] = False
-            if feasible.any():
-                q = q_forward_table(net, table, len(t.seeds_after),
-                                    t.budget_after, config.budget, k_max)
-                targets[i] += config.discount * float(q[feasible].max())
+            best = best_feasible(net, table, feasible, len(t.seeds_after),
+                                 t.budget_after, config.budget, k_max)
+            if best is not None:
+                targets[i] += config.discount * best[1]
     return states, targets
 
 
@@ -265,9 +268,9 @@ def train(config: TrainConfig, pool: InstancePool,
     buffer = ReplayBuffer(config.replay_capacity)
     rng = np.random.default_rng(seeds["loop"])
     train_ids = sorted(instances)
-    tables: dict[str, np.ndarray] = {}  # built on first use, dropped at updates
+    tables: dict[str, QTable] = {}  # built on first use, dropped at updates
 
-    def table_of(i: str) -> np.ndarray:
+    def table_of(i: str) -> QTable:
         if i not in tables:
             tables[i] = hidden_table(net, embeddings[i],
                                      instances[i].attrs.cost, config.budget)

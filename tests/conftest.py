@@ -74,6 +74,17 @@ def q_forward_batch(net, states: np.ndarray) -> np.ndarray:
     return np.maximum(states @ net.w1.T + net.b1, 0.0) @ net.w2 + net.b2[0]
 
 
+def q_forward_table(net, table, seed_count, remaining_budget, budget, k_max):
+    """Reference table scorer: every node's Q-value at this step from the
+    whole hidden table, max(T[v], -s) . w2 + s . w2 + b2 for the step's shift
+    s = (R/B) W1[:, d+1] + (k/k_max) W1[:, d+2]."""
+    d = net.in_dim - 3
+    shift = (remaining_budget / budget) * net.w1[:, d + 1] \
+        + (seed_count / k_max) * net.w1[:, d + 2]
+    return np.maximum(table.hidden, -shift) @ net.w2 + (shift @ net.w2
+                                                        + net.b2[0])
+
+
 def feasible_candidates(selected, cost: np.ndarray,
                         remaining: float) -> np.ndarray:
     """Reference candidate set: the unselected nodes whose cost fits the
@@ -81,6 +92,12 @@ def feasible_candidates(selected, cost: np.ndarray,
     mask = cost <= remaining
     mask[list(selected)] = False
     return np.flatnonzero(mask)
+
+
+def read_lines(path) -> list[str]:
+    """The lines of a text file, which is closed again."""
+    with open(path) as fh:
+        return fh.readlines()
 
 
 @pytest.fixture

@@ -13,6 +13,8 @@ from fairseed.experiment import ExperimentConfig
 from fairseed.graph import InstancePool
 from fairseed.seeding import derive_seed
 
+from conftest import read_lines
+
 
 @pytest.fixture
 def dataset(tmp_path):
@@ -43,7 +45,7 @@ class TestTrainCommand:
         code, ckpt = run_train(dataset, tmp_path, extra=["--log", log])
         assert code == EXIT_OK
         assert os.path.exists(ckpt)
-        lines = open(log).readlines()
+        lines = read_lines(log)
         assert lines[0].startswith("episode,")
         assert len(lines) == 7
 
@@ -90,7 +92,7 @@ class TestEvalCommand:
                      "--budgets", "4,8", "--m", "20",
                      "--algorithms", "rl,random,highdegree", "--out", out])
         assert code == EXIT_OK
-        lines = open(os.path.join(out, "results.csv")).readlines()
+        lines = read_lines(os.path.join(out, "results.csv"))
         assert len(lines) == 1 + 2 * 3
         assert os.path.exists(os.path.join(out, "timings.csv"))
         assert os.path.exists(os.path.join(out, "run_meta.json"))
@@ -307,7 +309,7 @@ class TestConfigFile:
         code = main(["train", "--config", str(cfg), "--episodes", "2",
                      "--checkpoint-out", ckpt, "--log", log])
         assert code == EXIT_OK
-        assert len(open(log).readlines()) == 3  # explicit --episodes 2 wins
+        assert len(read_lines(log)) == 3  # explicit --episodes 2 wins
 
     def test_config_equals_form(self, dataset, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -320,7 +322,7 @@ class TestConfigFile:
                      "--checkpoint-out", str(tmp_path / "p.npz"),
                      "--log", log])
         assert code == EXIT_OK
-        assert len(open(log).readlines()) == 5  # episodes = 4 from the file
+        assert len(read_lines(log)) == 5  # episodes = 4 from the file
 
     def test_bad_config_line(self, dataset, tmp_path):
         cfg = tmp_path / "run.cfg"

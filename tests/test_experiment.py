@@ -3,6 +3,7 @@ import os
 import threading
 import time
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from fairseed.metrics import evaluate_seed_set
 from fairseed.seeding import derive_seed
 from fairseed.trainer import TrainConfig, select_seed_set, train
 
-from conftest import make_instance
+from conftest import make_instance, read_lines
 
 
 def small_pool():
@@ -272,11 +273,11 @@ class TestEmitReport:
         cfg = small_config()
         results = run_experiment(cfg, pool=small_pool())
         paths = emit_report(results, str(tmp_path), meta={"seed": cfg.seed})
-        header = open(paths["results"]).readline().strip()
+        header = read_lines(paths["results"])[0].strip()
         assert header == ("algorithm,budget,instance,profit_mean,profit_std,"
                           "fairness_mean,min_community_ratio,tau_ok,"
                           "seed_size,seed_cost")
-        assert open(paths["timings"]).readline().strip() \
+        assert read_lines(paths["timings"])[0].strip() \
             == "algorithm,budget,instance,seconds"
         assert os.path.exists(paths["summary"])
         assert os.path.exists(paths["meta"])
@@ -297,7 +298,7 @@ class TestEmitReport:
 
     def test_zero_results_header_only(self, tmp_path):
         paths = emit_report([], str(tmp_path))
-        lines = open(paths["results"]).readlines()
+        lines = read_lines(paths["results"])
         assert len(lines) == 1
 
     def test_rerun_byte_identical(self, tmp_path):
@@ -305,8 +306,8 @@ class TestEmitReport:
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
         emit_report(run_experiment(cfg, pool=small_pool()), out1)
         emit_report(run_experiment(cfg, pool=small_pool()), out2)
-        assert open(os.path.join(out1, "results.csv"), "rb").read() \
-            == open(os.path.join(out2, "results.csv"), "rb").read()
+        assert Path(out1, "results.csv").read_bytes() \
+            == Path(out2, "results.csv").read_bytes()
 
 
 class TestBuildPool:

@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fairseed.embedding import NodeEmbeddings
-from fairseed.qnet import (QNetwork, adam_step, encode_states, hidden_table,
-                           q_forward_table, q_loss_and_grad)
+from fractions import Fraction
+
+from fairseed.qnet import (QNetwork, adam_step, best_feasible, encode_states,
+                           hidden_table, q_loss_and_grad)
 from fairseed.trainer import epsilon_greedy_select
 
-from conftest import make_attrs, q_forward_batch
+from conftest import make_attrs, q_forward_batch, q_forward_table
 
 IN_DIM = 67
 
@@ -144,6 +146,12 @@ class TestHiddenTable:
                                       remaining, budget, k_max)
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
                 assert cands[np.argmax(got)] == cands[np.argmax(want)]
+                mask = np.zeros(n, dtype=bool)
+                mask[cands] = True
+                pick, value = best_feasible(net, table, mask, seed_count,
+                                            remaining, budget, k_max)
+                assert pick == cands[np.argmax(want)]
+                assert value == pytest.approx(want.max(), rel=0, abs=1e-12)
 
     @settings(deadline=None, max_examples=80)
     @given(st.integers(1, 40), st.integers(1, 16), st.integers(1, 64),
@@ -175,10 +183,17 @@ class TestHiddenTable:
             ids = np.flatnonzero(mask)
             if len(ids) == 0:
                 assert pick is None
+                assert best_feasible(net, table, mask, seed_count, remaining,
+                                     budget, k_max) is None
             else:
                 assert pick == ids[np.argmax(q[ids])]
                 assert q[pick] == q[ids].max()
                 assert not (q[ids[ids < pick]] == q[pick]).any()
+                best, value = best_feasible(net, table, mask, seed_count,
+                                            remaining, budget, k_max)
+                assert best == pick
+                # pruned steps sum the candidate rows apart from the table
+                assert value == pytest.approx(q[pick], rel=0, abs=1e-12)
 
     def test_tie_goes_to_lowest_candidate(self):
         # nodes 1 and 3 share an embedding and a cost, so their Q-values tie
@@ -196,6 +211,165 @@ class TestHiddenTable:
         want = self.reference(net, h, attrs, cands, 2, 60.0, 100.0, 10)
         assert got[1] == got[3] == got.max()
         assert int(np.argmax(got)) == int(np.argmax(want)) == 1
+
+
+def table_net(rows, u, v, w2, b2):
+    """A network whose hidden table is `rows` (n, H), built on the rows
+    themselves as embeddings (W1 = [I, 0, u, v], b1 = 0), and that table.
+    The unit budget and costs leave R/B = remaining and the cost column out."""
+    n, width = rows.shape
+    net = QNetwork(w1=np.column_stack((np.eye(width), np.zeros(width), u, v)),
+                   b1=np.zeros(width), w2=np.asarray(w2, dtype=float),
+                   b2=np.array([b2], dtype=float))
+    h = NodeEmbeddings(vectors=np.asarray(rows, dtype=float), dim=width)
+    return net, hidden_table(net, h, np.ones(n), 1.0)
+
+
+def exact_p(w2, row, shift) -> Fraction:
+    """sum_j w2_j max(row_j, -shift_j) in exact arithmetic."""
+    return sum((Fraction(float(w)) * Fraction(float(max(t, -c)))
+                for w, t, c in zip(w2, row, shift)), Fraction(0))
+
+
+class TestBestFeasible:
+    """The bound-pruned scorer against whole-table scoring."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.integers(1, 40), st.integers(1, 12), st.booleans(),
+           st.sampled_from([0.0, 1 / 16, 1 / 2, 2.0]),
+           st.sampled_from(["random", "zero", "positive", "negative"]),
+           st.integers(0, 2**32 - 1), st.data())
+    def test_first_maximum_of_the_reference(self, n, width, exact, spread,
+                                            w2_kind, seed, data):
+        # `exact` draws eighths, so every sum is exact and duplicated rows
+        # tie exactly; otherwise the summation order, which differs between
+        # rows of one product, may order near-ties either way
+        rng = np.random.default_rng(seed)
+
+        def draw(size, k):
+            if exact:
+                return rng.integers(-k, k + 1, size) / 8.0
+            return rng.normal(size=size) * k / 8.0
+
+        rows = draw((n, width), 64)
+        rows[rng.integers(n, size=n // 3)] = rows[rng.integers(n, size=n // 3)]
+        u, v = draw(width, 16) * spread, draw(width, 16) * spread
+        w2 = {"random": draw(width, 16), "zero": np.zeros(width),
+              "positive": np.abs(draw(width, 16)),
+              "negative": -np.abs(draw(width, 16))}[w2_kind]
+        w2[rng.random(width) < 0.2] = 0.0
+        net, table = table_net(rows, u, v, w2, float(draw(1, 16)[0]))
+        # R/B and k/k_max on [0, 1] (corners included) and far outside it
+        remaining = data.draw(st.one_of(st.integers(0, 4),
+                                        st.integers(-64, 64))) / 4.0
+        if not exact and data.draw(st.booleans()):
+            remaining = float(rng.uniform(0.0, 1.0))
+        seed_count, k_max = data.draw(st.one_of(st.integers(0, 4),
+                                                st.integers(0, 64))), 4
+        q = q_forward_table(net, table, seed_count, remaining, 1.0, k_max)
+        tol = 1e-9 * (1.0 + abs(net.b2[0]) + np.abs(w2) @ (
+            np.abs(rows).max(axis=0) + 32.0 * (np.abs(u) + np.abs(v))))
+        for mask in (np.zeros(n, dtype=bool), np.ones(n, dtype=bool),
+                     rng.random(n) < data.draw(st.floats(0.0, 1.0))):
+            got = best_feasible(net, table, mask, seed_count, remaining, 1.0,
+                                k_max)
+            ids = np.flatnonzero(mask)
+            if len(ids) == 0:
+                assert got is None
+                continue
+            best = q[ids].max()
+            if exact:
+                assert got == (ids[np.argmax(q[ids])], best)
+            else:
+                assert mask[got[0]] and q[got[0]] >= best - tol
+                assert got[1] == pytest.approx(best, rel=0, abs=tol)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(1, 10), st.integers(1, 12),
+           st.sampled_from([1 / 16, 1 / 2, 2.0, 64.0]),
+           st.sampled_from([1e-3, 1.0, 1e3]), st.integers(0, 2**32 - 1))
+    def test_bounds_hold_and_margin_covers_rounding(self, n, width, spread,
+                                                    scale, seed):
+        # in exact arithmetic, P_v at every step in the box lies between the
+        # bounds, and each computed bound and score is within a quarter (a
+        # bound) or half (a score) of the margin of its exact value
+        rng = np.random.default_rng(seed)
+        rows = rng.normal(size=(n, width)) * scale
+        u, v = (rng.normal(size=width) * spread * scale for _ in range(2))
+        w2 = rng.normal(size=width)
+        net, table = table_net(rows, u, v, w2, float(rng.normal()))
+        lo = np.minimum(u, 0.0) + np.minimum(v, 0.0)
+        hi = np.maximum(u, 0.0) + np.maximum(v, 0.0)
+        c_up, c_lo = np.where(w2 > 0, lo, hi), np.where(w2 > 0, hi, lo)
+        quarter = Fraction(table.margin) / 4
+        assert table.margin > 0.0
+        steps = [(0.0, 0), (1.0, 0), (0.0, 4), (1.0, 4),
+                 (float(rng.uniform()), int(rng.integers(5)))]
+        upper = [exact_p(w2, row, c_up) for row in rows]
+        lower = [exact_p(w2, row, c_lo) for row in rows]
+        for node in range(n):
+            assert abs(Fraction(table.upper[node]) - upper[node]) <= quarter
+            assert abs(Fraction(table.lower[node]) - lower[node]) <= quarter
+        for remaining, seed_count in steps:
+            shift = remaining * u + (seed_count / 4) * v
+            for node in range(n):
+                assert lower[node] <= exact_p(w2, rows[node], shift) \
+                    <= upper[node]
+            pick, value = best_feasible(net, table, np.ones(n, dtype=bool),
+                                        seed_count, remaining, 1.0, 4)
+            constant = Fraction(float(net.b2[0])) + sum(
+                (Fraction(float(s)) * Fraction(float(w))
+                 for s, w in zip(shift, w2)), Fraction(0))
+            want = exact_p(w2, rows[pick], shift) + constant
+            assert abs(Fraction(value) - want) <= 2 * quarter
+
+    @pytest.mark.parametrize("seed_count,remaining,want", [
+        (1, 1.0, (11, 4.0)),    # in the box: the bounds' only candidate
+        (0, 10.0, (0, 0.0)),    # R/B = 10: every node clamps to a tie
+        (10, 0.0, (0, 0.0)),    # k/k_max = 10 (k_max rounded down)
+    ])
+    def test_steps_outside_the_box_score_every_feasible_node(
+            self, seed_count, remaining, want):
+        # P_v = max(T_v, -s) with s in [-2, 0] on the box: node 11 (T = 6)
+        # is the only candidate, but at s = -10 every node scores 10
+        net, table = table_net(np.arange(-5.0, 7.0)[:, None], [-1.0], [-1.0],
+                               [1.0], 0.0)
+        assert table.prunes
+        mask = np.ones(12, dtype=bool)
+        got = best_feasible(net, table, mask, seed_count, remaining, 1.0, 1)
+        q = q_forward_table(net, table, seed_count, remaining, 1.0, 1)
+        assert got == want == (int(np.argmax(q)), q.max())
+
+    def test_dominant_rows_prune_and_flat_tables_do_not(self):
+        rows = np.zeros((8, 2))
+        rows[5] = 100.0
+        _, table = table_net(rows, [0.5, -0.5], [0.25, 0.0], [1.0, 2.0], 0.0)
+        assert table.prunes
+        _, table = table_net(rows, [0.5, -0.5], [0.25, 0.0], [0.0, 0.0], 0.0)
+        assert not table.prunes  # every node ties at every step
+
+    @pytest.mark.parametrize("where", ["rows", "u", "w2", "b2"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_table_or_bounds_raise(self, where, bad):
+        parts = {"rows": np.ones((4, 2)), "u": np.ones(2), "w2": np.ones(2),
+                 "b2": np.zeros(1)}
+        parts[where].flat[0] = bad
+        with pytest.raises(ValueError, match="not finite"), \
+                np.errstate(invalid="ignore"):
+            table_net(parts["rows"], parts["u"], np.zeros(2), parts["w2"],
+                      float(parts["b2"][0]))
+
+    def test_non_finite_score_raises(self):
+        # an infinite R/B makes the shift, and so every score, non-finite;
+        # a masked argmax would have picked a NaN row
+        net, table = table_net(np.eye(3), np.ones(3), np.zeros(3), np.ones(3),
+                               0.0)
+        mask = np.ones(3, dtype=bool)
+        with pytest.raises(ValueError, match="not finite"):
+            best_feasible(net, table, mask, 0, np.inf, 1.0, 1)
+        with pytest.raises(ValueError, match="not finite"):
+            epsilon_greedy_select(net, table, mask, 0, 0.0, np.inf, 1.0, 1,
+                                  None)
 
 
 class TestLossAndGrad:

@@ -19,7 +19,8 @@ from fairseed.trainer import (CheckpointError, ReplayBuffer, TrainConfig,
                               save_checkpoint, select_seed_set, train)
 
 from conftest import (bfs_reach, feasible_candidates, fresh_rollout,
-                      make_instance, q_forward_batch, random_tiny_instance)
+                      make_instance, q_forward_batch, q_forward_table,
+                      random_tiny_instance)
 
 D_EMB = 8
 
@@ -353,8 +354,9 @@ class TestTrain:
 
 
 class TestTableLifetime:
-    """Q-values scored from hidden-layer tables equal the full-state
-    reference on the network as it stands right after a parameter update."""
+    """Q-values scored from hidden-layer tables, and the tables' bounds,
+    equal the full-state reference on the network as it stands right after
+    a parameter update."""
 
     @staticmethod
     def update(net, rng):
@@ -367,24 +369,40 @@ class TestTableLifetime:
         cfg = toy_config(budget=8.0)
         policy, h = toy_policy(inst, cfg)
         net = policy.net
-        scored = []  # per call: (table Q-values, reference Q-values)
-        original = trainer.q_forward_table
+        # per call: (table Q-values, reference Q-values, the scorer's pick
+        # and value, the mask, the reference's node-dependent part P_v, table)
+        scored = []
+        original = trainer.best_feasible
 
-        def checked(net_, table, seed_count, remaining, budget, k_max):
-            got = original(net_, table, seed_count, remaining, budget, k_max)
+        def checked(net_, table, feasible, seed_count, remaining, budget,
+                    k_max):
+            got = original(net_, table, feasible, seed_count, remaining,
+                           budget, k_max)
             states = encode_states(np.arange(inst.graph.n), h, seed_count,
                                    remaining, inst.attrs, budget, k_max)
-            scored.append((got, q_forward_batch(net, states)))
+            want = q_forward_batch(net, states)
+            shift = states[0, -2:] @ net.w1[:, -2:].T
+            scored.append((q_forward_table(net_, table, seed_count, remaining,
+                                           budget, k_max), want, got,
+                           feasible.copy(), want - shift @ net.w2 - net.b2[0],
+                           table))
             return got
 
-        monkeypatch.setattr(trainer, "q_forward_table", checked)
+        monkeypatch.setattr(trainer, "best_feasible", checked)
         run_episode(net, inst, h, cfg, 0.0, rng)
         first = len(scored)
         self.update(net, rng)
         run_episode(net, inst, h, cfg, 0.0, rng)
         assert 0 < first < len(scored)
-        for got, want in scored[first:]:
+        for got, want, (pick, value), feasible, p, table in scored[first:]:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            ids = np.flatnonzero(feasible)
+            assert pick == ids[np.argmax(want[ids])]
+            assert value == pytest.approx(want[ids].max(), rel=0, abs=1e-12)
+            # these steps lie in the box, so the bounds hold
+            slack = table.margin + 1e-12
+            assert np.all(table.lower - slack <= p)
+            assert np.all(p <= table.upper + slack)
         # both episodes open on the same state, so a table kept across the
         # update would have repeated the first episode's opening values
         assert np.abs(scored[first][0] - scored[0][0]).max() > 1e-6
@@ -435,6 +453,29 @@ class TestTableLifetime:
         np.testing.assert_allclose(targets, want_targets, rtol=0, atol=1e-12)
         assert np.abs(targets - before).max() > 1e-6
 
+    def test_discount_zero_targets_are_the_rewards(self, rng, monkeypatch):
+        # no bootstrap at discount 0: no next-state table, mask or score
+        insts = {"a": toy_instance("a")}
+        cfg = toy_config(budget=8.0, discount=0.0)
+        policy, h = toy_policy(insts["a"], cfg)
+        net, embeddings = policy.net, {"a": h}
+        batch = [t for _ in range(4)
+                 for t in run_episode(net, insts["a"], h, cfg, 0.7, rng)]
+        assert any(not t.terminal for t in batch)
+        want_states, _ = _bellman_targets(
+            net, batch, insts, embeddings,
+            lambda k: hidden_table(net, h, insts[k].attrs.cost, cfg.budget),
+            toy_config(budget=8.0))
+        calls = []
+        monkeypatch.setattr(trainer, "best_feasible",
+                            lambda *args: calls.append("score"))
+        states, targets = _bellman_targets(net, batch, insts, embeddings,
+                                           lambda k: calls.append("table"),
+                                           cfg)
+        assert calls == []
+        assert np.array_equal(targets, [t.reward for t in batch])
+        assert np.array_equal(states, want_states)
+
     def test_train_scores_from_current_tables(self, monkeypatch):
         # every table that scores an episode step or a Bellman target is
         # hidden_table of the network as it stands, bit for bit; none
@@ -462,10 +503,13 @@ class TestTableLifetime:
         def checked_score(net, table, *rest):
             kept, h, cost, budget, made = built[id(table)]
             assert kept is table and made == update[0]
-            assert np.array_equal(table, qnet.hidden_table(net, h, cost,
-                                                           budget))
+            fresh = qnet.hidden_table(net, h, cost, budget)
+            assert np.array_equal(table.hidden, fresh.hidden)
+            assert np.array_equal(table.upper, fresh.upper)
+            assert np.array_equal(table.lower, fresh.lower)
+            assert (table.margin, table.prunes) == (fresh.margin, fresh.prunes)
             scored[phase[0]] += 1
-            return qnet.q_forward_table(net, table, *rest)
+            return qnet.best_feasible(net, table, *rest)
 
         def counted_step(*args):
             update[0] += 1
@@ -479,7 +523,7 @@ class TestTableLifetime:
                 phase[0] = "episode"
 
         monkeypatch.setattr(trainer, "hidden_table", counting_table)
-        monkeypatch.setattr(trainer, "q_forward_table", checked_score)
+        monkeypatch.setattr(trainer, "best_feasible", checked_score)
         monkeypatch.setattr(trainer, "adam_step", counted_step)
         monkeypatch.setattr(trainer, "_bellman_targets", in_targets)
         train(cfg, pool)
