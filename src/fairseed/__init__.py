@@ -23,7 +23,8 @@ from .graph import (CommunityPartition, Graph, Instance, InstancePool,
 from .metrics import (FairnessConfig, MetricReport, community_ratios,
                       evaluate_seed_set, shaped_reward)
 from .qnet import (QNetwork, QTable, adam_step, best_feasible,
-                   encode_states, hidden_table, q_loss_and_grad)
+                   best_feasible_rows, encode_states, hidden_table,
+                   q_loss_and_grad)
 from .trainer import (CheckpointError, ReplayBuffer, TrainConfig,
                       TrainedPolicy, Transition, epsilon_greedy_select,
                       load_checkpoint, run_episode, save_checkpoint,

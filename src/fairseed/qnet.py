@@ -28,11 +28,19 @@ scores the whole table, masked, when the table's bounds leave more than
 n/4 nodes able to win (decided once per table; an untrained network's
 bounds are loose), when a step leaves more than n/4 candidates (gathering
 rows costs more per row than the whole-table product), and when R/B or
-k/k_max lies outside [0, 1] (`budget // c_min` can round k_max down), where
-the bounds do not hold.
+k/k_max lies outside [0, 1], where the bounds do not hold.
+`best_feasible_rows` applies the same rule to a stack of steps at once
+(the Bellman next states of one instance) and scores the steps it keeps
+in one product.
 
-A table is valid only until the next `adam_step`: build one per network
-update, never use one across an update.
+A table scores for the network as it stood when the table was built, so
+after an `adam_step` it must be rebuilt before it scores again. Training
+owns one table per instance for the whole run (the table, its bounds and
+its fixed [h, c/B] design matrix) and, after each update, rebuilds it in
+place with `hidden_table(..., out=table)` when it is next used: a new
+table maps fresh pages, about 100 minor page faults each. Greedy
+selection builds a standalone table, which shares no memory with
+training's.
 """
 
 from __future__ import annotations
@@ -101,16 +109,19 @@ def encode_states(candidates: np.ndarray, h: NodeEmbeddings, seed_count,
     return out
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class QTable:
     """`hidden_table`'s result: the table T and, per node, the bounds on P_v
-    that hold at every step whose R/B and k/k_max lie in [0, 1]."""
+    that hold at every step whose R/B and k/k_max lie in [0, 1]. The arrays
+    are the table's storage, which `hidden_table(..., out=table)` refills
+    in place."""
 
+    design: np.ndarray  # (n, d + 1) [h, c/B], fixed per instance and budget
     hidden: np.ndarray  # (n, hidden) T
     upper: np.ndarray   # (n,) P_v at the corner c_up
     lower: np.ndarray   # (n,) P_v at the corner c_lo
-    margin: float       # covers the rounding of every P_v and Q sum
-    prunes: bool        # at most n/4 nodes can still win the max
+    margin: float = 0.0  # covers the rounding of every P_v and Q sum
+    prunes: bool = False  # at most n/4 nodes can still win the max
 
 
 def _few(count: int, n: int) -> bool:
@@ -119,11 +130,19 @@ def _few(count: int, n: int) -> bool:
 
 
 def hidden_table(net: QNetwork, h: NodeEmbeddings, cost: np.ndarray,
-                 budget: float) -> QTable:
-    """The table T above with its bounds; valid until the next update of
-    `net`. Raises ValueError when a table entry or bound is not finite."""
+                 budget: float, out: QTable | None = None) -> QTable:
+    """The table T above with its bounds, for `net` as it stands. `out`, a
+    table that an earlier call built from the same h, cost and budget, is
+    rebuilt in place and returned; otherwise the table is new. Raises
+    ValueError when a table entry or bound is not finite."""
     d = h.dim
-    hidden = np.column_stack((h.vectors, cost / budget)) @ net.w1[:, : d + 1].T
+    if out is None:
+        n = len(cost)
+        out = QTable(design=np.column_stack((h.vectors, cost / budget)),
+                     hidden=np.empty((n, net.hidden_dim)), upper=np.empty(n),
+                     lower=np.empty(n))
+    hidden, upper, lower = out.hidden, out.upper, out.lower
+    np.matmul(out.design, net.w1[:, : d + 1].T, out=hidden)
     hidden += net.b1  # in place: a second (n, hidden) array costs page faults
     u, v = net.w1[:, d + 1], net.w1[:, d + 2]
     lo = np.minimum(u, 0.0) + np.minimum(v, 0.0)
@@ -131,7 +150,6 @@ def hidden_table(net: QNetwork, h: NodeEmbeddings, cost: np.ndarray,
     falling = net.w2 > 0.0  # terms that fall as s_j rises
     up_at, low_at = -np.where(falling, lo, hi), -np.where(falling, hi, lo)
     # by blocks of 128 KB: a full-size temporary costs page faults, as above
-    upper, lower = np.empty(len(hidden)), np.empty(len(hidden))
     step = max(1, 2**14 // net.hidden_dim)
     for i in range(0, len(hidden), step):
         rows = hidden[i:i + step]
@@ -152,9 +170,41 @@ def hidden_table(net: QNetwork, h: NodeEmbeddings, cost: np.ndarray,
     if not (np.isfinite(margin) and np.isfinite(upper).all()
             and np.isfinite(lower).all()):
         raise ValueError("hidden table or its bounds are not finite")
-    return QTable(hidden=hidden, upper=upper, lower=lower, margin=margin,
-                  prunes=_few(np.count_nonzero(upper >= lower.max() - margin),
-                              len(hidden)))
+    out.margin = margin
+    out.prunes = _few(np.count_nonzero(upper >= lower.max() - margin),
+                      len(hidden))
+    return out
+
+
+def _in_box(a, b):
+    """Whether the bounds hold at steps with R/B = a and k/k_max = b
+    (scalars or arrays): both lie in [0, 1]."""
+    return (0.0 <= a) & (a <= 1.0) & (0.0 <= b) & (b <= 1.0)
+
+
+def _threshold(table: QTable, lower: np.ndarray) -> np.ndarray:
+    """The bound a node's upper bound must reach to be able to win: the
+    largest of the feasible nodes' lower bounds `lower` (along the last
+    axis, -inf for the others), less the margin. At a step in the box, no
+    feasible node whose upper bound is below it can score the maximum."""
+    return lower.max(axis=-1) - table.margin
+
+
+def _shift(net: QNetwork, a, b) -> np.ndarray:
+    """The step shift s = a W1[:, d+1] + b W1[:, d+2], one row per step
+    when a and b are (k, 1) columns."""
+    d = net.in_dim - 3
+    return a * net.w1[:, d + 1] + b * net.w1[:, d + 2]
+
+
+def _scores(net: QNetwork, rows: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """Q of each table row at the shift (the last axis of `shift`; a
+    (k, 1, hidden) stack scores every row at each of k steps). Raises
+    ValueError when a score is not finite."""
+    q = np.maximum(rows, -shift) @ net.w2 + (shift @ net.w2 + net.b2[0])
+    if not np.isfinite(q).all():
+        raise ValueError("a Q-value is not finite")
+    return q
 
 
 def best_feasible(net: QNetwork, table: QTable, feasible: np.ndarray,
@@ -165,25 +215,67 @@ def best_feasible(net: QNetwork, table: QTable, feasible: np.ndarray,
     `remaining_budget` left), or None when the mask is all False. `table`
     is `net`'s current `hidden_table`. Scores only the nodes that can still
     win when the bounds allow (see above), the whole table otherwise; raises
-    ValueError when a score is not finite."""
+    ValueError when a score is not finite. Ties go to the lowest node id
+    among bit-equal scores; BLAS rounds a row by its place in the matrix,
+    so nodes with equal rows need not score equal."""
     ids = np.flatnonzero(feasible)
     if len(ids) == 0:
         return None
-    d = net.in_dim - 3
     a, b = remaining_budget / budget, seed_count / k_max
-    shift = a * net.w1[:, d + 1] + b * net.w1[:, d + 2]
     rows = table.hidden
-    if table.prunes and 0.0 <= a <= 1.0 and 0.0 <= b <= 1.0:
-        cands = ids[table.upper[ids] >= table.lower[ids].max() - table.margin]
+    if table.prunes and _in_box(a, b):
+        cands = ids[table.upper[ids] >= _threshold(table, table.lower[ids])]
         if _few(len(cands), len(rows)):
             ids, rows = cands, rows[cands]
-    q = np.maximum(rows, -shift) @ net.w2 + (shift @ net.w2 + net.b2[0])
+    q = _scores(net, rows, _shift(net, a, b))
     if rows is table.hidden:
         q = q[ids]
-    if not np.isfinite(q).all():
-        raise ValueError("a Q-value is not finite")
     i = int(np.argmax(q))  # first max: the lowest node id
     return int(ids[i]), float(q[i])
+
+
+def best_feasible_rows(net: QNetwork, table: QTable, feasible: np.ndarray,
+                       seed_count: np.ndarray, remaining_budget: np.ndarray,
+                       budget: float, k_max: int
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """`best_feasible` for each row of the (k, n) bool mask `feasible`, at
+    the step of `seed_count[r]` seeds picked and `remaining_budget[r]` left:
+    the (k,) node ids and Q-values, -1 and 0.0 on a row with no feasible
+    node.
+
+    The rows that the pruning rule lets score only their candidates are
+    scored in one product over the sorted union of their candidates, each
+    row's maximum taken over its own candidates alone, so the first
+    maximum is the lowest node id (among bit-equal scores, as above). The
+    other rows go to `best_feasible` one by one, and so do all rows when
+    the product would hold more entries than the table itself.
+    """
+    k, n = feasible.shape
+    ids, values = np.full(k, -1), np.zeros(k)
+    a, b = remaining_budget / budget, seed_count / k_max
+    batched = np.zeros(k, dtype=bool)
+    if table.prunes:
+        lower = np.where(feasible, table.lower, -np.inf)
+        cands = feasible & (table.upper >= _threshold(table, lower)[:, None])
+        count = np.count_nonzero(cands, axis=1)
+        batched = _in_box(a, b) & (count > 0) & _few(count, n)
+        cands = cands[batched]
+        union = np.flatnonzero(cands.any(axis=0))
+        if len(cands) * len(union) > n:
+            batched[:] = False
+        elif len(cands):
+            shift = _shift(net, a[batched, None], b[batched, None])
+            q = _scores(net, table.hidden[union], shift[:, None, :])
+            q[~cands[:, union]] = -np.inf
+            best = np.argmax(q, axis=1)
+            ids[batched] = union[best]
+            values[batched] = q[np.arange(len(best)), best]
+    for r in np.flatnonzero(~batched):
+        got = best_feasible(net, table, feasible[r], seed_count[r],
+                            remaining_budget[r], budget, k_max)
+        if got is not None:
+            ids[r], values[r] = got
+    return ids, values
 
 
 def q_loss_and_grad(net: QNetwork, states: np.ndarray, targets: np.ndarray

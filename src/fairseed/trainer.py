@@ -15,8 +15,8 @@ from .embedding import (EmbeddingParams, NodeEmbeddings, compute_embeddings,
                         init_embedding_params)
 from .graph import Instance, InstancePool
 from .metrics import shaped_reward
-from .qnet import QNetwork, QTable, adam_step, best_feasible, encode_states, \
-    hidden_table, q_loss_and_grad
+from .qnet import QNetwork, QTable, adam_step, best_feasible, \
+    best_feasible_rows, encode_states, hidden_table, q_loss_and_grad
 from .seeding import derive_seed
 
 CHECKPOINT_VERSION = 1
@@ -121,7 +121,8 @@ def epsilon_greedy_select(net: QNetwork, table: QTable, feasible: np.ndarray,
     or None when it is all False; `seed_count` seeds are selected so far.
 
     With probability epsilon a uniform random feasible node, otherwise the
-    Q-argmax over the feasible nodes (ties to the lowest node id). `table`
+    Q-argmax over the feasible nodes (ties to the lowest node id, among
+    bit-equal scores: see `best_feasible`). `table`
     is `net`'s current `hidden_table` for this instance and budget. `rng`
     is read only when epsilon > 0, and may be None at epsilon 0.
     """
@@ -134,11 +135,35 @@ def epsilon_greedy_select(net: QNetwork, table: QTable, feasible: np.ndarray,
                          k_max)[0]
 
 
+def _max_seeds(cost: np.ndarray, budget: float) -> int:
+    """k_max of the state encoding: at least 1 and budget // c_min, and no
+    fewer than the seeds `_steps` can pick at `budget`, so k/k_max <= 1 at
+    every step and every stored next state.
+
+    The floor alone can undercount, as `_steps` takes each cost off the
+    remaining budget in floating point: at cost 0.6 and budget 16.2 it
+    gives 26 while 27 seeds fit. Rounding is monotone, so after j picks,
+    each costing at least c_min, the remaining budget is at most R_j, the
+    budget less c_min j times in floating point, and pick j + 1 needs
+    R_j >= c_min. np.cumsum replays those subtractions in order, for the
+    n + 1 states an episode of n distinct picks can pass, so tiny costs
+    cannot make it run long; a floor of n or more needs no replay.
+    """
+    c_min = float(cost.min())
+    floor = max(1, int(budget // c_min))
+    if floor >= len(cost):
+        return floor
+    replay = np.cumsum(np.concatenate(([float(budget)],
+                                       np.full(len(cost), -c_min))))
+    short = replay < c_min
+    return max(floor, int(np.argmax(short)) if short.any() else len(cost))
+
+
 def _steps(net: QNetwork, table: QTable, cost: np.ndarray, budget: float,
            epsilon: float, rng: np.random.Generator | None):
     """Yield (action, remaining budget after it) while a candidate fits."""
     c_min = float(cost.min())
-    k_max = max(1, int(budget // c_min))
+    k_max = _max_seeds(cost, budget)
     # the remaining budget only falls, so the mask of feasible candidates
     # (unselected and affordable) only loses nodes
     feasible = cost <= budget
@@ -206,34 +231,35 @@ def _bellman_targets(net: QNetwork, batch: list[Transition],
     `table_of(instance_id)` is `net`'s current `hidden_table` for it. The
     next-state max ranges over the nodes that fit the stored remaining
     budget, less `seeds_after`; when none is left the transition is
-    treated as terminal. At discount 0 the targets are the rewards, and no
-    table is built or scored. Rows keep the batch order.
+    treated as terminal. Each instance's non-terminal next states are
+    scored in one `best_feasible_rows` call. At discount 0 the targets are
+    the rewards, and no table is built or scored. Rows keep the batch
+    order.
     """
     states = np.empty((len(batch), net.in_dim))
     targets = np.array([t.reward for t in batch])
     for inst_id in sorted({t.instance_id for t in batch}):
         inst, h = instances[inst_id], embeddings[inst_id]
         cost = inst.attrs.cost
-        k_max = max(1, int(config.budget // float(cost.min())))
+        k_max = _max_seeds(cost, config.budget)
         rows = [i for i, t in enumerate(batch) if t.instance_id == inst_id]
         actions = np.array([batch[i].action for i in rows])
         states[rows] = encode_states(
             actions, h, np.array([len(batch[i].seeds_before) for i in rows]),
             np.array([batch[i].budget_after for i in rows]) + cost[actions],
             inst.attrs, config.budget, k_max)
-        if config.discount == 0.0:
+        live = [i for i in rows if not batch[i].terminal]
+        if config.discount == 0.0 or not live:
             continue
-        table = table_of(inst_id)
-        for i in rows:
-            t = batch[i]
-            if t.terminal:
-                continue
-            feasible = cost <= t.budget_after
-            feasible[np.array(t.seeds_after)] = False
-            best = best_feasible(net, table, feasible, len(t.seeds_after),
-                                 t.budget_after, config.budget, k_max)
-            if best is not None:
-                targets[i] += config.discount * best[1]
+        after = [batch[i].seeds_after for i in live]
+        counts = np.array([len(s) for s in after])
+        remaining = np.array([batch[i].budget_after for i in live])
+        feasible = cost <= remaining[:, None]
+        feasible[np.repeat(np.arange(len(live)), counts),
+                 np.concatenate(after)] = False
+        _, best = best_feasible_rows(net, table_of(inst_id), feasible, counts,
+                                     remaining, config.budget, k_max)
+        targets[live] += config.discount * best
     return states, targets
 
 
@@ -268,12 +294,17 @@ def train(config: TrainConfig, pool: InstancePool,
     buffer = ReplayBuffer(config.replay_capacity)
     rng = np.random.default_rng(seeds["loop"])
     train_ids = sorted(instances)
-    tables: dict[str, QTable] = {}  # built on first use, dropped at updates
+    # each instance's table storage lives for the whole run; after an
+    # update, a table is rebuilt in place when it is next used
+    tables: dict[str, QTable] = {}
+    current: set[str] = set()  # the ids whose table fits `net` as it stands
 
     def table_of(i: str) -> QTable:
-        if i not in tables:
+        if i not in current:
             tables[i] = hidden_table(net, embeddings[i],
-                                     instances[i].attrs.cost, config.budget)
+                                     instances[i].attrs.cost, config.budget,
+                                     out=tables.get(i))
+            current.add(i)
         return tables[i]
 
     for episode in range(1, config.episodes + 1):
@@ -290,7 +321,7 @@ def train(config: TrainConfig, pool: InstancePool,
                                                table_of, config)
             loss, grads = q_loss_and_grad(net, states, targets)
             adam_step(net, grads, config.learning_rate)
-            tables.clear()
+            current.clear()
         if progress is not None:
             progress({
                 "episode": episode,

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from fairseed.diffusion import live_arc_lists, simulate_ic
 from fairseed.graph import (CommunityPartition, Instance, NodeAttrs,
                             graph_from_edges)
+
+# `--hypothesis-profile=ci` (the CI tier-1 step): the same examples on every
+# run, so a property failure seen in CI reproduces locally with that flag;
+# runs without it keep exploring new examples
+settings.register_profile("ci", derandomize=True, print_blob=True)
 
 
 def make_attrs(n, cost=None, benefit=None, labels=None) -> NodeAttrs:

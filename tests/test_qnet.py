@@ -5,8 +5,9 @@ from hypothesis import given, settings, strategies as st
 from fairseed.embedding import NodeEmbeddings
 from fractions import Fraction
 
-from fairseed.qnet import (QNetwork, adam_step, best_feasible, encode_states,
-                           hidden_table, q_loss_and_grad)
+from fairseed.qnet import (QNetwork, adam_step, best_feasible,
+                           best_feasible_rows, encode_states, hidden_table,
+                           q_loss_and_grad)
 from fairseed.trainer import epsilon_greedy_select
 
 from conftest import make_attrs, q_forward_batch, q_forward_table
@@ -243,7 +244,9 @@ class TestBestFeasible:
                                             w2_kind, seed, data):
         # `exact` draws eighths, so every sum is exact and duplicated rows
         # tie exactly; otherwise the summation order, which differs between
-        # rows of one product, may order near-ties either way
+        # rows of one product, may order near-ties either way. A batch of
+        # steps, each with its own mask, R/B and k/k_max, goes to
+        # best_feasible_rows; every row must match the one-step reference.
         rng = np.random.default_rng(seed)
 
         def draw(size, k):
@@ -259,30 +262,45 @@ class TestBestFeasible:
               "negative": -np.abs(draw(width, 16))}[w2_kind]
         w2[rng.random(width) < 0.2] = 0.0
         net, table = table_net(rows, u, v, w2, float(draw(1, 16)[0]))
-        # R/B and k/k_max on [0, 1] (corners included) and far outside it
-        remaining = data.draw(st.one_of(st.integers(0, 4),
-                                        st.integers(-64, 64))) / 4.0
-        if not exact and data.draw(st.booleans()):
-            remaining = float(rng.uniform(0.0, 1.0))
-        seed_count, k_max = data.draw(st.one_of(st.integers(0, 4),
-                                                st.integers(0, 64))), 4
-        q = q_forward_table(net, table, seed_count, remaining, 1.0, k_max)
         tol = 1e-9 * (1.0 + abs(net.b2[0]) + np.abs(w2) @ (
             np.abs(rows).max(axis=0) + 32.0 * (np.abs(u) + np.abs(v))))
-        for mask in (np.zeros(n, dtype=bool), np.ones(n, dtype=bool),
-                     rng.random(n) < data.draw(st.floats(0.0, 1.0))):
+        k_max = 4
+        steps, masks = [], []
+        for _ in range(data.draw(st.integers(1, 6))):
+            # R/B and k/k_max on [0, 1] (corners included) and far outside it
+            remaining = data.draw(st.one_of(st.integers(0, 4),
+                                            st.integers(-64, 64))) / 4.0
+            if not exact and data.draw(st.booleans()):
+                remaining = float(rng.uniform(0.0, 1.0))
+            seed_count = data.draw(st.one_of(st.integers(0, 4),
+                                             st.integers(0, 64)))
+            for mask in (np.zeros(n, dtype=bool), np.ones(n, dtype=bool),
+                         rng.random(n) < data.draw(st.floats(0.0, 1.0))):
+                steps.append((seed_count, remaining))
+                masks.append(mask)
+        order = rng.permutation(len(masks))  # all-False rows anywhere
+        steps, masks = [steps[i] for i in order], np.array(masks)[order]
+        got_ids, got_values = best_feasible_rows(
+            net, table, masks, np.array([k for k, _ in steps]),
+            np.array([r for _, r in steps]), 1.0, k_max)
+        for (seed_count, remaining), mask, got_id, got_value in zip(
+                steps, masks, got_ids, got_values):
+            q = q_forward_table(net, table, seed_count, remaining, 1.0, k_max)
             got = best_feasible(net, table, mask, seed_count, remaining, 1.0,
                                 k_max)
             ids = np.flatnonzero(mask)
             if len(ids) == 0:
                 assert got is None
+                assert (got_id, got_value) == (-1, 0.0)
                 continue
             best = q[ids].max()
             if exact:
                 assert got == (ids[np.argmax(q[ids])], best)
+                assert (got_id, got_value) == got
             else:
-                assert mask[got[0]] and q[got[0]] >= best - tol
-                assert got[1] == pytest.approx(best, rel=0, abs=tol)
+                for pick, value in (got, (got_id, got_value)):
+                    assert mask[pick] and q[pick] >= best - tol
+                    assert value == pytest.approx(best, rel=0, abs=tol)
 
     @settings(deadline=None, max_examples=60)
     @given(st.integers(1, 10), st.integers(1, 12),
@@ -339,6 +357,11 @@ class TestBestFeasible:
         got = best_feasible(net, table, mask, seed_count, remaining, 1.0, 1)
         q = q_forward_table(net, table, seed_count, remaining, 1.0, 1)
         assert got == want == (int(np.argmax(q)), q.max())
+        # in a batch beside an in-box step, the box is checked row by row
+        ids, values = best_feasible_rows(
+            net, table, np.stack((mask, mask)), np.array([1, seed_count]),
+            np.array([1.0, remaining]), 1.0, 1)
+        assert list(zip(ids.tolist(), values.tolist())) == [(11, 4.0), want]
 
     def test_dominant_rows_prune_and_flat_tables_do_not(self):
         rows = np.zeros((8, 2))

@@ -480,7 +480,8 @@ class TestTableLifetime:
         # every table that scores an episode step or a Bellman target is
         # hidden_table of the network as it stands, bit for bit; none
         # outlives an update, and each instance's table is built at most
-        # once per update
+        # once per update. Each instance keeps one table, rebuilt in place:
+        # its storage is the same object at every update.
         pool = InstancePool(train=(toy_instance("a"),
                                    toy_instance("b", cost=[1, 2, 2, 3, 1, 4])),
                             test=(toy_instance("c"),), seed=0)
@@ -489,18 +490,24 @@ class TestTableLifetime:
         update = [0]
         built = {}       # id(table) -> (table, h, cost, budget, update)
         builds = []      # (update, id(cost)) per hidden_table call
+        storage = {}     # id(cost) -> the arrays of its first table
         scored = {"episode": 0, "target": 0}
         phase = ["episode"]
         nets = []
 
-        def counting_table(net, h, cost, budget):
+        def counting_table(net, h, cost, budget, out=None):
             nets.append(net)
-            table = qnet.hidden_table(net, h, cost, budget)
+            assert out is None or built[id(out)][2] is cost
+            table = qnet.hidden_table(net, h, cost, budget, out=out)
             built[id(table)] = (table, h, cost, budget, update[0])
             builds.append((update[0], id(cost)))
+            arrays = (table.design, table.hidden, table.upper, table.lower)
+            first = storage.setdefault(id(cost), arrays)
+            assert all(a is b for a, b in zip(arrays, first))
             return table
 
-        def checked_score(net, table, *rest):
+        def check_current(net, table, where):
+            assert phase[0] == where
             kept, h, cost, budget, made = built[id(table)]
             assert kept is table and made == update[0]
             fresh = qnet.hidden_table(net, h, cost, budget)
@@ -508,8 +515,15 @@ class TestTableLifetime:
             assert np.array_equal(table.upper, fresh.upper)
             assert np.array_equal(table.lower, fresh.lower)
             assert (table.margin, table.prunes) == (fresh.margin, fresh.prunes)
-            scored[phase[0]] += 1
+            scored[where] += 1
+
+        def checked_score(net, table, *rest):
+            check_current(net, table, "episode")
             return qnet.best_feasible(net, table, *rest)
+
+        def checked_rows(net, table, *rest):
+            check_current(net, table, "target")
+            return qnet.best_feasible_rows(net, table, *rest)
 
         def counted_step(*args):
             update[0] += 1
@@ -524,13 +538,107 @@ class TestTableLifetime:
 
         monkeypatch.setattr(trainer, "hidden_table", counting_table)
         monkeypatch.setattr(trainer, "best_feasible", checked_score)
+        monkeypatch.setattr(trainer, "best_feasible_rows", checked_rows)
         monkeypatch.setattr(trainer, "adam_step", counted_step)
         monkeypatch.setattr(trainer, "_bellman_targets", in_targets)
-        train(cfg, pool)
+        policy = train(cfg, pool)
         assert update[0] >= 5
         assert scored["episode"] > 0 and scored["target"] > 0
         assert len(builds) == len(set(builds))
         assert all(net is nets[0] for net in nets)
+        # tables rebuilt after updates, in place
+        assert len(builds) > len(storage) == 2
+        # selection builds a standalone table: no array of it is shared
+        # with a table of training
+        training = [a for arrays in storage.values() for a in arrays]
+        selected = []
+
+        def standalone(*args, **kw):
+            selected.append(qnet.hidden_table(*args, **kw))
+            return selected[-1]
+
+        monkeypatch.setattr(trainer, "best_feasible", qnet.best_feasible)
+        monkeypatch.setattr(trainer, "hidden_table", standalone)
+        for inst in pool.train + pool.test:
+            select_seed_set(policy, inst, cfg.budget)
+        assert len(selected) == 3
+        for table in selected:
+            for a in (table.design, table.hidden, table.upper, table.lower):
+                assert not any(np.shares_memory(a, b) for b in training)
+
+    def test_rebuilt_in_place_equals_a_fresh_table(self, rng):
+        # a table rebuilt in place after an update equals a standalone
+        # hidden_table of the updated network bit for bit, in the same arrays
+        inst = toy_instance()
+        cfg = toy_config(budget=8.0)
+        policy, h = toy_policy(inst, cfg)
+        net = policy.net
+        table = hidden_table(net, h, inst.attrs.cost, cfg.budget)
+        arrays = (table.design, table.hidden, table.upper, table.lower)
+        before = table.hidden.copy()
+        for _ in range(3):
+            self.update(net, rng)
+            again = hidden_table(net, h, inst.attrs.cost, cfg.budget,
+                                 out=table)
+            fresh = hidden_table(net, h, inst.attrs.cost, cfg.budget)
+            assert again is table
+            assert all(a is b for a, b in zip(
+                (table.design, table.hidden, table.upper, table.lower),
+                arrays))
+            for name in ("design", "hidden", "upper", "lower"):
+                assert np.array_equal(getattr(table, name),
+                                      getattr(fresh, name))
+            assert (table.margin, table.prunes) == (fresh.margin, fresh.prunes)
+        assert not np.array_equal(table.hidden, before)
+
+
+class TestMaxSeeds:
+    def test_k_over_k_max_stays_in_the_box(self, rng, monkeypatch):
+        # 40 nodes of cost 0.6 at budget 16.2: 16.2 // 0.6 gives 26, but
+        # taking 0.6 off the remaining budget in floating point leaves room
+        # for a 27th seed, and a non-terminal next state (6e-15 left) with
+        # 27 seeds; k/k_max must not exceed 1 at any step or next state
+        inst = make_instance("flat", 40, [(v, v + 1, 0.5) for v in range(39)],
+                             cost=np.full(40, 0.6))
+        budget = 16.2
+        assert int(budget // 0.6) == 26
+        assert trainer._max_seeds(inst.attrs.cost, budget) == 27
+        ratios = []  # k/k_max of every scored step and next state
+
+        def score(net, table, feasible, seed_count, remaining, budget_,
+                  k_max):
+            ratios.append(seed_count / k_max)
+            return qnet.best_feasible(net, table, feasible, seed_count,
+                                      remaining, budget_, k_max)
+
+        def score_rows(net, table, feasible, seed_count, remaining, budget_,
+                       k_max):
+            ratios.extend(seed_count / k_max)
+            return qnet.best_feasible_rows(net, table, feasible, seed_count,
+                                           remaining, budget_, k_max)
+
+        monkeypatch.setattr(trainer, "best_feasible", score)
+        monkeypatch.setattr(trainer, "best_feasible_rows", score_rows)
+        cfg = toy_config(budget=budget)
+        policy, h = toy_policy(inst, cfg)
+        episode = run_episode(policy.net, inst, h, cfg, 0.0, rng)
+        assert len(episode) == 27 and not episode[-1].terminal
+        _bellman_targets(policy.net, episode, {inst.id: inst}, {inst.id: h},
+                         lambda _: hidden_table(policy.net, h, inst.attrs.cost,
+                                                budget), cfg)
+        assert ratios[-1] == 1.0  # the last next state holds all 27 seeds
+        assert len(select_seed_set(policy, inst, budget, h)) == 27
+        assert len(ratios) == 27 + 27 + 27 and max(ratios) == 1.0
+
+    @pytest.mark.parametrize("cost,budget,want", [
+        ([2, 3, 1, 4, 2, 3], 6.0, 6),    # the toy instance: the floor
+        ([2, 3, 1, 4, 2, 3], 80.0, 80),  # more than n: the floor
+        ([5.0], 1.0, 1),                 # nothing fits: at least 1
+        ([1e-12] * 3, 1e3, 10**15),      # tiny costs: the floor, at once
+    ])
+    def test_floor_kept_where_it_does_not_undercount(self, cost, budget,
+                                                     want):
+        assert trainer._max_seeds(np.array(cost, dtype=float), budget) == want
 
 
 class TestInference:
