@@ -5,9 +5,13 @@ arcs followed by reachability from the seeds (the live-edge equivalence of
 Kempe, Kleinberg and Tardos, 2003). Every rollout draws one uniform per arc,
 in CSR order, and arc a is live when its uniform is below probs[a].
 live_arcs draws m rollouts on the flat layout of `seeding` (rollout i takes
-draws [i*E, (i+1)*E) of the one Philox stream keyed by the seed) and packs
-them 64 rollouts to a uint64 word, m * E / 8 bytes that every seed set
-evaluated under common random numbers can share. `_reach` pushes a cascade
+draws [i*E, (i+1)*E) of the one Philox stream keyed by the seed), makes
+that compare exactly on the raw 64-bit words (x >> 11 < ceil(p * 2**53))
+and packs the result 64 rollouts to a uint64 word, m * E / 8 bytes that
+every seed set evaluated under common random numbers can share. The bits
+are packed in the way that suits the chunk's shape: along each arc's row
+when a chunk has at least as many rollouts as arcs, by a weighted sum over
+each byte's rollouts when it has fewer. `_reach` pushes a cascade
 through those words for 64 rollouts at once, with bitwise AND and OR;
 rollout_masks unpacks its result into (R, n) reached masks, and
 estimate_spread_and_benefit averages them. Training instead grows one
@@ -51,10 +55,9 @@ class SeedSet:
 # (R, n) reached masks of CHUNK_ENTRIES // max(E, n) rows. Evaluation sums
 # each mask chunk with matrix-vector products, whose rounding can depend on
 # a row's place in its chunk, so that row count is part of the reported
-# results. live_arcs fills float64 uniforms, eight bytes to an entry, so it
-# fills about CHUNK_ENTRIES // 8 draws at a time (a whole number of
-# 64-rollout words): its buffer takes about as many bytes as a bool mask
-# chunk.
+# results. live_arcs draws raw uint64 words, eight bytes to an entry, so it
+# draws about CHUNK_ENTRIES // 8 at a time (a whole number of 64-rollout
+# words): one chunk of draws takes about as many bytes as a bool mask chunk.
 CHUNK_ENTRIES = 1 << 20
 WORD_BITS = 64
 WORD = np.dtype("<u8")  # little-endian: byte k holds rollouts 8k..8k+7
@@ -159,11 +162,18 @@ def live_arcs(g: Graph, m: int, seed: int) -> LiveArcs:
     `seed` (E = g.num_arcs), so its arcs are
     RolloutStreams(seed).at(i * E).random(E) < g.probs whatever the
     chunking. A chunk of whole words, about CHUNK_ENTRIES // 8 draws, is one
-    contiguous run of draws, filled by a single call into one float64
-    buffer that every chunk reuses; its bools are packed eight rollouts to a
-    byte by a weighted sum and kept, about m * E / 8 bytes in all. The fill
-    chunk is set by memory alone and is smaller than rollout_masks' mask
-    chunk, whose row count sets the rounding of the evaluation sums.
+    contiguous run of draws, filled by a single random_raw call and compared
+    as integers: random() turns raw word x into (x >> 11) * 2**-53, so it
+    is below p exactly when x >> 11 < ceil(p * 2**53), for every p in
+    [0, 1]. The bools are packed eight rollouts to a byte in the way that
+    suits the first chunk's shape, which the others share but the last: if
+    it holds at least E rollouts (few arcs), each chunk is compared through
+    its transposed view into one bool row per arc and packed along the rows
+    by np.packbits; if not (thousands of arcs, 64 rollouts a chunk), by a
+    weighted sum over each byte's eight rollouts, which is the faster there.
+    Both give the same words, about m * E / 8 bytes in all. The fill chunk
+    is set by memory alone and is smaller than rollout_masks' mask chunk,
+    whose row count sets the rounding of the evaluation sums.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -171,21 +181,29 @@ def live_arcs(g: Graph, m: int, seed: int) -> LiveArcs:
     arcs, words = g.num_arcs, -(-m // WORD_BITS)
     step = WORD_BITS * min(words, max(1, CHUNK_ENTRIES // 8 // max(arcs, 1)
                                       // WORD_BITS))
-    buffer = np.empty(min(step, m) * arcs)
-    bits = np.zeros((step, arcs), dtype=bool)
+    limit = np.ceil(g.probs * 2.0 ** 53).astype(np.uint64)
+    narrow = min(step, m) >= arcs
+    bits = np.zeros((arcs, step) if narrow else (step, arcs), dtype=bool)
     packed = np.zeros((arcs, words), dtype=WORD)
     octets = packed.view(np.uint8)  # column k holds rollouts 8k..8k+7
     for lo in range(0, m, step):
         rows = min(step, m - lo)
-        uniforms = buffer[:rows * arcs].reshape(rows, arcs)
-        streams.at(lo * arcs).random(out=uniforms)
-        np.less(uniforms, g.probs, out=bits[:rows])
-        bits[rows:] = False
         whole = -(-rows // 8)
-        octets[:, lo // 8:lo // 8 + whole] = np.einsum(
-            "kja,j->ak",
-            bits[:8 * whole].reshape(whole, 8, arcs).view(np.uint8),
-            _BYTE_WEIGHTS)
+        raw = streams.at(lo * arcs).bit_generator.random_raw(
+            rows * arcs).reshape(rows, arcs)
+        raw >>= 11
+        if narrow:
+            np.less(raw.T, limit[:, None], out=bits[:, :rows])
+            octets[:, lo // 8:lo // 8 + whole] = np.packbits(
+                bits[:, :rows], axis=1, bitorder="little")
+        else:
+            np.less(raw, limit, out=bits[:rows])
+            bits[rows:] = False
+            octets[:, lo // 8:lo // 8 + whole] = np.einsum(
+                "kja,j->ak",
+                bits[:8 * whole].reshape(whole, 8, arcs).view(np.uint8),
+                _BYTE_WEIGHTS)
+        del raw  # one chunk's draws alive at a time
     packed.flags.writeable = False
     return LiveArcs(words=packed, m=m)
 

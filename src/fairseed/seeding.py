@@ -10,11 +10,14 @@ at a time, in chunks of any size, or in any order. The draws under one
 evaluation seed are read once per (instance, budget), by
 diffusion.live_arcs, which keeps only each arc's live bit, 64 rollouts to a
 uint64 word; every seed set evaluated there shares those words. live_arcs
-fills about CHUNK_ENTRIES // 8 draws at a time, so its float64 buffer is
-about as large as one of rollout_masks' bool mask chunks; its chunks are set
-by memory alone, while the row count of a mask chunk sets the rounding of
-the reported sums. Each live_arcs call makes its own RolloutStreams, so draws
-made on another thread share no generator state and give the same words.
+draws about CHUNK_ENTRIES // 8 raw 64-bit words at a time, so one chunk of
+draws is about as large as one of rollout_masks' bool mask chunks, and
+compares them with the arc probabilities as integers: the uniform of raw
+word x is (x >> 11) * 2**-53, below p exactly when x >> 11 < ceil(p * 2**53).
+Its chunks are set by memory alone, while the row count of a mask chunk
+sets the rounding of the reported sums. Each live_arcs call makes its own
+RolloutStreams, so draws made on another thread share no generator state
+and give the same words.
 """
 
 from __future__ import annotations
@@ -36,8 +39,9 @@ class RolloutStreams:
     """Random access into the single Philox stream keyed by `base_seed`.
 
     `at(position)` returns a generator whose next draw is draw `position`
-    of that stream, counting one 64-bit draw (one `random()` float64) per
-    position. Philox4x64 makes four draws per counter value and steps the
+    of that stream, counting one raw 64-bit word per position: the word
+    `bit_generator.random_raw()` returns, which `random()` turns into one
+    float64. Philox4x64 makes four draws per counter value and steps the
     counter before it fills its buffer, so draws 4b..4b+3 come from counter
     b + 1: `at` puts b = position // 4 into counter word 0, empties the
     buffer and discards position % 4 draws. One bit generator is reused

@@ -147,9 +147,13 @@ def _max_seeds(cost: np.ndarray, budget: float) -> int:
     budget less c_min j times in floating point, and pick j + 1 needs
     R_j >= c_min. np.cumsum replays those subtractions in order, for the
     n + 1 states an episode of n distinct picks can pass, so tiny costs
-    cannot make it run long; a floor of n or more needs no replay.
+    cannot make it run long; a floor of n or more needs no replay. A budget
+    so large against c_min that their ratio overflows is a ValueError.
     """
     c_min = float(cost.min())
+    if not np.isfinite(budget / c_min):
+        raise ValueError(f"budget {budget} over the cheapest node cost "
+                         f"{c_min} is not finite")
     floor = max(1, int(budget // c_min))
     if floor >= len(cost):
         return floor

@@ -81,6 +81,17 @@ class TestTrainCommand:
         assert "cheapest node" in capsys.readouterr().err
         assert not os.path.exists(ckpt)
 
+    def test_budget_over_cost_overflow_is_usage_error(self, dataset, tmp_path,
+                                                      capsys):
+        # budget / cheapest cost is inf: k_max has no integer floor
+        code, ckpt = run_train(dataset, tmp_path,
+                               extra=["--cost-range", "1e-300,2e-300",
+                                      "--budget", "1e300"])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith("usage error:") and "Traceback" not in err
+        assert not os.path.exists(ckpt)
+
 
 class TestEvalCommand:
     def test_end_to_end(self, dataset, tmp_path):

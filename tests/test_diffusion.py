@@ -275,6 +275,51 @@ class TestLiveArcs:
 
 
 @st.composite
+def threshold_cases(draw):
+    """A directed graph of 1 to 72 arcs whose probabilities lie on or next
+    to the limits of live_arcs' integer compare, a rollout count that is no
+    multiple of 8, a stream seed and a chunk size. Some probabilities are
+    the stream's own draws, k * 2**-53 with k = x >> 11 for a raw word x,
+    so a limit one step of 2**-53 off changes an arc's state; each
+    probability may then move to its float neighbour toward 0 or 1."""
+    pairs = [(u, v) for u in range(9) for v in range(9) if u != v]
+    arcs = draw(st.integers(1, len(pairs)))
+    g = graph_from_edges(9, [(u, v, 0.5) for u, v in pairs[:arcs]],
+                         directed=True)
+    m = draw(st.sampled_from([1, 5, 13, 67, 130, 203]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    uniforms = RolloutStreams(seed).at(0).random(m * arcs).reshape(m, arcs)
+    unit = 2.0 ** -53
+    fixed = st.sampled_from([0.0, 5e-324, unit, 0.5, 1.0 - unit, 1.0])
+    probs = []
+    for a in range(arcs):
+        p = draw(st.one_of(
+            fixed, st.integers(0, 2**53).map(lambda k: k * unit),
+            st.integers(0, m - 1).map(lambda i: uniforms[i, a]),
+            st.floats(0.0, 1.0)))
+        probs.append(np.nextafter(p, draw(st.sampled_from([p, 0.0, 1.0]))))
+    g = dataclasses.replace(g, probs=np.array(probs))
+    # one 64-rollout word per chunk, two, or the default size
+    entries = draw(st.sampled_from([1, 1024 * arcs, diffusion.CHUNK_ENTRIES]))
+    return g, m, seed, entries
+
+
+class TestThresholdRule:
+    @settings(deadline=None, max_examples=150)
+    @given(threshold_cases())
+    def test_words_equal_float_draws_below_probs(self, case):
+        # the integer compare and both packings against random(E) < probs
+        g, m, seed, entries = case
+        with mock.patch.object(diffusion, "CHUNK_ENTRIES", entries):
+            live = live_arcs(g, m, seed)
+        want = np.array([stream_row(g, seed, i) for i in range(m)])
+        assert np.array_equal(unpack_live(live), want)
+        bits = np.unpackbits(live.words.view(np.uint8), axis=1,
+                             bitorder="little")
+        assert not bits[:, m:].any()
+
+
+@st.composite
 def deterministic_cases(draw):
     """A tiny directed graph whose arcs have probability 0 or 1, with a
     non-empty seed set, a rollout count and a stream seed."""

@@ -640,6 +640,11 @@ class TestMaxSeeds:
                                                      want):
         assert trainer._max_seeds(np.array(cost, dtype=float), budget) == want
 
+    def test_budget_over_cost_overflow_rejected(self):
+        # 1e300 / 1e-300 overflows to inf, which has no integer floor
+        with pytest.raises(ValueError, match="not finite"):
+            trainer._max_seeds(np.array([1e-300, 2e-300]), 1e300)
+
 
 class TestInference:
     def test_budget_too_small_empty(self):
