@@ -25,9 +25,8 @@ from .metrics import (FairnessConfig, MetricReport, community_ratios,
 from .qnet import (QNetwork, QTable, adam_step, best_feasible,
                    best_feasible_rows, encode_states, hidden_table,
                    q_loss_and_grad)
-from .trainer import (CheckpointError, ReplayBuffer, TrainConfig,
-                      TrainedPolicy, Transition, epsilon_greedy_select,
-                      load_checkpoint, run_episode, save_checkpoint,
-                      select_seed_set, train)
+from .trainer import (CheckpointError, TrainConfig, TrainedPolicy,
+                      Transition, epsilon_greedy_select, load_checkpoint,
+                      run_episode, save_checkpoint, select_seed_set, train)
 
 __version__ = "0.1.0"

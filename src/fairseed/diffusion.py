@@ -4,14 +4,11 @@ Under IC each arc is tried at most once, so a rollout is one draw of live
 arcs followed by reachability from the seeds (the live-edge equivalence of
 Kempe, Kleinberg and Tardos, 2003). Every rollout draws one uniform per arc,
 in CSR order, and arc a is live when its uniform is below probs[a].
-live_arcs draws m rollouts on the flat layout of `seeding` (rollout i takes
-draws [i*E, (i+1)*E) of the one Philox stream keyed by the seed), makes
-that compare exactly on the raw 64-bit words (x >> 11 < ceil(p * 2**53))
-and packs the result 64 rollouts to a uint64 word, m * E / 8 bytes that
-every seed set evaluated under common random numbers can share. The bits
-are packed in the way that suits the chunk's shape: along each arc's row
-when a chunk has at least as many rollouts as arcs, by a weighted sum over
-each byte's rollouts when it has fewer. `_reach` pushes a cascade
+live_arcs draws m rollouts on the flat layout of `seeding`, makes that
+compare exactly on the raw 64-bit words and packs the result 64 rollouts
+to a uint64 word, m * E / 8 bytes that every seed set evaluated under
+common random numbers can share; its docstring gives the compare, the
+chunk size and the packing. `_reach` pushes a cascade
 through those words for 64 rollouts at once, with bitwise AND and OR;
 rollout_masks unpacks its result into (R, n) reached masks, and
 estimate_spread_and_benefit averages them. Training instead grows one
@@ -55,9 +52,7 @@ class SeedSet:
 # (R, n) reached masks of CHUNK_ENTRIES // max(E, n) rows. Evaluation sums
 # each mask chunk with matrix-vector products, whose rounding can depend on
 # a row's place in its chunk, so that row count is part of the reported
-# results. live_arcs draws raw uint64 words, eight bytes to an entry, so it
-# draws about CHUNK_ENTRIES // 8 at a time (a whole number of 64-rollout
-# words): one chunk of draws takes about as many bytes as a bool mask chunk.
+# results. live_arcs sizes its chunks of draws from it too (see there).
 CHUNK_ENTRIES = 1 << 20
 WORD_BITS = 64
 WORD = np.dtype("<u8")  # little-endian: byte k holds rollouts 8k..8k+7
@@ -161,7 +156,8 @@ def live_arcs(g: Graph, m: int, seed: int) -> LiveArcs:
     Rollout i reads draws [i*E, (i+1)*E) of the Philox stream keyed by
     `seed` (E = g.num_arcs), so its arcs are
     RolloutStreams(seed).at(i * E).random(E) < g.probs whatever the
-    chunking. A chunk of whole words, about CHUNK_ENTRIES // 8 draws, is one
+    chunking. A chunk of whole words, about CHUNK_ENTRIES // 8 draws (eight
+    bytes each, so about as many bytes as a bool mask chunk), is one
     contiguous run of draws, filled by a single random_raw call and compared
     as integers: random() turns raw word x into (x >> 11) * 2**-53, so it
     is below p exactly when x >> 11 < ceil(p * 2**53), for every p in

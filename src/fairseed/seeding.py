@@ -9,13 +9,9 @@ contiguous run of draws, and rollout i is the same whether rollouts run one
 at a time, in chunks of any size, or in any order. The draws under one
 evaluation seed are read once per (instance, budget), by
 diffusion.live_arcs, which keeps only each arc's live bit, 64 rollouts to a
-uint64 word; every seed set evaluated there shares those words. live_arcs
-draws about CHUNK_ENTRIES // 8 raw 64-bit words at a time, so one chunk of
-draws is about as large as one of rollout_masks' bool mask chunks, and
-compares them with the arc probabilities as integers: the uniform of raw
-word x is (x >> 11) * 2**-53, below p exactly when x >> 11 < ceil(p * 2**53).
-Its chunks are set by memory alone, while the row count of a mask chunk
-sets the rounding of the reported sums. Each live_arcs call makes its own
+uint64 word; every seed set evaluated there shares those words. Its
+docstring gives the size of its chunks of draws and the integer compare
+that turns each draw into a live bit. Each live_arcs call makes its own
 RolloutStreams, so draws made on another thread share no generator state
 and give the same words.
 """

@@ -67,36 +67,15 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class Transition:
+    """One episode step. Its next state holds `seeds_before` and `action`,
+    with `budget_after` left; with positive costs, a next state with no
+    budget left has no feasible node, and so is terminal."""
+
     instance_id: str
     seeds_before: tuple[int, ...]
     action: int
     reward: float
-    seeds_after: tuple[int, ...]
-    terminal: bool
     budget_after: float  # remaining budget once the action's cost is paid
-
-
-class ReplayBuffer:
-    """Bounded FIFO store of transitions."""
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self._items: deque[Transition] = deque(maxlen=capacity)
-
-    def extend(self, ts) -> None:
-        self._items.extend(ts)
-
-    def sample(self, k: int, rng: np.random.Generator) -> list[Transition]:
-        idx = rng.integers(len(self._items), size=k)
-        return [self._items[i] for i in idx]
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __iter__(self):
-        return iter(self._items)
 
 
 @dataclass
@@ -166,13 +145,13 @@ def _max_seeds(cost: np.ndarray, budget: float) -> int:
 def _steps(net: QNetwork, table: QTable, cost: np.ndarray, budget: float,
            epsilon: float, rng: np.random.Generator | None):
     """Yield (action, remaining budget after it) while a candidate fits."""
-    c_min = float(cost.min())
     k_max = _max_seeds(cost, budget)
     # the remaining budget only falls, so the mask of feasible candidates
-    # (unselected and affordable) only loses nodes
+    # (unselected and affordable) only loses nodes; once it is empty,
+    # epsilon_greedy_select returns None without reading `rng`
     feasible = cost <= budget
     remaining, seed_count = budget, 0
-    while remaining >= c_min:
+    while True:
         action = epsilon_greedy_select(net, table, feasible, seed_count,
                                        epsilon, remaining, budget, k_max, rng)
         if action is None:
@@ -218,8 +197,6 @@ def run_episode(net: QNetwork, instance: Instance, table: QTable,
             seeds_before=before,
             action=action,
             reward=r_total - r_prev,
-            seeds_after=tuple(sorted(selected)),
-            terminal=remaining <= 0.0,
             budget_after=remaining,
         ))
         r_prev = r_total
@@ -234,8 +211,8 @@ def _bellman_targets(net: QNetwork, batch: list[Transition],
 
     `table_of(instance_id)` is `net`'s current `hidden_table` for it. The
     next-state max ranges over the nodes that fit the stored remaining
-    budget, less `seeds_after`; when none is left the transition is
-    treated as terminal. Each instance's non-terminal next states are
+    budget, less `seeds_before` and the action; a row with none left
+    scores 0.0, as a terminal state. Each instance's next states are
     scored in one `best_feasible_rows` call. At discount 0 the targets are
     the rewards, and no table is built or scored. Rows keep the batch
     order.
@@ -248,22 +225,22 @@ def _bellman_targets(net: QNetwork, batch: list[Transition],
         k_max = _max_seeds(cost, config.budget)
         rows = [i for i, t in enumerate(batch) if t.instance_id == inst_id]
         actions = np.array([batch[i].action for i in rows])
-        states[rows] = encode_states(
-            actions, h, np.array([len(batch[i].seeds_before) for i in rows]),
-            np.array([batch[i].budget_after for i in rows]) + cost[actions],
-            inst.attrs, config.budget, k_max)
-        live = [i for i in rows if not batch[i].terminal]
-        if config.discount == 0.0 or not live:
+        counts = np.array([len(batch[i].seeds_before) for i in rows])
+        remaining = np.array([batch[i].budget_after for i in rows])
+        states[rows] = encode_states(actions, h, counts,
+                                     remaining + cost[actions], inst.attrs,
+                                     config.budget, k_max)
+        if config.discount == 0.0:
             continue
-        after = [batch[i].seeds_after for i in live]
-        counts = np.array([len(s) for s in after])
-        remaining = np.array([batch[i].budget_after for i in live])
+        # a next state holds the seeds before and the action
+        after = counts + 1
+        held = [v for i in rows for v in (*batch[i].seeds_before,
+                                           batch[i].action)]
         feasible = cost <= remaining[:, None]
-        feasible[np.repeat(np.arange(len(live)), counts),
-                 np.concatenate(after)] = False
-        _, best = best_feasible_rows(net, table_of(inst_id), feasible, counts,
+        feasible[np.repeat(np.arange(len(rows)), after), held] = False
+        _, best = best_feasible_rows(net, table_of(inst_id), feasible, after,
                                      remaining, config.budget, k_max)
-        targets[live] += config.discount * best
+        targets[rows] += config.discount * best
     return states, targets
 
 
@@ -295,7 +272,8 @@ def train(config: TrainConfig, pool: InstancePool,
     embeddings = {inst.id: compute_embeddings(inst.graph, inst.attrs, embed,
                                               config.t_emb) for inst in pool.train}
     net = QNetwork.init(config.d_emb + 3, seeds["qnet"])
-    buffer = ReplayBuffer(config.replay_capacity)
+    # FIFO replay: TrainConfig keeps batch_size within the capacity
+    buffer: deque[Transition] = deque(maxlen=config.replay_capacity)
     rng = np.random.default_rng(seeds["loop"])
     train_ids = sorted(instances)
     # each instance's table storage lives for the whole run; after an
@@ -320,7 +298,8 @@ def train(config: TrainConfig, pool: InstancePool,
         buffer.extend(transitions)
         loss = None
         if episode % config.update_period == 0 and len(buffer) >= config.batch_size:
-            batch = buffer.sample(config.batch_size, rng)
+            batch = [buffer[i] for i in
+                     rng.integers(len(buffer), size=config.batch_size)]
             states, targets = _bellman_targets(net, batch, instances, embeddings,
                                                table_of, config)
             loss, grads = q_loss_and_grad(net, states, targets)
@@ -387,13 +366,21 @@ def load_checkpoint(path: str, expect_d_emb: int | None = None
         meta = json.loads(bytes(arrays["meta"]).decode())
     except (OSError, KeyError, ValueError) as exc:
         raise CheckpointError(f"cannot load checkpoint {path}: {exc}") from exc
+    if not (isinstance(meta, dict)
+            and isinstance(meta.get("config", {}), dict)):
+        raise CheckpointError("checkpoint metadata or its config is not a "
+                              "JSON object")
     if meta.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {meta.get('version')}")
-    try:
-        hidden, in_dim, d, t_emb = (meta[k] for k in
-                                    ("hidden", "in_dim", "d_emb", "t_emb"))
-    except KeyError as exc:
-        raise CheckpointError(f"checkpoint metadata lacks {exc}") from None
+    dims = ("hidden", "in_dim", "d_emb", "t_emb")
+    for key in dims:
+        if key not in meta:
+            raise CheckpointError(f"checkpoint metadata lacks {key!r}")
+        # bool is an int subclass, and JSON true is no dimension
+        if type(meta[key]) is not int or meta[key] < 1:
+            raise CheckpointError(f"checkpoint {key} must be an integer >= 1, "
+                                  f"not {meta[key]!r}")
+    hidden, in_dim, d, t_emb = (meta[k] for k in dims)
     shapes = {"w1": (hidden, in_dim), "b1": (hidden,), "w2": (hidden,),
               "b2": (1,)}
     shapes.update({f"adam_{mv}_{p}": shapes[p] for p in params for mv in "mv"})
@@ -417,4 +404,4 @@ def load_checkpoint(path: str, expect_d_emb: int | None = None
     embed = EmbeddingParams(w_feat=arrays["embed_w_feat"],
                             w_agg=arrays["embed_w_agg"],
                             w_edge=arrays["embed_w_edge"])
-    return TrainedPolicy(net=net, embed=embed, t_emb=int(t_emb)), meta
+    return TrainedPolicy(net=net, embed=embed, t_emb=t_emb), meta

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from fairseed import trainer
 from fairseed.diffusion import live_arc_lists, simulate_ic
 from fairseed.graph import (CommunityPartition, Instance, NodeAttrs,
                             graph_from_edges)
@@ -98,6 +99,38 @@ def feasible_candidates(selected, cost: np.ndarray,
     mask = cost <= remaining
     mask[list(selected)] = False
     return np.flatnonzero(mask)
+
+
+def replay_record(monkeypatch):
+    """Record, while trainer.train runs, every transition that
+    trainer.run_episode returns, in order, and every batch that
+    trainer._bellman_targets receives, with the number of transitions run
+    when it was drawn. Returns the (transitions, batches) lists."""
+    run, batches = [], []
+    episode, targets = trainer.run_episode, trainer._bellman_targets
+
+    def recorded_episode(*args):
+        ts = episode(*args)
+        run.extend(ts)
+        return ts
+
+    def recorded_targets(net, batch, *rest):
+        batches.append((batch, len(run)))
+        return targets(net, batch, *rest)
+
+    monkeypatch.setattr(trainer, "run_episode", recorded_episode)
+    monkeypatch.setattr(trainer, "_bellman_targets", recorded_targets)
+    return run, batches
+
+
+def outside_replay(run, batches, capacity) -> int:
+    """How many sampled transitions are not, by identity, among the last
+    `capacity` transitions run before their batch was drawn."""
+    outside = 0
+    for batch, n in batches:
+        window = {id(t) for t in run[max(0, n - capacity):n]}
+        outside += sum(id(t) not in window for t in batch)
+    return outside
 
 
 def read_lines(path) -> list[str]:

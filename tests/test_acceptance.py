@@ -8,6 +8,7 @@ verdict. Criteria with runtime budgets assert on wall-clock time too.
 import itertools
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,10 +25,11 @@ from fairseed.graph import (InstancePool, UniformProbabilities,
 from fairseed.metrics import community_ratios
 from fairseed.qnet import QNetwork, hidden_table, q_loss_and_grad
 from fairseed.seeding import derive_seed
-from fairseed.trainer import (ReplayBuffer, TrainConfig, TrainedPolicy,
-                              Transition, run_episode, select_seed_set, train)
+from fairseed.trainer import (TrainConfig, TrainedPolicy, run_episode,
+                              select_seed_set, train)
 
-from conftest import make_attrs, make_instance, random_tiny_instance
+from conftest import (make_attrs, make_instance, outside_replay,
+                      random_tiny_instance, replay_record)
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -226,15 +228,7 @@ def test_criterion_5_fairness_metric_correctness():
     _verdict(5, True, "20 partitions exact, f=0 and f=1 edge cases hold")
 
 
-def test_criterion_6_training_loop_mechanics():
-    # FIFO eviction at full capacity
-    buf = ReplayBuffer(10_000)
-    for i in range(10_010):
-        buf.extend([Transition("x", (), i, 0.0, (i,), False, 1.0)])
-    assert len(buf) == 10_000
-    actions = [t.action for t in buf]
-    assert actions == list(range(10, 10_010))
-
+def test_criterion_6_training_loop_mechanics(monkeypatch):
     # epsilon trajectory and update cadence over a full 720-episode run
     inst = make_instance(
         "mech", 6,
@@ -258,8 +252,19 @@ def test_criterion_6_training_loop_mechanics():
             assert ev["loss"] is not None
             steps += 1
     assert steps > 0
+
+    # FIFO replay: with a capacity of 64, every transition sampled is one
+    # of the last 64 run, over a run that fills the buffer many times
+    cap = 64
+    run, batches = replay_record(monkeypatch)
+    train(replace(cfg, episodes=200, replay_capacity=cap),
+          InstancePool(train=(inst,), test=(), seed=0))
+    wrapped = sum(n > 2 * cap for _, n in batches)
+    assert len(run) > 5 * cap and wrapped > 50
+    assert outside_replay(run, batches, cap) == 0
     _verdict(6, True,
-             f"FIFO at 10k verified, 720-step epsilon exact, {steps} updates")
+             f"FIFO at capacity {cap} over {len(run)} transitions verified, "
+             f"720-step epsilon exact, {steps} updates")
 
 
 def test_criterion_7_baseline_exactness():

@@ -205,6 +205,28 @@ class TestEvalCommand:
                      "--algorithms", "rl", "--out", str(tmp_path / "r")])
         assert code == EXIT_CHECKPOINT
 
+    @pytest.mark.parametrize("meta", [["a list"], {"t_emb": 0},
+                                      {"t_emb": "x"}, {"hidden": 1.5},
+                                      {"config": ["x"]}],
+                             ids=["list", "t_emb-0", "t_emb-x", "hidden-float",
+                                  "config-list"])
+    def test_malformed_metadata_is_checkpoint_error(self, dataset, tmp_path,
+                                                    meta):
+        code, ckpt = run_train(dataset, tmp_path)
+        assert code == EXIT_OK
+        with np.load(ckpt) as data:
+            arrays = dict(data)
+        if isinstance(meta, dict):
+            meta = {**json.loads(bytes(arrays["meta"]).decode()), **meta}
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez(ckpt, **arrays)
+        out = tmp_path / "r"
+        code = main(["eval", "--dataset", dataset, "--checkpoint-in", ckpt,
+                     "--seed", "7", *FAST_TRAIN, "--m", "5",
+                     "--algorithms", "rl", "--out", str(out)])
+        assert code == EXIT_CHECKPOINT
+        assert not out.exists()
+
     def test_nan_parameter_is_checkpoint_error(self, dataset, tmp_path):
         code, ckpt = run_train(dataset, tmp_path)
         assert code == EXIT_OK

@@ -1,3 +1,4 @@
+import json
 from unittest import mock
 
 import numpy as np
@@ -13,14 +14,14 @@ from fairseed.metrics import FairnessConfig, evaluate_seed_set, shaped_reward
 from fairseed import trainer
 from fairseed import qnet
 from fairseed.qnet import QNetwork, adam_step, encode_states, hidden_table
-from fairseed.trainer import (CheckpointError, ReplayBuffer, TrainConfig,
-                              TrainedPolicy, Transition, _bellman_targets,
+from fairseed.trainer import (CheckpointError, TrainConfig, TrainedPolicy,
+                              Transition, _bellman_targets,
                               epsilon_greedy_select, load_checkpoint,
                               save_checkpoint, select_seed_set, train)
 
 from conftest import (bfs_reach, feasible_candidates, fresh_rollout,
-                      make_instance, q_forward_batch, q_forward_table,
-                      random_tiny_instance)
+                      make_instance, outside_replay, q_forward_batch,
+                      q_forward_table, random_tiny_instance, replay_record)
 
 D_EMB = 8
 
@@ -59,27 +60,59 @@ def feasible_mask(selected, cost, remaining):
     return mask
 
 
+def reference_targets(net, batch, insts, embeddings, table_of, cfg):
+    """_bellman_targets, on the same arguments, from whole encode_states
+    rows, one transition at a time: the next state holds `seeds_before` and the action, and one with
+    no budget left, or no node that fits, adds nothing to the reward."""
+    states, targets = [], []
+    for t in batch:
+        inst, h = insts[t.instance_id], embeddings[t.instance_id]
+        cost = inst.attrs.cost
+        km = max(1, int(cfg.budget // cost.min()))
+        pre = t.budget_after + float(cost[t.action])
+        states.append(encode_states(np.array([t.action]), h,
+                                    len(t.seeds_before), pre,
+                                    inst.attrs, cfg.budget, km)[0])
+        y = t.reward
+        after = (*t.seeds_before, t.action)
+        cands = np.array([v for v in range(inst.graph.n)
+                          if v not in after and cost[v] <= t.budget_after])
+        if t.budget_after > 0.0 and len(cands):
+            nxt = encode_states(cands, h, len(after), t.budget_after,
+                                inst.attrs, cfg.budget, km)
+            y += cfg.discount * q_forward_batch(net, nxt).max()
+        targets.append(y)
+    return np.array(states), np.array(targets)
+
+
 class TestReplayBuffer:
+    """train's FIFO replay, in a run that wraps a small buffer many times
+    over."""
+
     @staticmethod
-    def t(i):
-        return Transition("x", (), i, 0.0, (i,), False, 1.0)
+    def record(monkeypatch):
+        cfg = toy_config(episodes=60, update_period=1, batch_size=4,
+                         replay_capacity=6)
+        run, batches = replay_record(monkeypatch)
+        sizes = []
+        pool = InstancePool(train=(toy_instance("a"), toy_instance("b")),
+                            test=(toy_instance("c"),), seed=0)
+        train(cfg, pool,
+              progress=lambda ev: sizes.append((ev["buffer_size"], len(run))))
+        assert len(run) > 5 * cfg.replay_capacity
+        assert sum(n > 2 * cfg.replay_capacity for _, n in batches) > 10
+        return cfg, run, batches, sizes
 
-    def test_fifo_eviction(self):
-        buf = ReplayBuffer(5)
-        for i in range(8):
-            buf.extend([self.t(i)])
-        assert len(buf) == 5
-        assert [tr.action for tr in buf] == [3, 4, 5, 6, 7]
+    def test_fifo_eviction(self, monkeypatch):
+        # every sampled transition is, by identity, one of the last
+        # replay_capacity transitions run, and the buffer holds no more
+        cfg, run, batches, sizes = self.record(monkeypatch)
+        assert outside_replay(run, batches, cfg.replay_capacity) == 0
+        assert all(size == min(n, cfg.replay_capacity) for size, n in sizes)
 
-    def test_sample_size(self, rng):
-        buf = ReplayBuffer(10)
-        for i in range(10):
-            buf.extend([self.t(i)])
-        assert len(buf.sample(4, rng)) == 4
-
-    def test_bad_capacity(self):
-        with pytest.raises(ValueError):
-            ReplayBuffer(0)
+    def test_sample_size(self, monkeypatch):
+        cfg, _, batches, _ = self.record(monkeypatch)
+        assert all(len(b) == cfg.batch_size for b, _ in batches)
 
 
 class TestConfigValidation:
@@ -94,6 +127,7 @@ class TestConfigValidation:
         dict(learning_rate=0.0), dict(learning_rate=-1.0),
         dict(fairness_weight=float("nan")),
         dict(fairness_weight=float("inf")),
+        dict(replay_capacity=0),
     ])
     def test_invalid(self, kw):
         with pytest.raises(ValueError):
@@ -208,7 +242,7 @@ class TestRunEpisode:
         policy, h = toy_policy(inst, cfg)
         transitions = run_episode(policy.net, inst, h, cfg, 0.0, rng)
         assert len(transitions) == 1
-        assert transitions[0].terminal
+        assert transitions[0].budget_after <= 0.0
         assert transitions[0].action == 0
 
     def test_step_rewards_are_increments(self, rng, monkeypatch):
@@ -240,7 +274,7 @@ class TestRunEpisode:
             total = 0.0
             for t in ts:
                 total += t.reward
-                s = SeedSet.build(t.seeds_after, attrs)
+                s = SeedSet.build((*t.seeds_before, t.action), attrs)
                 mask = bfs_reach(g.n, src, dst, live, s.nodes)
                 assert total == pytest.approx(
                     shaped_reward(attrs, inst.parts, mask, s.total_cost,
@@ -261,7 +295,7 @@ class TestRunEpisode:
             for k in range(episodes):
                 ts = run_episode(policy.net, inst, h, cfg, 0.0, rng)
                 returns[k] = sum(t.reward for t in ts)
-                finals.add(ts[-1].seeds_after)
+                finals.add((*ts[-1].seeds_before, ts[-1].action))
             assert len(finals) == 1 and len(ts) > 1
             s = SeedSet.build(finals.pop(), inst.attrs)
             exact = exact_expected_shaped_objective(
@@ -279,7 +313,7 @@ class TestRunEpisode:
             assert len(ts) <= int(cfg.budget // c_min)
             total = 0.0
             for prev, nxt in zip(ts, ts[1:]):
-                assert set(nxt.seeds_before) == set(prev.seeds_after)
+                assert nxt.seeds_before == (*prev.seeds_before, prev.action)
             for t in ts:
                 total += inst.attrs.cost[t.action]
                 assert t.budget_after >= 0.0
@@ -418,28 +452,6 @@ class TestTableLifetime:
                  for t in run_episode(net, insts[k], embeddings[k], cfg, 0.7,
                                       rng)]
 
-        def reference():
-            states, targets = [], []
-            for t in batch:
-                inst, h = insts[t.instance_id], embeddings[t.instance_id]
-                cost = inst.attrs.cost
-                km = max(1, int(cfg.budget // cost.min()))
-                pre = t.budget_after + float(cost[t.action])
-                states.append(encode_states(np.array([t.action]), h,
-                                            len(t.seeds_before), pre,
-                                            inst.attrs, cfg.budget, km)[0])
-                y = t.reward
-                cands = np.array([v for v in range(inst.graph.n)
-                                  if v not in t.seeds_after
-                                  and cost[v] <= t.budget_after])
-                if not t.terminal and len(cands):
-                    nxt = encode_states(cands, h, len(t.seeds_after),
-                                        t.budget_after, inst.attrs, cfg.budget,
-                                        km)
-                    y += cfg.discount * q_forward_batch(net, nxt).max()
-                targets.append(y)
-            return np.array(states), np.array(targets)
-
         def table_of(k):
             return hidden_table(net, embeddings[k], insts[k].attrs.cost,
                                 cfg.budget)
@@ -448,10 +460,53 @@ class TestTableLifetime:
         _, before = _bellman_targets(net, *args)
         self.update(net, rng)
         states, targets = _bellman_targets(net, *args)
-        want_states, want_targets = reference()
+        want_states, want_targets = reference_targets(net, *args)
         assert np.array_equal(states, want_states)
         np.testing.assert_allclose(targets, want_targets, rtol=0, atol=1e-12)
         assert np.abs(targets - before).max() > 1e-6
+
+    def targets_and_reference(self, batch, cfg):
+        """_bellman_targets of `batch` on the toy instance "a", and the
+        reference's."""
+        insts = {"a": toy_instance("a")}
+        policy, h = toy_policy(insts["a"], cfg)
+        args = (batch, insts, {"a": h},
+                lambda k: hidden_table(policy.net, h, insts[k].attrs.cost,
+                                       cfg.budget), cfg)
+        return (_bellman_targets(policy.net, *args),
+                reference_targets(policy.net, *args))
+
+    def test_first_step_batch(self, rng):
+        # every seeds_before is empty: each next state holds the action alone
+        cfg = toy_config(budget=8.0)
+        inst = toy_instance("a")
+        policy, h = toy_policy(inst, cfg)
+        batch = [run_episode(policy.net, inst, h, cfg, 1.0, rng)[0]
+                 for _ in range(8)]
+        assert all(t.seeds_before == () for t in batch)
+        (states, targets), (want_states, want_targets) = \
+            self.targets_and_reference(batch, cfg)
+        assert np.array_equal(states, want_states)
+        np.testing.assert_allclose(targets, want_targets, rtol=0, atol=1e-12)
+        assert np.all(targets != [t.reward for t in batch])
+
+    @pytest.mark.parametrize("rows", [slice(None), slice(1, 2)])
+    def test_no_budget_left_target_is_the_reward(self, rows):
+        # costs 2 + 2 + 4 spend the whole budget of 8: nothing fits the
+        # next state of action 3, so its target is its reward, exactly,
+        # in a batch of mixed seed counts and in a batch of its own
+        cfg = toy_config(budget=8.0)
+        batch = [Transition("a", (), 2, 3.0, 7.0),
+                 Transition("a", (0, 4), 3, -2.25, 0.0),
+                 Transition("a", (2,), 0, 1.5, 5.0)][rows]
+        (states, targets), (want_states, want_targets) = \
+            self.targets_and_reference(batch, cfg)
+        assert np.array_equal(states, want_states)
+        np.testing.assert_allclose(targets, want_targets, rtol=0, atol=1e-12)
+        done = [i for i, t in enumerate(batch) if t.budget_after == 0.0]
+        assert done and targets[done[0]] == -2.25
+        assert all(targets[i] != t.reward
+                   for i, t in enumerate(batch) if i not in done)
 
     def test_discount_zero_targets_are_the_rewards(self, rng, monkeypatch):
         # no bootstrap at discount 0: no next-state table, mask or score
@@ -461,7 +516,7 @@ class TestTableLifetime:
         net, embeddings = policy.net, {"a": h}
         batch = [t for _ in range(4)
                  for t in run_episode(net, insts["a"], h, cfg, 0.7, rng)]
-        assert any(not t.terminal for t in batch)
+        assert any(t.budget_after > 0.0 for t in batch)
         want_states, _ = _bellman_targets(
             net, batch, insts, embeddings,
             lambda k: hidden_table(net, h, insts[k].attrs.cost, cfg.budget),
@@ -622,7 +677,7 @@ class TestMaxSeeds:
         cfg = toy_config(budget=budget)
         policy, h = toy_policy(inst, cfg)
         episode = run_episode(policy.net, inst, h, cfg, 0.0, rng)
-        assert len(episode) == 27 and not episode[-1].terminal
+        assert len(episode) == 27 and episode[-1].budget_after > 0.0
         _bellman_targets(policy.net, episode, {inst.id: inst}, {inst.id: h},
                          lambda _: hidden_table(policy.net, h, inst.attrs.cost,
                                                 budget), cfg)
@@ -727,6 +782,32 @@ class TestCheckpoint:
         arrays[name].flat[0] = bad
         np.savez(path, **arrays)
         with pytest.raises(CheckpointError, match=name):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("change", [
+        [1, 2], "meta", {"t_emb": 0}, {"t_emb": "x"}, {"t_emb": 2.0},
+        {"hidden": 0}, {"hidden": -16}, {"d_emb": True}, {"d_emb": None},
+        {"in_dim": "11"}, {"config": 7},
+    ], ids=["list", "string", "t_emb-0", "t_emb-x", "t_emb-float", "hidden-0",
+            "hidden-negative", "d_emb-bool", "d_emb-null", "in_dim-string",
+            "config-number"])
+    def test_malformed_metadata_rejected(self, tmp_path, change):
+        # metadata that is not a JSON object, or a dimension that is not an
+        # integer >= 1, is a CheckpointError, never an AttributeError or a
+        # policy that fails later
+        cfg = toy_config(episodes=2)
+        policy = train(cfg, InstancePool(train=(toy_instance("a"),),
+                                         test=(), seed=0))
+        path = str(tmp_path / "ckpt.npz")
+        save_checkpoint(path, policy, cfg)
+        with np.load(path) as data:
+            arrays = dict(data)
+        meta = json.loads(bytes(arrays["meta"]).decode())
+        meta = {**meta, **change} if isinstance(change, dict) else change
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(),
+                                       dtype=np.uint8)
+        np.savez(path, **arrays)
+        with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
     def test_garbage_rejected(self, tmp_path):
