@@ -10,12 +10,14 @@ to a uint64 word, m * E / 8 bytes that every seed set evaluated under
 common random numbers can share; its docstring gives the compare, the
 chunk size and the packing. `_reach` pushes a cascade
 through those words for 64 rollouts at once, with bitwise AND and OR;
-rollout_masks unpacks its result into (R, n) reached masks, and
-estimate_spread_and_benefit averages them. Training instead grows one
-rollout's reached mask a seed at a time: live_arc_lists turns the rollout's
-bool live-arc row into Python CSR lists once, and simulate_ic extends the
-mask by a stack search over them that stops at nodes already reached, so an
-episode expands each node at most once.
+rollout_masks unpacks its result node-major, one (n, R) bool block per
+chunk, and yields each block's (R, n) transposed view.
+estimate_spread_and_benefit, like metrics.evaluate_seed_set, sums each
+rollout on the node-major block and averages the sums. Training instead
+grows one rollout's reached mask a seed at a time: live_arc_lists turns the
+rollout's bool live-arc row into Python CSR lists once, and simulate_ic
+extends the mask by a stack search over them that stops at nodes already
+reached, so an episode expands each node at most once.
 The exact_* functions enumerate every live-arc realization (feasible up to
 20 arcs) and serve as test oracles for the Monte Carlo path.
 """
@@ -50,9 +52,10 @@ class SeedSet:
 
 # Size of one chunk of rollouts, in matrix entries: rollout_masks yields
 # (R, n) reached masks of CHUNK_ENTRIES // max(E, n) rows. Evaluation sums
-# each mask chunk with matrix-vector products, whose rounding can depend on
-# a row's place in its chunk, so that row count is part of the reported
-# results. live_arcs sizes its chunks of draws from it too (see there).
+# each rollout of a chunk with one vector-matrix product over the chunk's
+# node-major (n, R) cast, whose rounding can depend on the rollout's place
+# in its chunk, so that row count is part of the reported results.
+# live_arcs sizes its chunks of draws from it too (see there).
 CHUNK_ENTRIES = 1 << 20
 WORD_BITS = 64
 WORD = np.dtype("<u8")  # little-endian: byte k holds rollouts 8k..8k+7
@@ -206,10 +209,12 @@ def live_arcs(g: Graph, m: int, seed: int) -> LiveArcs:
 
 def rollout_masks(g: Graph, s: SeedSet, live: LiveArcs):
     """Reached masks of the rollouts whose live arcs `live_arcs` drew,
-    yielded in order as C-contiguous (R, n) bool chunks, m rows in all.
+    yielded in order as (R, n) bool chunks, m rows in all.
 
     The kernel reaches all m rollouts at once, on the packed words; each
-    chunk unpacks the bits of its rows only.
+    chunk unpacks the bits of its rows only, node-major, and is yielded as
+    the transposed view of that (n, R) block, without a copy: `masks.T` is
+    the node-major block, on which the estimators sum each rollout.
     """
     octets = _reach(g, s.nodes, live.words).view(np.uint8)
     step = _chunk_rows(g)
@@ -217,9 +222,8 @@ def rollout_masks(g: Graph, s: SeedSet, live: LiveArcs):
         hi = min(lo + step, live.m)
         first = lo // 8
         bits = np.unpackbits(octets[:, first:-(-hi // 8)], axis=1,
-                             bitorder="little")
-        yield np.ascontiguousarray(
-            bits[:, lo - 8 * first:hi - 8 * first].T).view(bool)
+                             bitorder="little").view(bool)
+        yield bits[:, lo - 8 * first:hi - 8 * first].T
 
 
 def estimate_spread_and_benefit(g: Graph, attrs: NodeAttrs, s: SeedSet,
@@ -234,7 +238,7 @@ def estimate_spread_and_benefit(g: Graph, attrs: NodeAttrs, s: SeedSet,
     reached, benefits = 0, []
     for masks in rollout_masks(g, s, live_arcs(g, m, seed)):
         reached += np.count_nonzero(masks)
-        benefits.append(masks @ attrs.benefit)
+        benefits.append(attrs.benefit @ masks.T.astype(np.float64))
     benefits = np.concatenate(benefits)
     return float(reached / m), float(benefits.mean()), benefits
 
@@ -287,7 +291,12 @@ def exact_expected_profit(g: Graph, attrs: NodeAttrs, s: SeedSet) -> float:
 def exact_expected_shaped_objective(g: Graph, attrs: NodeAttrs,
                                     parts: CommunityPartition, s: SeedSet,
                                     weight: float) -> float:
-    """Exact E[benefit] - cost + weight * E[min-community benefit ratio]."""
+    """Exact E[benefit] - cost + weight * E[min-community benefit ratio].
+
+    Like metrics.shaped_reward, whose expectation it is, it rejects a
+    negative weight."""
+    if weight < 0:
+        raise ValueError("fairness weight must be nonnegative")
     prob, reach = _enumerate_reach(g, s)
     reached_bit = np.stack([(reach >> v) & 1 for v in range(g.n)])  # (n, 2^E)
     expected_benefit = float(attrs.benefit @ reached_bit @ prob)

@@ -37,7 +37,9 @@ def community_ratios(masks: np.ndarray, parts: CommunityPartition) -> np.ndarray
     the total benefit of c. Its minimum over c is the maximin fairness of
     one rollout, the per-community criterion of group-fair influence
     maximization (Tsang et al., IJCAI 2019). Apart from the exact oracle in
-    `diffusion`, this is the one place that computes the ratios.
+    `diffusion`, this is the one place that computes the ratios. An (R, n)
+    argument may have any layout: evaluate_seed_set passes the transposed
+    view of a node-major (n, R) float cast.
     """
     return (masks @ parts.weights) / parts.total_benefit
 
@@ -76,9 +78,9 @@ def evaluate_seed_set(g: Graph, attrs: NodeAttrs, parts: CommunityPartition,
     cost = s.total_cost
     profits, ratios = [], []
     for masks in rollout_masks(g, s, live):
-        reached = masks.astype(np.float64)  # matmul's cast, made once
-        profits.append(reached @ attrs.benefit - cost)
-        ratios.append(community_ratios(reached, parts))
+        reached = masks.T.astype(np.float64)  # (n, R), made once
+        profits.append(attrs.benefit @ reached - cost)
+        ratios.append(community_ratios(reached.T, parts))
         del reached  # freed before the next chunk is unpacked
     profits, ratios = np.concatenate(profits), np.concatenate(ratios)
     fairs = ratios.min(axis=1)

@@ -610,3 +610,12 @@ class TestExactOracle:
         s = SeedSet.build([0], attrs)
         got = exact_expected_shaped_objective(g, attrs, parts, s, weight=2.0)
         assert got == pytest.approx(15.0 - 2.0 + 2.0 * 1.0)
+
+    def test_shaped_objective_rejects_negative_weight(self):
+        # as metrics.shaped_reward, whose expectation it is, does
+        g = graph_from_edges(2, [(0, 1, 0.5)], directed=True)
+        attrs = make_attrs(2, labels=[0, 1])
+        parts = CommunityPartition.from_labels(attrs.community, attrs.benefit)
+        s = SeedSet.build([0], attrs)
+        with pytest.raises(ValueError, match="nonnegative"):
+            exact_expected_shaped_objective(g, attrs, parts, s, weight=-1.0)

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fairseed import diffusion
-from fairseed.diffusion import (SeedSet, live_arc_lists, live_arcs,
-                                rollout_masks, simulate_ic)
+from fairseed.diffusion import (SeedSet, estimate_spread_and_benefit,
+                                live_arc_lists, live_arcs, rollout_masks,
+                                simulate_ic)
 from fairseed.graph import CommunityPartition, graph_from_edges
 from fairseed.metrics import (FairnessConfig, community_ratios,
                               evaluate_seed_set, shaped_reward)
@@ -197,33 +198,63 @@ class TestEvaluateSeedSet:
         assert rep1.profit == pytest.approx(profits1.mean())
         assert rep1.fairness == pytest.approx(fairs1.mean())
 
-    def test_rollout_values_equal_bool_chunk_products(self, monkeypatch):
-        # per-rollout profits and fairness are the products on the bool mask
-        # chunks, bit for bit, over several chunks of seven rollouts
+    @staticmethod
+    def random_instance():
+        # random (not power-of-two) benefits, so the summation order of a
+        # rollout's benefit shows in its last bits
         rng = np.random.default_rng(8)
         n = 30
         edges = [(u, v, float(rng.uniform(0.05, 0.4)))
                  for u in range(n) for v in range(u + 1, n)
                  if rng.random() < 0.15]
-        inst = make_instance("chunks", n, edges, directed=True,
+        return make_instance("chunks", n, edges, directed=True,
                              cost=rng.uniform(1, 5, n),
                              benefit=rng.uniform(1, 10, n),
                              labels=rng.integers(0, 3, n))
+
+    def test_rollout_values_equal_bool_chunk_products(self, monkeypatch):
+        # per-rollout profits and fairness are the node-major products on
+        # the C-ordered (n, R) float cast of each yielded bool mask chunk,
+        # bit for bit, over several chunks of seven rollouts
+        inst = self.random_instance()
         g, attrs, parts = inst.graph, inst.attrs, inst.parts
         monkeypatch.setattr(diffusion, "CHUNK_ENTRIES",
-                            7 * max(g.num_arcs, n))
+                            7 * max(g.num_arcs, g.n))
         s = SeedSet.build([0, 5, 11], attrs)
         live = live_arcs(g, 50, 13)
         chunks = list(rollout_masks(g, s, live))
         assert len(chunks) >= 3 and chunks[0].dtype == bool
+        assert [c.shape for c in chunks[:2]] == [(7, g.n)] * 2
         _, profits, fairs = evaluate_seed_set(g, attrs, parts, s, live,
                                               FairnessConfig())
-        want = np.concatenate([masks @ attrs.benefit - s.total_cost
-                               for masks in chunks])
+        casts = [masks.T.astype(float, order="C") for masks in chunks]
+        want = np.concatenate([attrs.benefit @ reached - s.total_cost
+                               for reached in casts])
         assert len(set(want)) > 1
         assert np.array_equal(profits, want)
         assert np.array_equal(fairs, np.concatenate([
-            community_ratios(masks, parts).min(axis=1) for masks in chunks]))
+            community_ratios(reached.T, parts).min(axis=1)
+            for reached in casts]))
+
+    @pytest.mark.parametrize("rows", [None, 3])
+    def test_estimate_and_evaluation_share_one_product(self, monkeypatch,
+                                                       rows):
+        # on one draw, the estimate's per-rollout benefits less the seed
+        # cost are the evaluation's per-rollout profits, bit for bit, at
+        # the default chunk size and at chunks of a few rollouts
+        inst = self.random_instance()
+        g, attrs = inst.graph, inst.attrs
+        if rows is not None:
+            monkeypatch.setattr(diffusion, "CHUNK_ENTRIES",
+                                rows * max(g.num_arcs, g.n))
+        s = SeedSet.build([2, 9], attrs)
+        m, seed = 40, 21
+        _, _, benefits = estimate_spread_and_benefit(g, attrs, s, m, seed)
+        _, profits, _ = evaluate_seed_set(g, attrs, inst.parts, s,
+                                          live_arcs(g, m, seed),
+                                          FairnessConfig())
+        assert len(set(profits)) > 1
+        assert np.array_equal(benefits - s.total_cost, profits)
 
     def test_fairness_config_validation(self):
         with pytest.raises(ValueError):
