@@ -21,7 +21,7 @@ from .graph import (CommunityPartition, Graph, Instance, InstancePool,
                     graph_from_edges, load_edge_list, load_node_attributes,
                     sample_subgraph)
 from .metrics import (FairnessConfig, MetricReport, community_ratios,
-                      evaluate_seed_set, shaped_reward)
+                      evaluate_seed_set, shaped_return)
 from .qnet import (QNetwork, QTable, adam_step, best_feasible,
                    best_feasible_rows, encode_states, hidden_table,
                    q_loss_and_grad)

@@ -16,8 +16,9 @@ estimate_spread_and_benefit, like metrics.evaluate_seed_set, sums each
 rollout on the node-major block and averages the sums. Training instead
 grows one rollout's reached mask a seed at a time: live_arc_lists turns the
 rollout's bool live-arc row into Python CSR lists once, and simulate_ic
-extends the mask by a stack search over them that stops at nodes already
-reached, so an episode expands each node at most once.
+extends the mask in place by a stack search over them that stops at nodes
+already reached and reports the nodes it newly reached, so an episode
+expands, and earns the benefit of, each node at most once.
 The exact_* functions enumerate every live-arc realization (feasible up to
 20 arcs) and serve as test oracles for the Monte Carlo path.
 """
@@ -131,26 +132,28 @@ def live_arc_lists(g: Graph, live: np.ndarray) -> tuple[list, list]:
 
 
 def simulate_ic(arcs: tuple[list, list], reached: np.ndarray,
-                seeds) -> np.ndarray:
-    """Extend one rollout's reached mask from new seeds.
+                seeds) -> list[int]:
+    """Grow one rollout's reached mask from new seeds, in place.
 
     `arcs` is the rollout's live_arc_lists, and `reached` the (n,) bool
     mask already reached on those same live arcs (all False for a fresh
     rollout). The search stops at reached nodes, so `reached` must have been
     grown on these arcs: a mask from other arcs gives a wrong result.
-    Returns a new mask, the reach of the old seeds and `seeds` together;
-    `reached` is left as it was. Each call expands only the nodes it newly
-    reaches, so a mask grown one seed at a time expands each node once.
+    Afterwards `reached` holds the reach of the old seeds and `seeds`
+    together. Returns the nodes it newly reached, each once, in the order
+    reached: an episode that grows one mask seed by seed is told of each
+    node once, and expands each node once.
     """
     indptr, targets = arcs
-    out = reached.copy()
+    new = []
     stack = list(seeds)
     while stack:
         v = stack.pop()
-        if not out[v]:
-            out[v] = True
+        if not reached[v]:
+            reached[v] = True
+            new.append(v)
             stack.extend(targets[indptr[v]:indptr[v + 1]])
-    return out
+    return new
 
 
 def live_arcs(g: Graph, m: int, seed: int) -> LiveArcs:
@@ -293,8 +296,8 @@ def exact_expected_shaped_objective(g: Graph, attrs: NodeAttrs,
                                     weight: float) -> float:
     """Exact E[benefit] - cost + weight * E[min-community benefit ratio].
 
-    Like metrics.shaped_reward, whose expectation it is, it rejects a
-    negative weight."""
+    Like metrics.shaped_return, whose expectation over live-arc
+    realizations it is, it rejects a negative weight."""
     if weight < 0:
         raise ValueError("fairness weight must be nonnegative")
     prob, reach = _enumerate_reach(g, s)

@@ -1,9 +1,10 @@
-"""Profit and community fairness of reached masks: the shaped return of one
-rollout, used by training, and the Monte Carlo evaluation of a seed set."""
+"""Profit and community fairness: the shaped return of one rollout, used by
+training, and the Monte Carlo evaluation of a seed set."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import truediv
 
 import numpy as np
 
@@ -37,27 +38,33 @@ def community_ratios(masks: np.ndarray, parts: CommunityPartition) -> np.ndarray
     the total benefit of c. Its minimum over c is the maximin fairness of
     one rollout, the per-community criterion of group-fair influence
     maximization (Tsang et al., IJCAI 2019). Apart from the exact oracle in
-    `diffusion`, this is the one place that computes the ratios. An (R, n)
-    argument may have any layout: evaluate_seed_set passes the transposed
-    view of a node-major (n, R) float cast.
+    `diffusion` and shaped_return, which divides one rollout's running
+    community totals by the same `parts.total_benefit`, this is the one
+    place that computes the ratios. An (R, n) argument may have any layout:
+    evaluate_seed_set passes the transposed view of a node-major (n, R)
+    float cast.
     """
     return (masks @ parts.weights) / parts.total_benefit
 
 
-def shaped_reward(attrs: NodeAttrs, parts: CommunityPartition,
-                  reached: np.ndarray, cost: float, weight: float) -> float:
-    """Shaped return of one rollout: the benefit of the (n,) reached mask,
-    minus the seed cost, plus weight * its maximin fairness min_c ratio_c.
+def shaped_return(earned: float, community_earned, parts: CommunityPartition,
+                  cost: float, weight: float) -> float:
+    """Shaped return of one rollout: its earned benefit, minus the seed
+    cost, plus weight * its maximin fairness min_c ratio_c, from the
+    rollout's totals: `earned` is the benefit of its reached nodes and
+    `community_earned[c]` the part of it that community c's members earn.
 
-    Training evaluates it after each step of an episode on the episode's one
-    live-arc realization, so the difference of consecutive returns is the
-    step's exact increment under that realization. Its expectation over
+    Training keeps those totals for the episode's one live-arc realization,
+    adding each node as the cascade first reaches it, and evaluates this
+    after each step, so the difference of consecutive returns is the step's
+    exact increment under that realization. Its expectation over
     realizations is exact_expected_shaped_objective of the seed set.
     """
     if weight < 0:
         raise ValueError("fairness weight must be nonnegative")
-    return float(reached @ attrs.benefit - cost
-                 + weight * community_ratios(reached, parts).min())
+    fairness = min(map(truediv, community_earned,
+                       parts.total_benefit.tolist()))
+    return earned - cost + weight * fairness
 
 
 def evaluate_seed_set(g: Graph, attrs: NodeAttrs, parts: CommunityPartition,

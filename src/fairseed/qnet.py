@@ -5,42 +5,33 @@ The state is the candidate's embedding plus three scale-free scalars
 (candidate cost / budget, remaining budget / budget, seeds picked / max
 feasible seeds), 67 entries at the default embedding width of 64.
 
-The first layer is linear in s_v = [h_v, c_v/B, R/B, k/k_max]: its
-pre-activation is T[v] + (R/B) u + (k/k_max) v with u = W1[:, d+1] and
-v = W1[:, d+2], where the (n, hidden) table T = [h, c/B] W1[:, :d+1]^T + b1
-is fixed per instance and budget. So with the step's shift s,
+The first layer is linear in the state, so with the (n, hidden) table
+T = [h, c/B] W1[:, :d+1]^T + b1, fixed per instance and budget, and the
+step's shift s = (R/B) W1[:, d+1] + (k/k_max) W1[:, d+2],
 
     Q_v = relu(T[v] + s) . w2 + b2 = P_v(s) + s . w2 + b2,
-    P_v(s) = sum_j w2_j max(T[v, j], -s_j),
+    P_v(s) = sum_j w2_j max(T[v, j], -s_j).
 
-and only P_v depends on the node. While R/B and k/k_max lie in [0, 1],
-s_j lies between lo_j = min(u_j, 0) + min(v_j, 0) and hi_j = max(u_j, 0) +
-max(v_j, 0), and each term of P_v is monotone in s_j (falling where
-w2_j > 0, rising elsewhere). So P_v at the corner c_up (lo_j where
-w2_j > 0, hi_j elsewhere) bounds it from above at every such step, and at
-the opposite corner c_lo from below. `hidden_table` builds T with both
-bounds (a `QTable`); `best_feasible` then scores exactly only the feasible
-nodes whose upper bound reaches the largest feasible lower bound, less a
-margin that covers the rounding of every sum involved. A node left out
-scores below some scored node in any summation order, so pruning never
-drops a node that whole-table scoring could pick. The scorer gives up and
-scores the whole table, masked, when the table's bounds leave more than
-n/4 nodes able to win (decided once per table; an untrained network's
-bounds are loose), when a step leaves more than n/4 candidates (gathering
-rows costs more per row than the whole-table product), and when R/B or
-k/k_max lies outside [0, 1], where the bounds do not hold.
-`best_feasible_rows` applies the same rule to a stack of steps at once
-(the Bellman next states of one instance) and scores the steps it keeps
-in one product.
+Validity: while R/B and k/k_max lie in [0, 1] (the box), each term of P_v
+is monotone in s_j over a known interval, so `hidden_table` bounds P_v
+from above and below at every such step (a `QTable`). `best_feasible`
+scores only the feasible nodes whose upper bound reaches the largest
+feasible lower bound, less a margin that covers the rounding of every sum,
+so a node left out scores below a scored one in any summation order. It
+scores the whole table instead when the bounds leave more than n/4 nodes
+able to win, or the step lies outside the box.
+
+One candidate: the feasible node of the largest lower bound always passes
+that test, so when it is the only one left it is the first maximum of any
+whole-table scoring, and `best_feasible` returns it unscored.
+`best_feasible_rows`, which must return values, always scores. The skipped
+score is finite, as `_scores` would check: `hidden_table` rejects a table
+whose entries or bounds are not finite, or whose bound on the size of
+every score in the box is not (see there).
 
 A table scores for the network as it stood when the table was built, so
-after an `adam_step` it must be rebuilt before it scores again. Training
-owns one table per instance for the whole run (the table, its bounds and
-its fixed [h, c/B] design matrix) and, after each update, rebuilds it in
-place with `hidden_table(..., out=table)` when it is next used: a new
-table maps fresh pages, about 100 minor page faults each. Greedy
-selection builds a standalone table, which shares no memory with
-training's.
+after an `adam_step` it is rebuilt in place (`hidden_table(..., out=table)`)
+before it scores again.
 """
 
 from __future__ import annotations
@@ -134,7 +125,8 @@ def hidden_table(net: QNetwork, h: NodeEmbeddings, cost: np.ndarray,
     """The table T above with its bounds, for `net` as it stands. `out`, a
     table that an earlier call built from the same h, cost and budget, is
     rebuilt in place and returned; otherwise the table is new. Raises
-    ValueError when a table entry or bound is not finite."""
+    ValueError when a table entry or bound, or the bound on the size of the
+    scores in the box, is not finite."""
     d = h.dim
     if out is None:
         n = len(cost)
@@ -163,11 +155,13 @@ def hidden_table(net: QNetwork, h: NodeEmbeddings, cost: np.ndarray,
     # the largest lower bound, even after rounding, once the margin exceeds
     # the error of ub_v, lb_w, P_v and P_w and of adding the shared
     # s . w2 + b2 to each: (4 h + 4) eps/2 scale. This margin is twice that.
+    # Both P_v and s . w2 + b2 are at most `scale` in size on the box, so a
+    # finite 2 scale keeps every score there finite, scored or not.
     largest = np.maximum(-hidden.min(), hidden.max())  # of |T|
     scale = np.abs(net.w2) @ np.maximum(largest, np.maximum(-lo, hi)) \
         + abs(net.b2[0])
     margin = float(4 * (net.hidden_dim + 1) * np.finfo(float).eps * scale)
-    if not (np.isfinite(margin) and np.isfinite(upper).all()
+    if not (np.isfinite(2.0 * scale) and np.isfinite(upper).all()
             and np.isfinite(lower).all()):
         raise ValueError("hidden table or its bounds are not finite")
     out.margin = margin
@@ -207,48 +201,68 @@ def _scores(net: QNetwork, rows: np.ndarray, shift: np.ndarray) -> np.ndarray:
     return q
 
 
+def _candidates(table: QTable, ids: np.ndarray, a, b
+                ) -> tuple[np.ndarray, bool]:
+    """The feasible nodes `ids` (ascending) that scoring must cover at the
+    step with R/B = a and k/k_max = b, and whether their rows are gathered:
+    the nodes that can still win, gathered, when the bounds hold and leave
+    few of them; otherwise all of `ids`, scored on the whole table."""
+    if table.prunes and _in_box(a, b):
+        cands = ids[table.upper[ids] >= _threshold(table, table.lower[ids])]
+        if _few(len(cands), len(table.hidden)):
+            return cands, True
+    return ids, False
+
+
+def _first_max(net: QNetwork, table: QTable, ids: np.ndarray, gathered: bool,
+               a, b) -> tuple[int, float]:
+    """(node id, Q-value) of the first maximum of Q over the nodes `ids` of
+    `_candidates`; raises ValueError when a score is not finite."""
+    rows = table.hidden[ids] if gathered else table.hidden
+    q = _scores(net, rows, _shift(net, a, b))
+    if not gathered:
+        q = q[ids]
+    i = int(np.argmax(q))  # first max: the lowest node id
+    return int(ids[i]), float(q[i])
+
+
 def best_feasible(net: QNetwork, table: QTable, feasible: np.ndarray,
                   seed_count: int, remaining_budget: float, budget: float,
-                  k_max: int) -> tuple[int, float] | None:
-    """(node id, Q-value) of the first maximum of Q over the nodes of the
-    (n,) bool mask `feasible` at this step (`seed_count` seeds picked,
+                  k_max: int) -> int | None:
+    """The node id of the first maximum of Q over the nodes of the (n,) bool
+    mask `feasible` at this step (`seed_count` seeds picked,
     `remaining_budget` left), or None when the mask is all False. `table`
     is `net`'s current `hidden_table`. Scores only the nodes that can still
-    win when the bounds allow (see above), the whole table otherwise; raises
-    ValueError when a score is not finite. Ties go to the lowest node id
-    among bit-equal scores; BLAS rounds a row by its place in the matrix,
-    so nodes with equal rows need not score equal."""
+    win when the bounds allow, none when that leaves one (see above), the
+    whole table otherwise; raises ValueError when a score is not finite.
+    Ties go to the lowest node id among bit-equal scores; BLAS rounds a row
+    by its place in the matrix, so nodes with equal rows need not score
+    equal."""
     ids = np.flatnonzero(feasible)
     if len(ids) == 0:
         return None
     a, b = remaining_budget / budget, seed_count / k_max
-    rows = table.hidden
-    if table.prunes and _in_box(a, b):
-        cands = ids[table.upper[ids] >= _threshold(table, table.lower[ids])]
-        if _few(len(cands), len(rows)):
-            ids, rows = cands, rows[cands]
-    q = _scores(net, rows, _shift(net, a, b))
-    if rows is table.hidden:
-        q = q[ids]
-    i = int(np.argmax(q))  # first max: the lowest node id
-    return int(ids[i]), float(q[i])
+    ids, gathered = _candidates(table, ids, a, b)
+    if gathered and len(ids) == 1:
+        return int(ids[0])
+    return _first_max(net, table, ids, gathered, a, b)[0]
 
 
 def best_feasible_rows(net: QNetwork, table: QTable, feasible: np.ndarray,
                        seed_count: np.ndarray, remaining_budget: np.ndarray,
                        budget: float, k_max: int
                        ) -> tuple[np.ndarray, np.ndarray]:
-    """`best_feasible` for each row of the (k, n) bool mask `feasible`, at
-    the step of `seed_count[r]` seeds picked and `remaining_budget[r]` left:
-    the (k,) node ids and Q-values, -1 and 0.0 on a row with no feasible
-    node.
+    """The first maximum of Q, as `best_feasible` picks it, and its value
+    for each row of the (k, n) bool mask `feasible`, at the step of
+    `seed_count[r]` seeds picked and `remaining_budget[r]` left: the (k,)
+    node ids and Q-values, -1 and 0.0 on a row with no feasible node.
 
     The rows that the pruning rule lets score only their candidates are
     scored in one product over the sorted union of their candidates, each
     row's maximum taken over its own candidates alone, so the first
     maximum is the lowest node id (among bit-equal scores, as above). The
-    other rows go to `best_feasible` one by one, and so do all rows when
-    the product would hold more entries than the table itself.
+    other rows are scored one by one, and so are all rows when the product
+    would hold more entries than the table itself.
     """
     k, n = feasible.shape
     ids, values = np.full(k, -1), np.zeros(k)
@@ -270,11 +284,10 @@ def best_feasible_rows(net: QNetwork, table: QTable, feasible: np.ndarray,
             best = np.argmax(q, axis=1)
             ids[batched] = union[best]
             values[batched] = q[np.arange(len(best)), best]
-    for r in np.flatnonzero(~batched):
-        got = best_feasible(net, table, feasible[r], seed_count[r],
-                            remaining_budget[r], budget, k_max)
-        if got is not None:
-            ids[r], values[r] = got
+    for r in np.flatnonzero(~batched & feasible.any(axis=1)):
+        cands, gathered = _candidates(table, np.flatnonzero(feasible[r]),
+                                      a[r], b[r])
+        ids[r], values[r] = _first_max(net, table, cands, gathered, a[r], b[r])
     return ids, values
 
 

@@ -14,7 +14,7 @@ from .diffusion import SeedSet, live_arc_lists, simulate_ic
 from .embedding import (EmbeddingParams, NodeEmbeddings, compute_embeddings,
                         init_embedding_params)
 from .graph import Instance, InstancePool
-from .metrics import shaped_reward
+from .metrics import shaped_return
 from .qnet import QNetwork, QTable, adam_step, best_feasible, \
     best_feasible_rows, encode_states, hidden_table, q_loss_and_grad
 from .seeding import derive_seed
@@ -111,7 +111,7 @@ def epsilon_greedy_select(net: QNetwork, table: QTable, feasible: np.ndarray,
         ids = np.flatnonzero(feasible)
         return int(ids[rng.integers(len(ids))])
     return best_feasible(net, table, feasible, seed_count, remaining, budget,
-                         k_max)[0]
+                         k_max)
 
 
 def _max_seeds(cost: np.ndarray, budget: float) -> int:
@@ -172,13 +172,20 @@ def run_episode(net: QNetwork, instance: Instance, table: QTable,
     `config.budget`. The episode runs on one live-arc realization, drawn
     from `rng` before the first step and turned into live-arc lists once.
     Each step extends the reached mask from the new seed only, by a search
-    over those lists that stops at nodes already reached, and its reward is
-    the increase of the shaped return under that realization, so an
-    episode's rewards sum to its final seed set's shaped return.
+    over those lists that stops at nodes already reached, and adds the
+    benefit of the nodes it newly reached to running totals, overall and by
+    community (`instance.parts`). Its reward is the increase of the shaped
+    return of those totals, so an episode's rewards sum to its final seed
+    set's shaped return under that realization.
     """
     g, attrs, parts = instance.graph, instance.attrs, instance.parts
     arcs = live_arc_lists(g, rng.random(g.num_arcs) < g.probs)
     reached = np.zeros(g.n, dtype=bool)
+    community = np.empty(g.n, dtype=np.intp)
+    for c, members in enumerate(parts.members):
+        community[members] = c
+    benefit, community = attrs.benefit.tolist(), community.tolist()
+    earned, community_earned = 0.0, [0.0] * parts.count
     selected: list[int] = []
     spent = 0.0
     r_prev = 0.0
@@ -189,8 +196,10 @@ def run_episode(net: QNetwork, instance: Instance, table: QTable,
         before = tuple(selected)
         selected.append(action)
         spent += float(attrs.cost[action])
-        reached = simulate_ic(arcs, reached, (action,))
-        r_total = shaped_reward(attrs, parts, reached, spent,
+        for v in simulate_ic(arcs, reached, (action,)):
+            earned += benefit[v]
+            community_earned[community[v]] += benefit[v]
+        r_total = shaped_return(earned, community_earned, parts, spent,
                                 config.fairness_weight)
         transitions.append(Transition(
             instance_id=instance.id,

@@ -6,6 +6,7 @@ from fairseed import trainer
 from fairseed.diffusion import live_arc_lists, simulate_ic
 from fairseed.graph import (CommunityPartition, Instance, NodeAttrs,
                             graph_from_edges)
+from fairseed.metrics import shaped_return
 
 # `--hypothesis-profile=ci` (the CI tier-1 step): the same examples on every
 # run, so a property failure seen in CI reproduces locally with that flag;
@@ -53,11 +54,30 @@ def unpack_live(live) -> np.ndarray:
     return bits[:, :live.m].T.astype(bool)
 
 
+def grow(arcs, reached, seeds) -> np.ndarray:
+    """The mask `reached` grown from `seeds` on one rollout's live-arc lists
+    `arcs`, as a new array; `reached` is left as it was. simulate_ic grows
+    a copy in place, and the nodes it reports must be exactly those newly
+    reached, each once."""
+    out = reached.copy()
+    new = simulate_ic(arcs, out, seeds)
+    assert len(new) == len(set(new))
+    assert sorted(new) == np.flatnonzero(out & ~reached).tolist()
+    return out
+
+
 def fresh_rollout(g, live_row, nodes) -> np.ndarray:
     """Reached mask of `nodes` on one bool live-arc row, from nothing
     reached."""
-    return simulate_ic(live_arc_lists(g, live_row), np.zeros(g.n, dtype=bool),
-                       nodes)
+    return grow(live_arc_lists(g, live_row), np.zeros(g.n, dtype=bool), nodes)
+
+
+def mask_shaped_return(attrs, parts, reached, cost, weight) -> float:
+    """metrics.shaped_return of one rollout whose (n,) bool reached mask is
+    `reached`, its totals summed from the mask."""
+    return shaped_return(float(reached @ attrs.benefit),
+                         (reached @ parts.weights).tolist(), parts, cost,
+                         weight)
 
 
 def bfs_reach(n, src, dst, live_row, seeds) -> np.ndarray:

@@ -16,8 +16,8 @@ from fairseed.graph import CommunityPartition, graph_from_edges
 from fairseed.metrics import FairnessConfig, evaluate_seed_set
 from fairseed.seeding import RolloutStreams
 
-from conftest import (bfs_reach, fresh_rollout, make_attrs, make_instance,
-                      random_tiny_instance, unpack_live)
+from conftest import (bfs_reach, fresh_rollout, grow, make_attrs,
+                      make_instance, random_tiny_instance, unpack_live)
 
 
 def two_node_path(p=0.5):
@@ -93,10 +93,9 @@ class TestSimulateIc:
     def test_deterministic_given_stream(self):
         g, attrs = two_node_path(0.5)
         reached = np.zeros(g.n, dtype=bool)
-        a = simulate_ic(live_arc_lists(g, stream_row(g, 7, 3)), reached, (0,))
-        b = simulate_ic(live_arc_lists(g, stream_row(g, 7, 3)), reached, (0,))
+        a = grow(live_arc_lists(g, stream_row(g, 7, 3)), reached, (0,))
+        b = grow(live_arc_lists(g, stream_row(g, 7, 3)), reached, (0,))
         assert np.array_equal(a, b)
-        assert not reached.any()
 
 
 class TestEstimate:
@@ -372,7 +371,7 @@ class TestIncrementalReach:
                 order = [int(v) for v in rng.permutation(g.n)]
                 reached = np.zeros(g.n, dtype=bool)
                 for k, v in enumerate(order, start=1):
-                    grown = simulate_ic(arcs, reached, (v,))
+                    grown = grow(arcs, reached, (v,))
                     assert np.all(grown >= reached) and grown[v]
                     whole = bfs_reach(g.n, src, dst, live, order[:k])
                     assert np.array_equal(grown, whole)
@@ -385,17 +384,15 @@ class TestIncrementalReach:
         src, dst, _ = g.arc_arrays()
         for live in unpack_live(live_arcs(g, 30, seed=6)):
             arcs = live_arc_lists(g, live)
-            first = simulate_ic(arcs, np.zeros(g.n, dtype=bool), [0, 5])
-            kept = first.copy()
+            first = grow(arcs, np.zeros(g.n, dtype=bool), [0, 5])
             both = bfs_reach(g.n, src, dst, live, [0, 3, 5, 9])
-            assert np.array_equal(simulate_ic(arcs, first, [3, 5, 9]), both)
-            assert np.array_equal(first, kept)  # not changed
+            assert np.array_equal(grow(arcs, first, [3, 5, 9]), both)
 
     def test_seed_already_reached_adds_nothing(self):
         g = graph_from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)], directed=True)
         arcs = live_arc_lists(g, np.ones(g.num_arcs, dtype=bool))
-        reached = simulate_ic(arcs, np.zeros(g.n, dtype=bool), (0,))
-        assert np.array_equal(simulate_ic(arcs, reached, (2,)), reached)
+        reached = grow(arcs, np.zeros(g.n, dtype=bool), (0,))
+        assert np.array_equal(grow(arcs, reached, (2,)), reached)
 
 
 @st.composite
@@ -433,11 +430,30 @@ class TestListSearch:
             arcs = live_arc_lists(g, row)
             reached = np.zeros(g.n, dtype=bool)
             for group, masks in zip(groups, expected):
-                kept = reached.copy()
-                grown = simulate_ic(arcs, reached, group)
-                assert np.array_equal(reached, kept)  # never modified
+                grown = grow(arcs, reached, group)
                 assert np.array_equal(grown, masks[i])
                 reached = grown
+
+    @settings(deadline=None, max_examples=60)
+    @given(growth_cases())
+    def test_reports_each_newly_reached_node_once(self, case):
+        # an episode grows one mask in place, group by group: each call
+        # reports exactly the nodes that its growth added to the mask, so
+        # across the episode every node is reported at most once, and the
+        # reported nodes make up the final mask
+        g, groups, m, seed = case
+        for row in unpack_live(live_arcs(g, m, seed)):
+            arcs = live_arc_lists(g, row)
+            reached = np.zeros(g.n, dtype=bool)
+            reported = []
+            for group in groups:
+                before = reached.copy()
+                new = simulate_ic(arcs, reached, group)
+                assert sorted(new) == np.flatnonzero(reached & ~before).tolist()
+                assert all(reached[v] for v in group)
+                reported += new
+            assert len(reported) == len(set(reported))
+            assert sorted(reported) == np.flatnonzero(reached).tolist()
 
 
 @st.composite
@@ -477,10 +493,10 @@ class TestPackedKernel:
             expected = bfs_reach(g.n, src, dst, rows[i], first)
             assert np.array_equal(masks[i], expected)
             arcs = live_arc_lists(g, rows[i])
-            start = simulate_ic(arcs, np.zeros(g.n, dtype=bool), first)
+            start = grow(arcs, np.zeros(g.n, dtype=bool), first)
             assert np.array_equal(start, expected)
             both = bfs_reach(g.n, src, dst, rows[i], first + added)
-            assert np.array_equal(simulate_ic(arcs, start, added), both)
+            assert np.array_equal(grow(arcs, start, added), both)
 
 
 @st.composite
@@ -552,7 +568,7 @@ class TestMonotonicity:
         assert benefit_big >= benefit_small - 1e-9 * max(1.0, benefit_small)
         # on one realization the incremental mask only grows
         reached = fresh_rollout(g, live, small.nodes)
-        grown = simulate_ic(live_arc_lists(g, live), reached, (extra,))
+        grown = grow(live_arc_lists(g, live), reached, (extra,))
         assert np.all(grown >= reached) and grown[extra]
         assert np.array_equal(grown, fresh_rollout(g, live, big.nodes))
 
@@ -612,7 +628,7 @@ class TestExactOracle:
         assert got == pytest.approx(15.0 - 2.0 + 2.0 * 1.0)
 
     def test_shaped_objective_rejects_negative_weight(self):
-        # as metrics.shaped_reward, whose expectation it is, does
+        # as metrics.shaped_return, whose expectation it is, does
         g = graph_from_edges(2, [(0, 1, 0.5)], directed=True)
         attrs = make_attrs(2, labels=[0, 1])
         parts = CommunityPartition.from_labels(attrs.community, attrs.benefit)

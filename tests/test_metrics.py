@@ -4,13 +4,13 @@ from hypothesis import given, settings, strategies as st
 
 from fairseed import diffusion
 from fairseed.diffusion import (SeedSet, estimate_spread_and_benefit,
-                                live_arc_lists, live_arcs, rollout_masks,
-                                simulate_ic)
+                                live_arc_lists, live_arcs, rollout_masks)
 from fairseed.graph import CommunityPartition, graph_from_edges
 from fairseed.metrics import (FairnessConfig, community_ratios,
-                              evaluate_seed_set, shaped_reward)
+                              evaluate_seed_set, shaped_return)
 
-from conftest import make_attrs, make_instance, unpack_live
+from conftest import (grow, make_attrs, make_instance, mask_shaped_return,
+                      unpack_live)
 
 
 def influenced(n, nodes):
@@ -143,8 +143,8 @@ class TestShapedReward:
     def test_empty_seed_set_zero(self):
         inst = make_instance("t", 3, [(0, 1, 0.5), (1, 2, 0.5)],
                              labels=[0, 0, 1])
-        assert shaped_reward(inst.attrs, inst.parts, influenced(3, []), 0.0,
-                             1.0) == 0.0
+        assert mask_shaped_return(inst.attrs, inst.parts, influenced(3, []),
+                                  0.0, 1.0) == 0.0
 
     def test_weight_zero_equals_profit_same_stream(self):
         # on each evaluation row, the shaped return is that rollout's
@@ -159,10 +159,10 @@ class TestShapedReward:
                                               FairnessConfig())
         assert len(set(profits)) > 1
         for i, row in enumerate(unpack_live(live)):
-            mask = simulate_ic(live_arc_lists(g, row), influenced(4, []), s.nodes)
-            assert shaped_reward(attrs, parts, mask, s.total_cost, 0.0) \
-                == profits[i]
-            assert shaped_reward(attrs, parts, mask, s.total_cost, 3.0) \
+            mask = grow(live_arc_lists(g, row), influenced(4, []), s.nodes)
+            assert mask_shaped_return(attrs, parts, mask, s.total_cost,
+                                      0.0) == profits[i]
+            assert mask_shaped_return(attrs, parts, mask, s.total_cost, 3.0) \
                 == pytest.approx(profits[i] + 3.0 * fairs[i], rel=1e-12)
 
     def test_deterministic_cascade(self):
@@ -171,15 +171,15 @@ class TestShapedReward:
         g = inst.graph
         s = SeedSet.build([0], inst.attrs)
         live = np.random.default_rng(0).random(g.num_arcs) < g.probs
-        mask = simulate_ic(live_arc_lists(g, live), influenced(3, []), s.nodes)
+        mask = grow(live_arc_lists(g, live), influenced(3, []), s.nodes)
         # sum(b) - cost + phi * 1, regardless of the stream
-        assert shaped_reward(inst.attrs, inst.parts, mask, s.total_cost, 3.0) \
-            == pytest.approx(15.0 - 2.0 + 3.0)
+        assert mask_shaped_return(inst.attrs, inst.parts, mask, s.total_cost,
+                                  3.0) == pytest.approx(15.0 - 2.0 + 3.0)
 
     def test_negative_weight_rejected(self):
         inst = make_instance("t", 2, [(0, 1, 0.5)], labels=[0, 1])
         with pytest.raises(ValueError):
-            shaped_reward(inst.attrs, inst.parts, influenced(2, []), 0.0, -1.0)
+            shaped_return(0.0, [0.0, 0.0], inst.parts, 0.0, -1.0)
 
 
 class TestEvaluateSeedSet:

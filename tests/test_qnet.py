@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fairseed import qnet
 from fairseed.embedding import NodeEmbeddings
 from fractions import Fraction
+from unittest import mock
 
 from fairseed.qnet import (QNetwork, adam_step, best_feasible,
                            best_feasible_rows, encode_states, hidden_table,
@@ -22,6 +24,16 @@ def tiny_embeddings(n=5, d=64, seed=0):
 
 def random_states(rng, k, in_dim=IN_DIM):
     return rng.normal(size=(k, in_dim))
+
+
+def best_valued(net, table, mask, seed_count, remaining, budget, k_max):
+    """The valued path at one step: the (node id, Q-value) that
+    best_feasible_rows gives a one-row stack, or None for an empty mask."""
+    ids, values = best_feasible_rows(net, table, mask[None],
+                                     np.array([seed_count]),
+                                     np.array([float(remaining)]), budget,
+                                     k_max)
+    return None if ids[0] < 0 else (int(ids[0]), float(values[0]))
 
 
 def numeric_grads(net, states, targets, eps=1e-5):
@@ -149,9 +161,12 @@ class TestHiddenTable:
                 assert cands[np.argmax(got)] == cands[np.argmax(want)]
                 mask = np.zeros(n, dtype=bool)
                 mask[cands] = True
-                pick, value = best_feasible(net, table, mask, seed_count,
-                                            remaining, budget, k_max)
+                pick = best_feasible(net, table, mask, seed_count, remaining,
+                                     budget, k_max)
                 assert pick == cands[np.argmax(want)]
+                valued, value = best_valued(net, table, mask, seed_count,
+                                            remaining, budget, k_max)
+                assert valued == pick
                 assert value == pytest.approx(want.max(), rel=0, abs=1e-12)
 
     @settings(deadline=None, max_examples=80)
@@ -190,9 +205,10 @@ class TestHiddenTable:
                 assert pick == ids[np.argmax(q[ids])]
                 assert q[pick] == q[ids].max()
                 assert not (q[ids[ids < pick]] == q[pick]).any()
-                best, value = best_feasible(net, table, mask, seed_count,
-                                            remaining, budget, k_max)
-                assert best == pick
+                assert best_feasible(net, table, mask, seed_count, remaining,
+                                     budget, k_max) == pick
+                _, value = best_valued(net, table, mask, seed_count,
+                                       remaining, budget, k_max)
                 # pruned steps sum the candidate rows apart from the table
                 assert value == pytest.approx(q[pick], rel=0, abs=1e-12)
 
@@ -295,12 +311,12 @@ class TestBestFeasible:
                 continue
             best = q[ids].max()
             if exact:
-                assert got == (ids[np.argmax(q[ids])], best)
-                assert (got_id, got_value) == got
+                assert got == ids[np.argmax(q[ids])]
+                assert (got_id, got_value) == (got, best)
             else:
-                for pick, value in (got, (got_id, got_value)):
+                for pick in (got, got_id):
                     assert mask[pick] and q[pick] >= best - tol
-                    assert value == pytest.approx(best, rel=0, abs=tol)
+                assert got_value == pytest.approx(best, rel=0, abs=tol)
 
     @settings(deadline=None, max_examples=60)
     @given(st.integers(1, 10), st.integers(1, 12),
@@ -333,8 +349,8 @@ class TestBestFeasible:
             for node in range(n):
                 assert lower[node] <= exact_p(w2, rows[node], shift) \
                     <= upper[node]
-            pick, value = best_feasible(net, table, np.ones(n, dtype=bool),
-                                        seed_count, remaining, 1.0, 4)
+            pick, value = best_valued(net, table, np.ones(n, dtype=bool),
+                                      seed_count, remaining, 1.0, 4)
             constant = Fraction(float(net.b2[0])) + sum(
                 (Fraction(float(s)) * Fraction(float(w))
                  for s, w in zip(shift, w2)), Fraction(0))
@@ -349,19 +365,89 @@ class TestBestFeasible:
     def test_steps_outside_the_box_score_every_feasible_node(
             self, seed_count, remaining, want):
         # P_v = max(T_v, -s) with s in [-2, 0] on the box: node 11 (T = 6)
-        # is the only candidate, but at s = -10 every node scores 10
+        # is the only candidate, so it is picked unscored, but at s = -10
+        # every node scores 10
         net, table = table_net(np.arange(-5.0, 7.0)[:, None], [-1.0], [-1.0],
                                [1.0], 0.0)
         assert table.prunes
         mask = np.ones(12, dtype=bool)
-        got = best_feasible(net, table, mask, seed_count, remaining, 1.0, 1)
+        with mock.patch.object(qnet, "_scores", wraps=qnet._scores) as scored:
+            got = best_feasible(net, table, mask, seed_count, remaining, 1.0,
+                                1)
+        assert scored.called == ((seed_count, remaining) != (1, 1.0))
         q = q_forward_table(net, table, seed_count, remaining, 1.0, 1)
-        assert got == want == (int(np.argmax(q)), q.max())
+        assert (got, q.max()) == want and got == int(np.argmax(q))
+        assert best_valued(net, table, mask, seed_count, remaining, 1.0,
+                           1) == want
         # in a batch beside an in-box step, the box is checked row by row
         ids, values = best_feasible_rows(
             net, table, np.stack((mask, mask)), np.array([1, seed_count]),
             np.array([1.0, remaining]), 1.0, 1)
         assert list(zip(ids.tolist(), values.tolist())) == [(11, 4.0), want]
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.integers(1, 40), st.integers(1, 12), st.booleans(),
+           st.sampled_from([0.0, 1 / 16, 1 / 2, 2.0]),
+           st.sampled_from(["random", "dominant", "flat"]),
+           st.integers(0, 2**32 - 1), st.data())
+    def test_pick_is_the_whole_table_first_maximum(self, n, width, exact,
+                                                   spread, kind, seed, data):
+        # the id-only pick against the first maximum of whole-table scoring
+        # over the feasible nodes. A step settles unscored exactly when it
+        # lies in the box, the table prunes and one candidate is left; that
+        # node is then the first maximum in any summation order, since every
+        # other node scores below it. On eighths (`exact`) every sum is
+        # exact, so every pick is; otherwise a scored pick of near-ties may
+        # go either way within rounding. "flat" tables (w2 = 0) and n < 4
+        # cannot prune; "dominant" ones have one row far above the rest.
+        rng = np.random.default_rng(seed)
+
+        def draw(size, k):
+            if exact:
+                return rng.integers(-k, k + 1, size) / 8.0
+            return rng.normal(size=size) * k / 8.0
+
+        rows = draw((n, width), 64)
+        rows[rng.integers(n, size=n // 3)] = rows[rng.integers(n, size=n // 3)]
+        w2 = np.zeros(width) if kind == "flat" else draw(width, 16)
+        if kind == "dominant":
+            rows[rng.integers(n)] = 64.0 * np.sign(w2)
+        u, v = draw(width, 16) * spread, draw(width, 16) * spread
+        net, table = table_net(rows, u, v, w2, float(draw(1, 16)[0]))
+        tol = 1e-9 * (1.0 + abs(net.b2[0]) + np.abs(w2) @ (
+            np.abs(rows).max(axis=0) + 32.0 * (np.abs(u) + np.abs(v))))
+        k_max = 4
+        for _ in range(data.draw(st.integers(1, 6))):
+            # R/B and k/k_max on [0, 1] (corners included) and outside it
+            remaining = data.draw(st.one_of(st.integers(0, 4),
+                                            st.integers(-64, 64))) / 4.0
+            if not exact and data.draw(st.booleans()):
+                remaining = float(rng.uniform(0.0, 1.0))
+            seed_count = data.draw(st.one_of(st.integers(0, 4),
+                                             st.integers(0, 64)))
+            in_box = 0.0 <= remaining <= 1.0 and seed_count <= k_max
+            q = q_forward_table(net, table, seed_count, remaining, 1.0, k_max)
+            for mask in (np.zeros(n, dtype=bool), np.ones(n, dtype=bool),
+                         rng.random(n) < data.draw(st.floats(0.0, 1.0))):
+                with mock.patch.object(qnet, "_scores",
+                                       wraps=qnet._scores) as scored:
+                    pick = best_feasible(net, table, mask, seed_count,
+                                         remaining, 1.0, k_max)
+                ids = np.flatnonzero(mask)
+                if len(ids) == 0:
+                    assert pick is None and not scored.called
+                    continue
+                first = ids[np.argmax(q[ids])]
+                cands = ids[table.upper[ids]
+                            >= table.lower[ids].max() - table.margin]
+                settled = in_box and table.prunes and len(cands) == 1
+                assert scored.called != settled
+                if settled:
+                    assert n >= 4 and pick == cands[0]
+                if exact or settled:
+                    assert pick == first
+                else:
+                    assert mask[pick] and q[pick] >= q[ids].max() - tol
 
     def test_dominant_rows_prune_and_flat_tables_do_not(self):
         rows = np.zeros((8, 2))

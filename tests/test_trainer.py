@@ -10,7 +10,7 @@ from fairseed.diffusion import (SeedSet, exact_expected_shaped_objective,
                                 live_arcs)
 from fairseed.embedding import compute_embeddings, init_embedding_params
 from fairseed.graph import InstancePool
-from fairseed.metrics import FairnessConfig, evaluate_seed_set, shaped_reward
+from fairseed.metrics import FairnessConfig, evaluate_seed_set
 from fairseed import trainer
 from fairseed import qnet
 from fairseed.qnet import QNetwork, adam_step, encode_states, hidden_table
@@ -20,8 +20,9 @@ from fairseed.trainer import (CheckpointError, TrainConfig, TrainedPolicy,
                               save_checkpoint, select_seed_set, train)
 
 from conftest import (bfs_reach, feasible_candidates, fresh_rollout,
-                      make_instance, outside_replay, q_forward_batch,
-                      q_forward_table, random_tiny_instance, replay_record)
+                      make_instance, mask_shaped_return, outside_replay,
+                      q_forward_batch, q_forward_table, random_tiny_instance,
+                      replay_record)
 
 D_EMB = 8
 
@@ -250,7 +251,7 @@ class TestRunEpisode:
         # that of the step before; negatives are stored as-is and the first
         # step bootstraps from 0
         returns = iter([7.5, 10.0, 4.0, 4.0, 9.0, 1.0])
-        monkeypatch.setattr(trainer, "shaped_reward",
+        monkeypatch.setattr(trainer, "shaped_return",
                             lambda *args: next(returns))
         inst = toy_instance(cost=[1] * 6)
         cfg = toy_config(budget=6.0)
@@ -277,8 +278,9 @@ class TestRunEpisode:
                 s = SeedSet.build((*t.seeds_before, t.action), attrs)
                 mask = bfs_reach(g.n, src, dst, live, s.nodes)
                 assert total == pytest.approx(
-                    shaped_reward(attrs, inst.parts, mask, s.total_cost,
-                                  cfg.fairness_weight), rel=1e-12, abs=1e-12)
+                    mask_shaped_return(attrs, inst.parts, mask, s.total_cost,
+                                       cfg.fairness_weight),
+                    rel=1e-12, abs=1e-12)
 
     def test_mean_return_matches_exact_objective(self):
         # a greedy (epsilon 0) episode repeats one action sequence, so its
@@ -381,9 +383,11 @@ class TestTrain:
         s = SeedSet.build([0, 2], inst.attrs)
         live = np.random.default_rng(3).random(g.num_arcs) < g.probs
         mask = fresh_rollout(g, live, s.nodes)
-        reward = shaped_reward(inst.attrs, inst.parts, mask, s.total_cost, 0.0)
+        reward = mask_shaped_return(inst.attrs, inst.parts, mask,
+                                    s.total_cost, 0.0)
         assert reward == mask @ inst.attrs.benefit - s.total_cost
-        fair = shaped_reward(inst.attrs, inst.parts, mask, s.total_cost, 1.0)
+        fair = mask_shaped_return(inst.attrs, inst.parts, mask, s.total_cost,
+                                  1.0)
         assert fair - reward == pytest.approx(mask @ inst.attrs.benefit / 14.0)
 
 
@@ -403,8 +407,8 @@ class TestTableLifetime:
         cfg = toy_config(budget=8.0)
         policy, h = toy_policy(inst, cfg)
         net = policy.net
-        # per call: (table Q-values, reference Q-values, the scorer's pick
-        # and value, the mask, the reference's node-dependent part P_v, table)
+        # per call: (table Q-values, reference Q-values, the scorer's pick,
+        # the mask, the reference's node-dependent part P_v, table)
         scored = []
         original = trainer.best_feasible
 
@@ -428,11 +432,13 @@ class TestTableLifetime:
         self.update(net, rng)
         run_episode(net, inst, h, cfg, 0.0, rng)
         assert 0 < first < len(scored)
-        for got, want, (pick, value), feasible, p, table in scored[first:]:
+        for got, want, pick, feasible, p, table in scored[first:]:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
             ids = np.flatnonzero(feasible)
             assert pick == ids[np.argmax(want[ids])]
-            assert value == pytest.approx(want[ids].max(), rel=0, abs=1e-12)
+            # the pick's value, which a one-candidate step does not score
+            assert got[pick] == pytest.approx(want[ids].max(), rel=0,
+                                              abs=1e-12)
             # these steps lie in the box, so the bounds hold
             slack = table.margin + 1e-12
             assert np.all(table.lower - slack <= p)
@@ -721,6 +727,29 @@ class TestInference:
         s2 = select_seed_set(policy, inst, budget=7.0)
         assert s1.nodes == s2.nodes
         assert s1.total_cost <= 7.0
+
+    @pytest.mark.parametrize("where", ["w1", "w1_cost", "w1_shift", "b1",
+                                       "w2", "b2"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_network_raises(self, where, bad, rng):
+        # a greedy step left with one candidate picks it unscored, so no
+        # score's finiteness check runs there: hidden_table must reject a
+        # network that is not finite before any pick, in selection and in
+        # training episodes alike
+        inst = toy_instance()
+        cfg = toy_config(budget=8.0)
+        policy, h = toy_policy(inst, cfg)
+        net = policy.net
+        d = net.in_dim - 3
+        name, index = {"w1": ("w1", (0, 0)), "w1_cost": ("w1", (1, d)),
+                       "w1_shift": ("w1", (2, d + 2)), "b1": ("b1", 3),
+                       "w2": ("w2", 4), "b2": ("b2", 0)}[where]
+        getattr(net, name)[index] = bad
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(ValueError, match="not finite"):
+                select_seed_set(policy, inst, cfg.budget, h)
+            with pytest.raises(ValueError, match="not finite"):
+                run_episode(net, inst, h, cfg, 0.0, rng)
 
 
 class TestCheckpoint:
