@@ -4,11 +4,12 @@ Under IC each arc is tried at most once, so a rollout is one draw of live
 arcs followed by reachability from the seeds (the live-edge equivalence of
 Kempe, Kleinberg and Tardos, 2003). Every rollout draws one uniform per arc,
 in CSR order, and arc a is live when its uniform is below probs[a].
-live_arcs draws m rollouts on the flat layout of `seeding`, makes that
-compare exactly on the raw 64-bit words and packs the result 64 rollouts
-to a uint64 word, m * E / 8 bytes that every seed set evaluated under
-common random numbers can share; its docstring gives the compare, the
-chunk size and the packing. `_reach` pushes a cascade
+live_arcs draws m rollouts on the block layout of `seeding`, makes that
+compare on one byte digit per trial, reading more bits only on a tie, and
+packs the result 64 rollouts to a uint64 word, m * E / 8 bytes that every
+seed set evaluated under common random numbers can share; its docstring
+gives the compare, its probability ceil(p * 2**61) / 2**61 against the
+exact oracles' p, the chunk size and the packing. `_reach` pushes a cascade
 through those words for 64 rollouts at once, with bitwise AND and OR;
 rollout_masks unpacks its result node-major, one (n, R) bool block per
 chunk, and yields each block's (R, n) transposed view.
@@ -56,11 +57,11 @@ class SeedSet:
 # each rollout of a chunk with one vector-matrix product over the chunk's
 # node-major (n, R) cast, whose rounding can depend on the rollout's place
 # in its chunk, so that row count is part of the reported results.
-# live_arcs sizes its chunks of draws from it too (see there).
+# live_arcs sizes its chunks of 64-rollout blocks from it too, as bytes of
+# working memory (see there).
 CHUNK_ENTRIES = 1 << 20
 WORD_BITS = 64
 WORD = np.dtype("<u8")  # little-endian: byte k holds rollouts 8k..8k+7
-_BYTE_WEIGHTS = (1 << np.arange(8)).astype(np.uint8)
 
 
 def _chunk_rows(g: Graph) -> int:
@@ -159,53 +160,60 @@ def simulate_ic(arcs: tuple[list, list], reached: np.ndarray,
 def live_arcs(g: Graph, m: int, seed: int) -> LiveArcs:
     """Live arcs of rollouts 0..m-1, packed 64 rollouts per uint64 word.
 
-    Rollout i reads draws [i*E, (i+1)*E) of the Philox stream keyed by
-    `seed` (E = g.num_arcs), so its arcs are
-    RolloutStreams(seed).at(i * E).random(E) < g.probs whatever the
-    chunking. A chunk of whole words, about CHUNK_ENTRIES // 8 draws (eight
-    bytes each, so about as many bytes as a bool mask chunk), is one
-    contiguous run of draws, filled by a single random_raw call and compared
-    as integers: random() turns raw word x into (x >> 11) * 2**-53, so it
-    is below p exactly when x >> 11 < ceil(p * 2**53), for every p in
-    [0, 1]. The bools are packed eight rollouts to a byte in the way that
-    suits the first chunk's shape, which the others share but the last: if
-    it holds at least E rollouts (few arcs), each chunk is compared through
-    its transposed view into one bool row per arc and packed along the rows
-    by np.packbits; if not (thousands of arcs, 64 rollouts a chunk), by a
-    weighted sum over each byte's eight rollouts, which is the faster there.
-    Both give the same words, about m * E / 8 bytes in all. The fill chunk
-    is set by memory alone and is smaller than rollout_masks' mask chunk,
-    whose row count sets the rounding of the evaluation sums.
+    Each (rollout, arc) trial reads one byte digit d of the streams keyed
+    by `seed`, at the place `seeding` gives it, and compares the uniform
+    U = (d + u') / 256, where u' is uniform on [0, 1) and read only on a
+    tie, with p = g.probs[a] digit by digit (Knuth and Yao, 1976). With F = min(floor(256 p), 255) and f = 256 p - F, both exact,
+    d < F makes the arc live and d > F dead. A tie, d == F, one trial in
+    256, is settled by the next raw word x of counter lane 1, live when
+    x >> 11 < ceil(f * 2**53). So the arc is live when U < p for the 61-bit
+    uniform U, with probability ceil(p * 2**61) / 2**61, which is p itself
+    for p = 0, p = 1 and every multiple of 2**-61 (the exact oracle uses p).
+    Rollout i's bits do not depend on the chunking or on m.
+
+    A chunk is whole 64-rollout blocks, as many as keep its digit bytes, its
+    bool block and its tie mask (three bytes per trial) within
+    CHUNK_ENTRIES bytes, and at least one. Its digits are one contiguous run
+    of lane-0 words, filled by a single random_raw call; each (E, 64) block
+    is compared with the arcs' limits and packed by np.packbits into its
+    word column, and the bits of rollouts m and up are zeroed. Raises
+    ValueError naming the first arc whose probability is NaN or outside
+    [0, 1].
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    streams = RolloutStreams(seed)
+    probs = g.probs
+    # "not all valid" rather than "any invalid": NaN fails every comparison
+    bad = np.flatnonzero(~((probs >= 0.0) & (probs <= 1.0)))
+    if bad.size:
+        a = int(bad[0])
+        src, dst, _ = g.arc_arrays()
+        raise ValueError(f"arc {a} ({src[a]} -> {dst[a]}) has probability "
+                         f"{probs[a]!r}, outside [0, 1]")
+    # both lanes are read in order from their start, chunk after chunk
+    digits = RolloutStreams(seed).at(0).bit_generator
+    tie_words = RolloutStreams(seed).at(0, lane=1).bit_generator
     arcs, words = g.num_arcs, -(-m // WORD_BITS)
-    step = WORD_BITS * min(words, max(1, CHUNK_ENTRIES // 8 // max(arcs, 1)
-                                      // WORD_BITS))
-    limit = np.ceil(g.probs * 2.0 ** 53).astype(np.uint64)
-    narrow = min(step, m) >= arcs
-    bits = np.zeros((arcs, step) if narrow else (step, arcs), dtype=bool)
+    step = min(words, max(1, CHUNK_ENTRIES // (3 * WORD_BITS * max(arcs, 1))))
+    scaled = probs * 256.0
+    limit = np.minimum(np.floor(scaled), 255.0)
+    refine = np.ceil((scaled - limit) * 2.0 ** 53).astype(np.uint64)
+    limit = limit.astype(np.uint8)[:, None]
     packed = np.zeros((arcs, words), dtype=WORD)
-    octets = packed.view(np.uint8)  # column k holds rollouts 8k..8k+7
-    for lo in range(0, m, step):
-        rows = min(step, m - lo)
-        whole = -(-rows // 8)
-        raw = streams.at(lo * arcs).bit_generator.random_raw(
-            rows * arcs).reshape(rows, arcs)
-        raw >>= 11
-        if narrow:
-            np.less(raw.T, limit[:, None], out=bits[:, :rows])
-            octets[:, lo // 8:lo // 8 + whole] = np.packbits(
-                bits[:, :rows], axis=1, bitorder="little")
-        else:
-            np.less(raw, limit, out=bits[:rows])
-            bits[rows:] = False
-            octets[:, lo // 8:lo // 8 + whole] = np.einsum(
-                "kja,j->ak",
-                bits[:8 * whole].reshape(whole, 8, arcs).view(np.uint8),
-                _BYTE_WEIGHTS)
-        del raw  # one chunk's draws alive at a time
+    for lo in range(0, words, step):
+        blocks = min(step, words - lo)
+        drawn = digits.random_raw(blocks * arcs * 8).astype(
+            WORD, copy=False).view(np.uint8).reshape(blocks, arcs, WORD_BITS)
+        live = drawn < limit
+        tie = np.flatnonzero(drawn == limit)  # in stream order
+        del drawn
+        if tie.size:
+            x = tie_words.random_raw(tie.size)
+            live.flat[tie] = (x >> 11) < refine[tie // WORD_BITS % arcs]
+        packed[:, lo:lo + blocks] = np.packbits(
+            live, axis=2, bitorder="little").view(WORD)[:, :, 0].T
+    if m % WORD_BITS:
+        packed[:, -1] &= np.uint64((1 << m % WORD_BITS) - 1)
     packed.flags.writeable = False
     return LiveArcs(words=packed, m=m)
 
@@ -236,7 +244,9 @@ def estimate_spread_and_benefit(g: Graph, attrs: NodeAttrs, s: SeedSet,
 
     Returns (mean spread, mean benefit, per-rollout benefits); the mean
     spread is the count of reached bits over m. Rollout i always reads the
-    same draws of the stream keyed by `seed` (see live_arcs).
+    same trials of the streams keyed by `seed`, whatever m (see live_arcs),
+    and an arc of probability p is live in it with probability
+    ceil(p * 2**61) / 2**61, where the exact oracles use p.
     """
     reached, benefits = 0, []
     for masks in rollout_masks(g, s, live_arcs(g, m, seed)):

@@ -14,7 +14,6 @@ from fairseed.diffusion import (SeedSet, _chunk_rows,
                                 simulate_ic)
 from fairseed.graph import CommunityPartition, graph_from_edges
 from fairseed.metrics import FairnessConfig, evaluate_seed_set
-from fairseed.seeding import RolloutStreams
 
 from conftest import (bfs_reach, fresh_rollout, grow, make_attrs,
                       make_instance, random_tiny_instance, unpack_live)
@@ -26,9 +25,45 @@ def two_node_path(p=0.5):
     return g, attrs
 
 
+def lane1_word(seed, q):
+    """Raw word q of counter lane 1 of the Philox streams keyed by `seed`."""
+    bg = np.random.Philox(key=seed, counter=(1 << 64) + q // 4)
+    return int(bg.random_raw(q % 4 + 1)[-1])
+
+
+def digit_limit(p):
+    """min(floor(256 p), 255), in integers."""
+    num, den = float(p).as_integer_ratio()
+    return min(256 * num // den, 255)
+
+
 def stream_row(g, seed, i):
-    """Live arcs of rollout i of the stream keyed by `seed`."""
-    return RolloutStreams(seed).at(i * g.num_arcs).random(g.num_arcs) < g.probs
+    """Live arcs of rollout i of the streams keyed by `seed`, trial by trial.
+
+    Arc a's digit d is byte 64*E*b + 64*a + j of lane 0, for block b and
+    place j of rollout i = 64*b + j; its limit is F = min(floor(256 p), 255).
+    d < F is live and d > F dead; a tie takes lane-1 word q, q the number of
+    ties earlier in lane-0 byte order, and is live when the 61-bit uniform
+    (d * 2**53 + (x >> 11)) * 2**-61 lies below p, compared in integers."""
+    arcs = g.num_arcs
+    block, j = divmod(i, 64)
+    limits = [digit_limit(p) for p in g.probs]
+    digits = np.random.Philox(key=seed).random_raw(
+        8 * arcs * (block + 1)).astype("<u8").view(np.uint8)
+    ties = np.flatnonzero(
+        digits == np.tile(np.repeat(np.array(limits, dtype=np.uint8), 64),
+                          block + 1))
+    row = []
+    for a, p in enumerate(g.probs):
+        k = 64 * (arcs * block + a) + j
+        d = int(digits[k])
+        if d != limits[a]:
+            row.append(d < limits[a])
+        else:
+            x = lane1_word(seed, int(np.searchsorted(ties, k)))
+            num, den = float(p).as_integer_ratio()
+            row.append(((d << 53) + (x >> 11)) * den < num << 61)
+    return np.array(row, dtype=bool)
 
 
 class TestSeedSet:
@@ -122,7 +157,7 @@ class TestEstimate:
         assert abs(benefit - 15.0) <= 0.5
 
     def test_rollouts_independent_of_order(self):
-        # rollout i of the estimator equals a standalone stream at draw i*E
+        # rollout i of the estimator equals the stream's trials at its place
         g, attrs = two_node_path(0.5)
         s = SeedSet.build([0], attrs)
         _, _, per = estimate_spread_and_benefit(g, attrs, s, 8, seed=42)
@@ -198,7 +233,7 @@ class TestChunkedRollouts:
         monkeypatch.setattr(diffusion, "CHUNK_ENTRIES", 5 * arcs)
         rows, m = _chunk_rows(g), 13
         # mask chunks 2 and 3 start inside a byte of the packed words, and
-        # their rollouts' draws inside a four-draw Philox block
+        # after trial counts that are no multiple of a four-word Philox block
         assert rows == 5 and (rows * arcs) % 4 and (2 * rows * arcs) % 4
         _, _, benefits = estimate_spread_and_benefit(g, attrs, s, m, seed=23)
         assert len(set(benefits)) > 1
@@ -240,8 +275,8 @@ class TestLiveArcs:
         g, _, _ = TestChunkedRollouts.odd_arc_instance()
         arcs = g.num_arcs
         monkeypatch.setattr(diffusion, "CHUNK_ENTRIES", 5 * arcs)
-        # 200 rollouts are filled one 64-rollout word at a time
-        for m in (13, 200):
+        # 200 rollouts are filled one 64-rollout block at a time
+        for m in (13, 63, 64, 65, 200):
             packed = live_arcs(g, m, seed=9)
             assert packed.m == m and packed.words.dtype == np.uint64
             live = unpack_live(packed)
@@ -272,34 +307,119 @@ class TestLiveArcs:
         with pytest.raises(ValueError, match="m must be"):
             live_arcs(g, 0, seed=0)
 
+    def test_live_share_is_binomial(self):
+        # 2**22 trials per probability; taking every tie as live, or every
+        # one as dead, would put the share at 25.5 / 256 about 13 standard
+        # errors off
+        pairs = [(u, v) for u in range(15) for v in range(15) if u != v]
+        targets = (0.1, 1 / 3, 25.5 / 256)
+        g = graph_from_edges(15, [(u, v, 0.5) for u, v in pairs[:192]],
+                             directed=True)
+        g = dataclasses.replace(g, probs=np.repeat(targets, 64))
+        m = 1 << 16
+        bits = np.unpackbits(live_arcs(g, m, seed=2026).words.view(np.uint8),
+                             axis=1)
+        for p, group in zip(targets, np.split(bits, 3)):
+            trials = group.size
+            share = np.count_nonzero(group) / trials
+            assert abs(share - p) <= 5 * np.sqrt(p * (1 - p) / trials)
+
+    @pytest.mark.parametrize("entries", [1, diffusion.CHUNK_ENTRIES])
+    def test_rollouts_are_a_prefix_of_more_rollouts(self, monkeypatch,
+                                                    entries):
+        # a rollout's bits do not depend on how many rollouts are drawn
+        g, _, _ = TestChunkedRollouts.odd_arc_instance()
+        monkeypatch.setattr(diffusion, "CHUNK_ENTRIES", entries)
+        most = unpack_live(live_arcs(g, 1000, seed=31))
+        for m in (1, 63, 64, 65, 130, 999):
+            assert np.array_equal(unpack_live(live_arcs(g, m, seed=31)),
+                                  most[:m])
+
+    @pytest.mark.parametrize("entries", [1, diffusion.CHUNK_ENTRIES])
+    def test_graph_without_arcs(self, monkeypatch, entries):
+        g = graph_from_edges(3, [], directed=True)
+        monkeypatch.setattr(diffusion, "CHUNK_ENTRIES", entries)
+        for m in (1, 64, 65, 200):
+            live = live_arcs(g, m, seed=3)
+            assert live.m == m and live.words.shape == (0, -(-m // 64))
+            assert unpack_live(live).shape == (m, 0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, -0.25, 1.5, np.inf, -np.inf,
+                                     -5e-324, np.nextafter(1.0, 2.0)])
+    def test_bad_probability_names_its_arc(self, bad):
+        # a Graph built with dataclasses.replace skips Graph.validate
+        g, _, _ = TestChunkedRollouts.odd_arc_instance()
+        src, dst, probs = g.arc_arrays()
+        probs = probs.copy()
+        probs[[4, 9]] = bad
+        g = dataclasses.replace(g, probs=probs)
+        with pytest.raises(ValueError, match=rf"arc 4 \({src[4]} -> {dst[4]}\)"
+                           r" has probability .*outside \[0, 1\]"):
+            live_arcs(g, 10, seed=0)
+
 
 @st.composite
 def threshold_cases(draw):
     """A directed graph of 1 to 72 arcs whose probabilities lie on or next
-    to the limits of live_arcs' integer compare, a rollout count that is no
-    multiple of 8, a stream seed and a chunk size. Some probabilities are
-    the stream's own draws, k * 2**-53 with k = x >> 11 for a raw word x,
-    so a limit one step of 2**-53 off changes an arc's state; each
-    probability may then move to its float neighbour toward 0 or 1."""
+    to the limits of live_arcs' digit compare, a rollout count on or off the
+    64-rollout blocks, a stream seed and a chunk size. Some probabilities
+    are multiples k / 256, whose ties are never live. Some have the digit
+    that the stream drew for the arc in one of the rollouts, so that trial
+    ties, plus 0, a random fraction or the 53-bit fraction of one of the
+    first lane-1 words. Some lie below 1 / 256 and are k * 2**-61, k = x >> 11
+    for the lane-1 word x that a tie of the arc at digit 0 takes, so that
+    tie is dead by one step of 2**-61. Each probability may then move to its
+    float neighbour toward 0 or 1."""
     pairs = [(u, v) for u in range(9) for v in range(9) if u != v]
     arcs = draw(st.integers(1, len(pairs)))
     g = graph_from_edges(9, [(u, v, 0.5) for u, v in pairs[:arcs]],
                          directed=True)
-    m = draw(st.sampled_from([1, 5, 13, 67, 130, 203]))
+    m = draw(st.sampled_from([1, 5, 13, 63, 64, 65, 67, 130, 203]))
     seed = draw(st.integers(0, 2**32 - 1))
-    uniforms = RolloutStreams(seed).at(0).random(m * arcs).reshape(m, arcs)
-    unit = 2.0 ** -53
-    fixed = st.sampled_from([0.0, 5e-324, unit, 0.5, 1.0 - unit, 1.0])
-    probs = []
+    blocks = -(-m // 64)
+    digits = np.random.Philox(key=seed).random_raw(8 * arcs * blocks).astype(
+        "<u8").view(np.uint8).reshape(blocks, arcs, 64)
+    fractions = [0.0] + [(x >> 11) * 2.0 ** -53 for x in
+                         np.random.Philox(key=seed, counter=1 << 64)
+                         .random_raw(4).tolist()]
+    fixed = [0.0, 5e-324, 2.0 ** -61, 2.0 ** -53, 0.5, 1.0 - 2.0 ** -53, 1.0]
+    toward = st.sampled_from([None, 0.0, 1.0])  # None keeps p
+    probs, boundary = [], []
     for a in range(arcs):
-        p = draw(st.one_of(
-            fixed, st.integers(0, 2**53).map(lambda k: k * unit),
-            st.integers(0, m - 1).map(lambda i: uniforms[i, a]),
-            st.floats(0.0, 1.0)))
-        probs.append(np.nextafter(p, draw(st.sampled_from([p, 0.0, 1.0]))))
+        zeros = np.flatnonzero(digits[:, a].reshape(-1)[:m] == 0)
+        kind = draw(st.integers(0, 4 if zeros.size else 3))
+        if kind == 0:
+            p = draw(st.sampled_from(fixed))
+        elif kind == 1:
+            p = draw(st.integers(0, 256)) / 256
+        elif kind == 2:
+            i = draw(st.integers(0, m - 1))
+            p = (int(digits[i // 64, a, i % 64]) + draw(st.one_of(
+                st.sampled_from(fractions),
+                st.floats(0.0, 1.0, exclude_max=True)))) / 256
+        elif kind == 3:
+            p = draw(st.floats(0.0, 1.0))
+        else:
+            i = int(draw(st.sampled_from(zeros)))
+            boundary.append((a, 64 * (arcs * (i // 64) + a) + i % 64))
+            p = 0.0  # any p below 1 / 256 ties at digit 0; set below
+        probs.append(p)
+    nudge = [draw(toward) for _ in range(arcs)]
+    if boundary:
+        limits = np.array([digit_limit(p) for p in probs], dtype=np.uint8)
+        ties = np.flatnonzero(digits == limits[:, None])
+        words = np.random.Philox(key=seed, counter=1 << 64).random_raw(
+            ties.size)
+        for a, k in boundary:
+            probs[a] = int(words[np.searchsorted(ties, k)] >> 11) * 2.0 ** -61
+    probs = [p if to is None else np.nextafter(p, to)
+             for p, to in zip(probs, nudge)]
     g = dataclasses.replace(g, probs=np.array(probs))
-    # one 64-rollout word per chunk, two, or the default size
-    entries = draw(st.sampled_from([1, 1024 * arcs, diffusion.CHUNK_ENTRIES]))
+    # chunks of one block (the least size, and the most that holds one at
+    # three bytes a trial), of two blocks, or the default size
+    entries = draw(st.sampled_from([1, 192 * arcs, 384 * arcs,
+                                    diffusion.CHUNK_ENTRIES]))
     return g, m, seed, entries
 
 
@@ -307,7 +427,8 @@ class TestThresholdRule:
     @settings(deadline=None, max_examples=150)
     @given(threshold_cases())
     def test_words_equal_float_draws_below_probs(self, case):
-        # the integer compare and both packings against random(E) < probs
+        # the digit compare, its refinement from lane 1 and the packing
+        # against the trial-by-trial reference
         g, m, seed, entries = case
         with mock.patch.object(diffusion, "CHUNK_ENTRIES", entries):
             live = live_arcs(g, m, seed)

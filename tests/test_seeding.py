@@ -34,3 +34,14 @@ class TestRolloutStreams:
         fresh = np.random.Philox(key=SEED, counter=position // 4)
         fresh.random_raw(position % 4)
         assert np.array_equal(got, np.random.Generator(fresh).random(10))
+
+    @pytest.mark.parametrize("position", [0, 3, 13, (1 << 40) + 2])
+    def test_lane_one_is_counter_word_one(self, position):
+        streams = RolloutStreams(SEED)
+        got = streams.at(position, lane=1).random(10)
+        fresh = np.random.Philox(key=SEED, counter=(1 << 64) + position // 4)
+        fresh.random_raw(position % 4)
+        assert np.array_equal(got, np.random.Generator(fresh).random(10))
+        # moving back to lane 0 keeps nothing of lane 1
+        assert np.array_equal(streams.at(position).random(10),
+                              RolloutStreams(SEED).at(position).random(10))
