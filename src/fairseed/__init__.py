@@ -10,7 +10,7 @@ from .baselines import (fair_pagerank_seeds, high_degree_seeds, pagerank,
 from .diffusion import (LiveArcs, SeedSet, estimate_spread_and_benefit,
                         exact_expected_profit, exact_expected_shaped_objective,
                         live_arc_lists, live_arcs, simulate_ic)
-from .embedding import (EmbeddingParams, NodeEmbeddings, compute_embeddings,
+from .embedding import (EmbeddingParams, compute_embeddings,
                         init_embedding_params)
 from .experiment import (ExperimentConfig, ExperimentResult, emit_report,
                          run_experiment)

@@ -19,7 +19,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import scipy
@@ -202,10 +202,23 @@ def _config(args) -> ExperimentConfig:
     })
 
 
+def _check_writable(flag: str, path: str, directory: bool = False) -> None:
+    """Raise UsageError unless the file (or directory, parents included)
+    that a command writes when done can be made at `path`; creates none."""
+    target, want_dir = os.path.abspath(path), directory
+    while not os.path.exists(target) and (directory or not want_dir):
+        target, want_dir = os.path.dirname(target), True
+    if os.path.isdir(target) != want_dir or not os.access(target, os.W_OK):
+        raise UsageError(f"cannot write {flag} {path}")
+
+
 def _cmd_train(args) -> int:
     cfg = _config(args)
-    pool = build_pool(cfg)
     log = getattr(args, "log", None)
+    _check_writable("--checkpoint-out", args.checkpoint_out)
+    if log:
+        _check_writable("--log", log)
+    pool = build_pool(cfg)
     progress_rows = []
     policy = train(cfg.train, pool,
                    progress=progress_rows.append if log else None)
@@ -238,17 +251,22 @@ def _git_commit() -> str | None:
 def _cmd_eval(args) -> int:
     cfg = _config(args)
     checkpoint = getattr(args, "checkpoint_in", None)
-    policy = train_seed = None
+    _check_writable("--out", cfg.out_dir, directory=True)
+    policy = None
     if checkpoint:
-        policy, ckpt_meta = load_checkpoint(checkpoint,
-                                            expect_d_emb=cfg.train.d_emb)
-        train_seed = ckpt_meta.get("config", {}).get("seed")
-    elif "rl" in cfg.algorithms:
-        train_seed = cfg.train.seed
+        policy, trained = load_checkpoint(checkpoint)
+        # --seed stays the experiment's; other train flags must match
+        clash = [f"{k}={v!r}" for k, v in asdict(trained).items()
+                 if k != "seed" and vars(args).get(k, v) != v]
+        if clash:
+            raise CheckpointError("flags contradict the checkpoint, trained "
+                                  f"with {', '.join(clash)}")
+        cfg = replace(cfg, train=trained)
     pool = build_pool(cfg)
     results = run_experiment(cfg, pool=pool, policy=policy)
     meta = {"config": asdict(cfg), "checkpoint": checkpoint,
-            "seeds": derived_seeds(cfg, pool, train_seed),
+            "seeds": derived_seeds(cfg, pool,
+                                   bool(checkpoint) or "rl" in cfg.algorithms),
             "versions": {"fairseed": __version__, "numpy": np.__version__,
                          "scipy": scipy.__version__}}
     commit = _git_commit()
@@ -280,6 +298,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_sample(args) -> int:
     cfg = _config(args)
+    _check_writable("--out", args.out, directory=True)
     pool = build_pool(cfg)
     os.makedirs(args.out, exist_ok=True)
     names = []
@@ -323,8 +342,8 @@ def main(argv: list[str] | None = None) -> int:
     except CheckpointError as exc:
         print(f"checkpoint error: {exc}", file=sys.stderr)
         return EXIT_CHECKPOINT
-    except ValueError as exc:
-        # config validation failures (bad ranges, unknown algorithms, ...)
+    except (ValueError, OSError) as exc:
+        # bad settings (ranges, unknown algorithms, ...), unwritable outputs
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

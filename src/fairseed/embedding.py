@@ -24,12 +24,6 @@ class EmbeddingParams:
         return len(self.w_edge)
 
 
-@dataclass(frozen=True)
-class NodeEmbeddings:
-    vectors: np.ndarray  # (n, d)
-    dim: int
-
-
 def init_embedding_params(d_emb: int, seed: int) -> EmbeddingParams:
     """I.i.d. uniform entries in [-1/sqrt(d), 1/sqrt(d)]."""
     if d_emb < 1:
@@ -51,8 +45,9 @@ def _minmax(x: np.ndarray) -> np.ndarray:
 
 
 def compute_embeddings(g: Graph, attrs: NodeAttrs, params: EmbeddingParams,
-                       t_emb: int) -> NodeEmbeddings:
-    """Run t_emb message-passing iterations from all-zero embeddings.
+                       t_emb: int) -> np.ndarray:
+    """The (n, d) embeddings after t_emb message-passing iterations from
+    all-zero embeddings.
 
     Aggregation is over in-neighbors (who can influence the node); on an
     undirected graph these are simply the neighbors.
@@ -71,4 +66,4 @@ def compute_embeddings(g: Graph, attrs: NodeAttrs, params: EmbeddingParams,
     h = np.zeros((n, d))
     for _ in range(t_emb):
         h = np.maximum(feat_term + (agg @ h) @ params.w_agg.T + edge_term, 0.0)
-    return NodeEmbeddings(vectors=h, dim=d)
+    return h

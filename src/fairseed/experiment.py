@@ -97,15 +97,15 @@ def eval_seed(cfg: ExperimentConfig, instance: Instance, budget: float) -> int:
 
 
 def derived_seeds(cfg: ExperimentConfig, pool: InstancePool,
-                  train_seed: int | None) -> dict:
+                  has_policy: bool) -> dict:
     """The sub-seeds a run derives: the pool's, training's stages (from
-    `train_seed`, when the run trains or loads a policy) and each test
+    `cfg.train.seed`, when the run trains or loads a policy) and each test
     instance's evaluation stream per budget, keyed by repr of the budget."""
     seeds = {"pool": pool.seed,
              "eval": {inst.id: {repr(float(b)): eval_seed(cfg, inst, b)
                                 for b in cfg.budgets} for inst in pool.test}}
-    if train_seed is not None:
-        seeds.update(stage_seeds(train_seed))
+    if has_policy:
+        seeds.update(stage_seeds(cfg.train.seed))
     return seeds
 
 

@@ -40,7 +40,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embedding import NodeEmbeddings
 from .graph import NodeAttrs
 
 HIDDEN_DIM = 128
@@ -55,7 +54,7 @@ class QNetwork:
     b1: np.ndarray  # (hidden,)
     w2: np.ndarray  # (hidden,)
     b2: np.ndarray  # (1,)
-    moments: dict = field(default_factory=dict)  # Adam m/v per parameter name
+    moments: dict = field(default_factory=dict)  # Adam m/v, set by adam_step
     step: int = 0
 
     PARAM_NAMES = ("w1", "b1", "w2", "b2")
@@ -73,30 +72,25 @@ class QNetwork:
         rng = np.random.default_rng(seed)
         b1 = 1.0 / np.sqrt(in_dim)
         b2 = 1.0 / np.sqrt(hidden)
-        net = cls(
+        return cls(
             w1=rng.uniform(-b1, b1, (hidden, in_dim)),
             b1=rng.uniform(-b1, b1, hidden),
             w2=rng.uniform(-b2, b2, hidden),
             b2=rng.uniform(-b2, b2, 1),
         )
-        net.moments = {
-            name: (np.zeros_like(getattr(net, name)), np.zeros_like(getattr(net, name)))
-            for name in cls.PARAM_NAMES
-        }
-        return net
 
 
-def encode_states(candidates: np.ndarray, h: NodeEmbeddings, seed_count,
+def encode_states(candidates: np.ndarray, h: np.ndarray, seed_count,
                   remaining_budget, attrs: NodeAttrs, budget: float,
                   k_max: int) -> np.ndarray:
-    """One state row per candidate; `seed_count` and `remaining_budget` are
-    scalars or per-row arrays."""
-    k = len(candidates)
-    out = np.empty((k, h.dim + 3))
-    out[:, : h.dim] = h.vectors[candidates]
-    out[:, h.dim] = attrs.cost[candidates] / budget
-    out[:, h.dim + 1] = remaining_budget / budget
-    out[:, h.dim + 2] = seed_count / k_max
+    """One state row per candidate, from the (n, d) embeddings `h`;
+    `seed_count` and `remaining_budget` are scalars or per-row arrays."""
+    d = h.shape[1]
+    out = np.empty((len(candidates), d + 3))
+    out[:, :d] = h[candidates]
+    out[:, d] = attrs.cost[candidates] / budget
+    out[:, d + 1] = remaining_budget / budget
+    out[:, d + 2] = seed_count / k_max
     return out
 
 
@@ -120,17 +114,18 @@ def _few(count: int, n: int) -> bool:
     return 4 * count <= n
 
 
-def hidden_table(net: QNetwork, h: NodeEmbeddings, cost: np.ndarray,
+def hidden_table(net: QNetwork, h: np.ndarray, cost: np.ndarray,
                  budget: float, out: QTable | None = None) -> QTable:
-    """The table T above with its bounds, for `net` as it stands. `out`, a
-    table that an earlier call built from the same h, cost and budget, is
-    rebuilt in place and returned; otherwise the table is new. Raises
-    ValueError when a table entry or bound, or the bound on the size of the
-    scores in the box, is not finite."""
-    d = h.dim
+    """The table T above with its bounds, for `net` as it stands and the
+    (n, d) embeddings `h`. `out`, a table that an earlier call built from
+    the same h, cost and budget, is rebuilt in place and returned;
+    otherwise the table is new. Raises ValueError when a table entry or
+    bound, or the bound on the size of the scores in the box, is not
+    finite."""
+    d = h.shape[1]
     if out is None:
         n = len(cost)
-        out = QTable(design=np.column_stack((h.vectors, cost / budget)),
+        out = QTable(design=np.column_stack((h, cost / budget)),
                      hidden=np.empty((n, net.hidden_dim)), upper=np.empty(n),
                      lower=np.empty(n))
     hidden, upper, lower = out.hidden, out.upper, out.lower
@@ -319,11 +314,14 @@ def q_loss_and_grad(net: QNetwork, states: np.ndarray, targets: np.ndarray
 
 
 def adam_step(net: QNetwork, grads: dict[str, np.ndarray], lr: float) -> QNetwork:
-    """One Adam update (beta1=0.9, beta2=0.999, eps=1e-8, bias-corrected)."""
+    """One Adam update (beta1=0.9, beta2=0.999, eps=1e-8, bias-corrected);
+    a net's moments start at zero on its first update."""
     net.step += 1
     t = net.step
     for name in net.PARAM_NAMES:
         g = grads[name]
+        if name not in net.moments:
+            net.moments[name] = (np.zeros_like(g), np.zeros_like(g))
         m, v = net.moments[name]
         m[:] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
         v[:] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g

@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .diffusion import SeedSet, live_arc_lists, simulate_ic
-from .embedding import (EmbeddingParams, NodeEmbeddings, compute_embeddings,
+from .embedding import (EmbeddingParams, compute_embeddings,
                         init_embedding_params)
 from .graph import Instance, InstancePool
 from .metrics import shaped_return
@@ -19,11 +19,11 @@ from .qnet import QNetwork, QTable, adam_step, best_feasible, \
     best_feasible_rows, encode_states, hidden_table, q_loss_and_grad
 from .seeding import derive_seed
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(ValueError):
-    """Checkpoint file missing, malformed, or architecture mismatch."""
+    """Checkpoint file missing or malformed, or flags that contradict it."""
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ class TrainedPolicy:
     embed: EmbeddingParams
     t_emb: int
 
-    def embeddings_for(self, instance: Instance) -> NodeEmbeddings:
+    def embeddings_for(self, instance: Instance) -> np.ndarray:
         return compute_embeddings(instance.graph, instance.attrs, self.embed,
                                   self.t_emb)
 
@@ -214,7 +214,7 @@ def run_episode(net: QNetwork, instance: Instance, table: QTable,
 
 def _bellman_targets(net: QNetwork, batch: list[Transition],
                      instances: dict[str, Instance],
-                     embeddings: dict[str, NodeEmbeddings], table_of,
+                     embeddings: dict[str, np.ndarray], table_of,
                      config: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
     """Encode batch states and compute one-step bootstrapped targets.
 
@@ -326,7 +326,7 @@ def train(config: TrainConfig, pool: InstancePool,
 
 
 def select_seed_set(policy: TrainedPolicy, instance: Instance, budget: float,
-                    h: NodeEmbeddings | None = None) -> SeedSet:
+                    h: np.ndarray | None = None) -> SeedSet:
     """Greedy (epsilon=0) budget-constrained selection; deterministic. `h`,
     when given, is `policy.embeddings_for(instance)`, computed by the caller."""
     h = policy.embeddings_for(instance) if h is None else h
@@ -337,80 +337,66 @@ def select_seed_set(policy: TrainedPolicy, instance: Instance, budget: float,
 
 
 def save_checkpoint(path: str, policy: TrainedPolicy, config: TrainConfig) -> None:
-    """Versioned npz dump of the net, Adam state, and embedding parameters."""
-    net = policy.net
-    meta = {
-        "version": CHECKPOINT_VERSION,
-        "in_dim": net.in_dim,
-        "hidden": net.hidden_dim,
-        "d_emb": policy.embed.dim,
-        "t_emb": policy.t_emb,
-        "config": asdict(config),
-    }
-    arrays = {
-        "w1": net.w1, "b1": net.b1, "w2": net.w2, "b2": net.b2,
-        "step": np.array([net.step]),
-        "embed_w_feat": policy.embed.w_feat,
-        "embed_w_agg": policy.embed.w_agg,
-        "embed_w_edge": policy.embed.w_edge,
-        "meta": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-    }
-    for name in net.PARAM_NAMES:
-        m, v = net.moments[name]
-        arrays[f"adam_m_{name}"] = m
-        arrays[f"adam_v_{name}"] = v
+    """An npz of what inference reads: the net's weights, the embedding
+    parameters (embed_w_*) and `meta`, {"version", "config"} with the
+    TrainConfig the policy was trained with. Raises ValueError when the
+    policy's d_emb or t_emb is not the config's."""
+    net, embed = policy.net, policy.embed
+    if (embed.dim, policy.t_emb) != (config.d_emb, config.t_emb):
+        raise ValueError("the policy's d_emb or t_emb is not the config's")
+    meta = {"version": CHECKPOINT_VERSION, "config": asdict(config)}
     with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+        np.savez(fh, w1=net.w1, b1=net.b1, w2=net.w2, b2=net.b2,
+                 embed_w_feat=embed.w_feat, embed_w_agg=embed.w_agg,
+                 embed_w_edge=embed.w_edge,
+                 meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8))
 
 
-def load_checkpoint(path: str, expect_d_emb: int | None = None
-                    ) -> tuple[TrainedPolicy, dict]:
-    """Load a checkpoint; raises CheckpointError on any mismatch."""
-    params = QNetwork.PARAM_NAMES
-    names = ["meta", "step", "embed_w_feat", "embed_w_agg", "embed_w_edge",
-             *params, *(f"adam_{mv}_{p}" for p in params for mv in "mv")]
+def load_checkpoint(path: str) -> tuple[TrainedPolicy, TrainConfig]:
+    """The policy and the TrainConfig it was trained with, which sizes the
+    embedding (w1's row count is the hidden width). Raises CheckpointError
+    when the file, its metadata, the config or an array is missing or
+    malformed."""
     try:
         with np.load(path) as data:
-            arrays = {name: data[name] for name in names}
-        meta = json.loads(bytes(arrays["meta"]).decode())
+            arrays = {name: data[name] for name in (
+                "meta", *QNetwork.PARAM_NAMES, "embed_w_feat", "embed_w_agg",
+                "embed_w_edge")}
+        meta = json.loads(bytes(arrays.pop("meta")).decode())
     except (OSError, KeyError, ValueError) as exc:
         raise CheckpointError(f"cannot load checkpoint {path}: {exc}") from exc
-    if not (isinstance(meta, dict)
-            and isinstance(meta.get("config", {}), dict)):
-        raise CheckpointError("checkpoint metadata or its config is not a "
-                              "JSON object")
+    if not isinstance(meta, dict):
+        raise CheckpointError("checkpoint metadata is not a JSON object")
     if meta.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {meta.get('version')}")
-    dims = ("hidden", "in_dim", "d_emb", "t_emb")
-    for key in dims:
-        if key not in meta:
-            raise CheckpointError(f"checkpoint metadata lacks {key!r}")
-        # bool is an int subclass, and JSON true is no dimension
-        if type(meta[key]) is not int or meta[key] < 1:
-            raise CheckpointError(f"checkpoint {key} must be an integer >= 1, "
-                                  f"not {meta[key]!r}")
-    hidden, in_dim, d, t_emb = (meta[k] for k in dims)
-    shapes = {"w1": (hidden, in_dim), "b1": (hidden,), "w2": (hidden,),
-              "b2": (1,)}
-    shapes.update({f"adam_{mv}_{p}": shapes[p] for p in params for mv in "mv"})
-    shapes.update(embed_w_feat=(d, 2), embed_w_agg=(d, d), embed_w_edge=(d,))
+        raise CheckpointError(f"checkpoint version {meta.get('version')!r} is "
+                              f"not {CHECKPOINT_VERSION}; re-train the policy")
+    config, want = meta.get("config"), asdict(TrainConfig())
+    # nothing beside the config, so no copy of a setting can disagree with
+    # it; each field of its default's type or int (type() shuts out bools)
+    if not (meta.keys() == {"version", "config"} and isinstance(config, dict)
+            and config.keys() == want.keys()
+            and all(type(config[k]) in (type(want[k]), int) for k in want)):
+        raise CheckpointError("checkpoint metadata must be the version and "
+                              "a config of TrainConfig's fields and types")
+    try:
+        config = TrainConfig(**config)
+    except ValueError as exc:
+        raise CheckpointError(f"checkpoint config rejected: {exc}") from exc
+    w1, d = arrays["w1"], config.d_emb
+    if w1.ndim != 2 or len(w1) < 1:
+        raise CheckpointError(f"w1 has shape {w1.shape}, not (hidden > 0, in_dim)")
+    shapes = {"w1": (len(w1), d + 3), "b1": w1.shape[:1], "w2": w1.shape[:1],
+              "b2": (1,), "embed_w_feat": (d, 2), "embed_w_agg": (d, d),
+              "embed_w_edge": (d,)}
     for name, shape in shapes.items():
         if arrays[name].shape != shape:
             raise CheckpointError(f"{name} has shape {arrays[name].shape}, "
-                                  f"recorded dims give {shape}")
+                                  f"w1 and the config give {shape}")
         if arrays[name].dtype.kind != "f" or \
                 not np.all(np.isfinite(arrays[name])):
             raise CheckpointError(f"{name} must hold finite floats")
-    if in_dim != d + 3:
-        raise CheckpointError("state width inconsistent with embedding dim")
-    if expect_d_emb is not None and d != expect_d_emb:
-        raise CheckpointError(f"embedding dim {d} != expected {expect_d_emb}")
-    net = QNetwork(w1=arrays["w1"], b1=arrays["b1"], w2=arrays["w2"],
-                   b2=arrays["b2"], step=int(arrays["step"][0]))
-    net.moments = {
-        p: (arrays[f"adam_m_{p}"], arrays[f"adam_v_{p}"]) for p in params
-    }
+    net = QNetwork(**{name: arrays[name] for name in QNetwork.PARAM_NAMES})
     embed = EmbeddingParams(w_feat=arrays["embed_w_feat"],
                             w_agg=arrays["embed_w_agg"],
                             w_edge=arrays["embed_w_edge"])
-    return TrainedPolicy(net=net, embed=embed, t_emb=t_emb), meta
+    return TrainedPolicy(net=net, embed=embed, t_emb=config.t_emb), config

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -157,6 +159,33 @@ def read_lines(path) -> list[str]:
     """The lines of a text file, which is closed again."""
     with open(path) as fh:
         return fh.readlines()
+
+
+# a key of a `rewrite_checkpoint` change whose value is DROP is deleted
+DROP = object()
+
+
+def _merged(base, change):
+    """`change` laid over `base`: dicts merge key by key, recursively, and
+    drop the keys set to DROP; any other change replaces the value."""
+    if not (isinstance(base, dict) and isinstance(change, dict)):
+        return change
+    out = {**base, **{k: _merged(base.get(k), v) for k, v in change.items()}}
+    return {k: v for k, v in out.items() if v is not DROP}
+
+
+def rewrite_checkpoint(path, meta=None, **arrays):
+    """Rewrite the checkpoint npz at `path` with `meta` merged into its
+    metadata (see `_merged`) and the given arrays set; an array set to None
+    is left out."""
+    with np.load(path) as data:
+        saved = dict(data)
+    if meta is not None:
+        meta = _merged(json.loads(bytes(saved["meta"]).decode()), meta)
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(),
+                                       dtype=np.uint8)
+    np.savez(path, **{k: v for k, v in {**saved, **arrays}.items()
+                      if v is not None})
 
 
 @pytest.fixture

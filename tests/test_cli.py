@@ -12,8 +12,9 @@ from fairseed.cli import EXIT_CHECKPOINT, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from fairseed.experiment import ExperimentConfig
 from fairseed.graph import InstancePool
 from fairseed.seeding import derive_seed
+from fairseed.trainer import load_checkpoint
 
-from conftest import read_lines
+from conftest import DROP, read_lines, rewrite_checkpoint
 
 
 @pytest.fixture
@@ -26,10 +27,10 @@ def dataset(tmp_path):
 
 
 # node costs in [1, 5], so a budget of 6 always affords a node
-FAST_TRAIN = ["--episodes", "6", "--batch-size", "4", "--d-emb", "8",
-              "--t-emb", "2", "--n-train", "1", "--n-test", "1",
-              "--nodes-per-instance", "12", "--budget", "6",
+DATA_FLAGS = ["--n-train", "1", "--n-test", "1", "--nodes-per-instance", "12",
               "--cost-range", "1,5"]
+FAST_TRAIN = ["--episodes", "6", "--batch-size", "4", "--d-emb", "8",
+              "--t-emb", "2", "--budget", "6", *DATA_FLAGS]
 
 
 def run_train(dataset, tmp_path, extra=()):
@@ -176,6 +177,70 @@ class TestEvalCommand:
                      "--out", str(tmp_path / "r")])
         assert code == EXIT_CHECKPOINT
 
+    def test_eval_takes_train_config_from_checkpoint(self, dataset,
+                                                     tmp_path):
+        # no train flag at all: the policy's d_emb 8 and t_emb 2 come from
+        # the checkpoint, and run_meta.json records its TrainConfig
+        code, ckpt = run_train(dataset, tmp_path)
+        assert code == EXIT_OK
+        out = tmp_path / "r"
+        code = main(["eval", "--dataset", dataset, "--checkpoint-in", ckpt,
+                     "--seed", "7", *DATA_FLAGS, "--budgets", "4",
+                     "--m", "5", "--algorithms", "rl", "--out", str(out)])
+        assert code == EXIT_OK
+        meta = json.loads((out / "run_meta.json").read_text())
+        _, trained = load_checkpoint(ckpt)
+        assert meta["config"]["train"] \
+            == json.loads(json.dumps(asdict(trained)))
+        assert (trained.d_emb, trained.t_emb, trained.seed) == (8, 2, 7)
+
+    @pytest.mark.parametrize("extra,names", [
+        (["--t-emb", "5"], ["t_emb"]),
+        (["--budget", "7", "--episodes", "9"], ["budget", "episodes"]),
+    ])
+    def test_contradicting_train_flag_is_checkpoint_error(self, dataset,
+                                                          tmp_path, capsys,
+                                                          extra, names):
+        code, ckpt = run_train(dataset, tmp_path)
+        assert code == EXIT_OK
+        out = tmp_path / "r"
+        code = main(["eval", "--dataset", dataset, "--checkpoint-in", ckpt,
+                     "--seed", "7", *FAST_TRAIN, *extra, "--m", "5",
+                     "--algorithms", "rl", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CHECKPOINT
+        assert err.startswith("checkpoint error:")
+        assert all(name in err for name in names)
+        assert not out.exists()
+
+    def test_seed_sets_only_the_experiment_seed(self, dataset, tmp_path):
+        # a --seed other than the training seed is no contradiction: it
+        # moves the experiment's seed, and with it the pool and evaluation
+        # seeds, and leaves the checkpoint's TrainConfig as it is
+        code, ckpt = run_train(dataset, tmp_path)
+        assert code == EXIT_OK
+
+        def meta_at(seed):
+            out = tmp_path / f"r{seed}"
+            code = main(["eval", "--dataset", dataset, "--checkpoint-in",
+                         ckpt, "--seed", seed, *FAST_TRAIN, "--budgets", "4",
+                         "--m", "5", "--algorithms", "rl", "--out", str(out)])
+            assert code == EXIT_OK
+            return json.loads((out / "run_meta.json").read_text())
+
+        same, other = meta_at("7"), meta_at("3")
+        assert (same["config"]["seed"], other["config"]["seed"]) == (7, 3)
+        assert same["config"]["train"] == other["config"]["train"]
+        assert other["config"]["train"]["seed"] == 7
+        assert {k: v for k, v in same["config"].items()
+                if k not in ("seed", "out_dir")} \
+            == {k: v for k, v in other["config"].items()
+                if k not in ("seed", "out_dir")}
+        changed = {k for k in same["seeds"]
+                   if same["seeds"][k] != other["seeds"][k]}
+        assert changed == {"pool", "eval"}
+        assert other["seeds"]["pool"] == derive_seed(3, "pool")
+
     def test_wrong_parameter_shape_is_checkpoint_error(self, dataset,
                                                        tmp_path):
         code, ckpt = run_train(dataset, tmp_path)
@@ -189,42 +254,55 @@ class TestEvalCommand:
                      "--algorithms", "rl", "--out", str(tmp_path / "r")])
         assert code == EXIT_CHECKPOINT
 
-    @pytest.mark.parametrize("key", ["hidden", "in_dim", "d_emb", "t_emb"])
+    @pytest.mark.parametrize("key", ["d_emb", "t_emb"])
     def test_missing_metadata_key_is_checkpoint_error(self, dataset, tmp_path,
                                                       key):
         code, ckpt = run_train(dataset, tmp_path)
         assert code == EXIT_OK
-        with np.load(ckpt) as data:
-            arrays = dict(data)
-        meta = json.loads(bytes(arrays["meta"]).decode())
-        del meta[key]
-        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-        np.savez(ckpt, **arrays)
+        rewrite_checkpoint(ckpt, meta={"config": {key: DROP}})
         code = main(["eval", "--dataset", dataset, "--checkpoint-in", ckpt,
                      "--seed", "7", *FAST_TRAIN, "--m", "5",
                      "--algorithms", "rl", "--out", str(tmp_path / "r")])
         assert code == EXIT_CHECKPOINT
 
-    @pytest.mark.parametrize("meta", [["a list"], {"t_emb": 0},
-                                      {"t_emb": "x"}, {"hidden": 1.5},
-                                      {"config": ["x"]}],
-                             ids=["list", "t_emb-0", "t_emb-x", "hidden-float",
-                                  "config-list"])
+    @pytest.mark.parametrize("meta", [["a list"], {"config": {"t_emb": 0}},
+                                      {"config": {"t_emb": "x"}},
+                                      {"config": {"d_emb": 1.5}},
+                                      {"hidden": 1.5}, {"config": ["x"]}],
+                             ids=["list", "t_emb-0", "t_emb-x", "d_emb-float",
+                                  "hidden-float", "config-list"])
     def test_malformed_metadata_is_checkpoint_error(self, dataset, tmp_path,
                                                     meta):
         code, ckpt = run_train(dataset, tmp_path)
         assert code == EXIT_OK
-        with np.load(ckpt) as data:
-            arrays = dict(data)
-        if isinstance(meta, dict):
-            meta = {**json.loads(bytes(arrays["meta"]).decode()), **meta}
-        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-        np.savez(ckpt, **arrays)
+        rewrite_checkpoint(ckpt, meta=meta)
         out = tmp_path / "r"
         code = main(["eval", "--dataset", dataset, "--checkpoint-in", ckpt,
                      "--seed", "7", *FAST_TRAIN, "--m", "5",
                      "--algorithms", "rl", "--out", str(out)])
         assert code == EXIT_CHECKPOINT
+        assert not out.exists()
+
+    def test_version_1_checkpoint_is_checkpoint_error(self, dataset, tmp_path,
+                                                      capsys):
+        # the version-1 layout: Adam's moments and step count next to the
+        # weights, and the dimensions at the top level of the metadata
+        code, ckpt = run_train(dataset, tmp_path)
+        assert code == EXIT_OK
+        with np.load(ckpt) as data:
+            adam = {f"adam_{mv}_{p}": np.zeros_like(data[p])
+                    for p in ("w1", "b1", "w2", "b2") for mv in "mv"}
+            hidden, in_dim = data["w1"].shape
+        rewrite_checkpoint(ckpt, meta={"version": 1, "hidden": hidden,
+                                       "in_dim": in_dim, "d_emb": 8,
+                                       "t_emb": 2},
+                           step=np.array([3]), **adam)
+        out = tmp_path / "r"
+        code = main(["eval", "--dataset", dataset, "--checkpoint-in", ckpt,
+                     "--seed", "7", *FAST_TRAIN, "--m", "5",
+                     "--algorithms", "rl", "--out", str(out)])
+        assert code == EXIT_CHECKPOINT
+        assert "version 1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_nan_parameter_is_checkpoint_error(self, dataset, tmp_path):
@@ -264,6 +342,74 @@ class TestEvalCommand:
                      "--m", "5", "--algorithms", "bogus",
                      "--out", str(tmp_path / "r3")])
         assert code == EXIT_USAGE
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be written is a one-line usage error
+    before any work, and nothing is left behind."""
+
+    @pytest.fixture
+    def no_pool(self, monkeypatch):
+        def build_pool(cfg):
+            raise AssertionError("the pool was built")
+        monkeypatch.setattr(cli, "build_pool", build_pool)
+
+    @staticmethod
+    def usage_error(capsys) -> str:
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1
+        return err
+
+    @pytest.mark.parametrize("flag", ["--checkpoint-out", "--log"])
+    def test_train_file_in_missing_directory(self, dataset, tmp_path, capsys,
+                                             no_pool, flag):
+        paths = {"--checkpoint-out": str(tmp_path / "p.npz"),
+                 "--log": str(tmp_path / "log.csv")}
+        paths[flag] = str(tmp_path / "nodir" / "out")
+        code = main(["train", "--dataset", dataset, *FAST_TRAIN,
+                     *(x for item in paths.items() for x in item)])
+        assert code == EXIT_USAGE
+        assert flag in self.usage_error(capsys)
+        assert os.listdir(tmp_path) == ["graph.txt"]
+
+    def test_train_checkpoint_onto_a_directory(self, dataset, tmp_path,
+                                               capsys, no_pool):
+        code = main(["train", "--dataset", dataset, *FAST_TRAIN,
+                     "--checkpoint-out", str(tmp_path)])
+        assert code == EXIT_USAGE
+        assert "--checkpoint-out" in self.usage_error(capsys)
+
+    @pytest.mark.parametrize("command", ["eval", "sample"])
+    def test_out_is_an_existing_file(self, dataset, tmp_path, capsys,
+                                     no_pool, command):
+        taken = tmp_path / "taken"
+        taken.write_text("keep me\n")
+        extra = ["--algorithms", "random"] if command == "eval" else []
+        for out in (taken, taken / "below"):
+            code = main([command, "--dataset", dataset, *FAST_TRAIN, *extra,
+                         "--out", str(out)])
+            assert code == EXIT_USAGE
+            assert "--out" in self.usage_error(capsys)
+        assert taken.read_text() == "keep me\n"
+
+    def test_eval_out_may_need_new_parents(self, dataset, tmp_path):
+        out = tmp_path / "a" / "b"
+        code = main(["eval", "--dataset", dataset, *FAST_TRAIN, "--m", "5",
+                     "--budgets", "4", "--algorithms", "random",
+                     "--out", str(out)])
+        assert code == EXIT_OK
+        assert (out / "results.csv").exists()
+
+    def test_report_write_failure_is_usage_error(self, dataset, tmp_path,
+                                                 capsys, monkeypatch):
+        def emit_report(results, out_dir, meta=None):
+            raise PermissionError(13, "Permission denied", out_dir)
+        monkeypatch.setattr(cli, "emit_report", emit_report)
+        code = main(["eval", "--dataset", dataset, *FAST_TRAIN, "--m", "5",
+                     "--budgets", "4", "--algorithms", "random",
+                     "--out", str(tmp_path / "r")])
+        assert code == EXIT_USAGE
+        assert "Permission denied" in self.usage_error(capsys)
 
 
 class TestOracleCommand:

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fairseed import qnet
-from fairseed.embedding import NodeEmbeddings
 from fractions import Fraction
 from unittest import mock
 
@@ -19,7 +18,7 @@ IN_DIM = 67
 
 def tiny_embeddings(n=5, d=64, seed=0):
     rng = np.random.default_rng(seed)
-    return NodeEmbeddings(vectors=rng.uniform(0, 1, (n, d)), dim=d)
+    return rng.uniform(0, 1, (n, d))
 
 
 def random_states(rng, k, in_dim=IN_DIM):
@@ -66,7 +65,7 @@ class TestEncodeState:
                             k_max=10)
         assert len(s) == 67
         assert np.allclose(s[-3:], [0.2, 1.0, 0.0])
-        assert np.array_equal(s[:64], h.vectors[1])
+        assert np.array_equal(s[:64], h[1])
 
     def test_exhausted_budget_tail(self):
         h = tiny_embeddings()
@@ -143,7 +142,7 @@ class TestHiddenTable:
             n = int(rng.integers(1, 40))
             d = int(rng.integers(1, 16))
             net = QNetwork.init(d + 3, seed=trial, hidden=int(rng.integers(1, 64)))
-            h = NodeEmbeddings(vectors=rng.normal(size=(n, d)), dim=d)
+            h = rng.normal(size=(n, d))
             attrs = make_attrs(n, cost=rng.uniform(1, 100, n))
             budget = float(rng.uniform(10, 1000))
             k_max = int(rng.integers(1, 50))
@@ -182,7 +181,7 @@ class TestHiddenTable:
         net = QNetwork.init(d + 3, seed=seed, hidden=hidden)
         if flat:
             net.w2[:] = 0.0  # every score ties
-        h = NodeEmbeddings(vectors=rng.normal(size=(n, d)), dim=d)
+        h = rng.normal(size=(n, d))
         attrs = make_attrs(n, cost=rng.uniform(1, 100, n))
         seed_count, remaining = int(picked * k_max), (1.0 - spent) * budget
         table = hidden_table(net, h, attrs.cost, budget)
@@ -215,13 +214,13 @@ class TestHiddenTable:
     def test_tie_goes_to_lowest_candidate(self):
         # nodes 1 and 3 share an embedding and a cost, so their Q-values tie
         h = tiny_embeddings()
-        h.vectors[3] = h.vectors[1]
+        h[3] = h[1]
         attrs = make_attrs(5, cost=[5, 2, 9, 2, 7])
         net = QNetwork.init(IN_DIM, seed=9)
         # make the tied pair the maximum: their shared features drive Q up
         net.w2[:] = np.abs(net.w2)
         net.w1[:, :64] = np.abs(net.w1[:, :64]) * np.sign(
-            h.vectors[1] - h.vectors.mean(axis=0))
+            h[1] - h.mean(axis=0))
         table = hidden_table(net, h, attrs.cost, 100.0)
         cands = np.array([0, 1, 2, 3, 4])
         got = q_forward_table(net, table, 2, 60.0, 100.0, 10)
@@ -238,7 +237,7 @@ def table_net(rows, u, v, w2, b2):
     net = QNetwork(w1=np.column_stack((np.eye(width), np.zeros(width), u, v)),
                    b1=np.zeros(width), w2=np.asarray(w2, dtype=float),
                    b2=np.array([b2], dtype=float))
-    h = NodeEmbeddings(vectors=np.asarray(rows, dtype=float), dim=width)
+    h = np.asarray(rows, dtype=float)
     return net, hidden_table(net, h, np.ones(n), 1.0)
 
 

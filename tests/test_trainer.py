@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 from unittest import mock
 
 import numpy as np
@@ -19,10 +20,10 @@ from fairseed.trainer import (CheckpointError, TrainConfig, TrainedPolicy,
                               epsilon_greedy_select, load_checkpoint,
                               save_checkpoint, select_seed_set, train)
 
-from conftest import (bfs_reach, feasible_candidates, fresh_rollout,
+from conftest import (DROP, bfs_reach, feasible_candidates, fresh_rollout,
                       make_instance, mask_shaped_return, outside_replay,
                       q_forward_batch, q_forward_table, random_tiny_instance,
-                      replay_record)
+                      replay_record, rewrite_checkpoint)
 
 D_EMB = 8
 
@@ -752,6 +753,16 @@ class TestInference:
                 run_episode(net, inst, h, cfg, 0.0, rng)
 
 
+def saved_checkpoint(tmp_path, cfg=None):
+    """The path of a checkpoint of a short training run, and its policy."""
+    cfg = cfg or toy_config(episodes=2)
+    policy = train(cfg, InstancePool(train=(toy_instance("a"),), test=(),
+                                     seed=0))
+    path = str(tmp_path / "ckpt.npz")
+    save_checkpoint(path, policy, cfg)
+    return path, policy
+
+
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         cfg = toy_config(episodes=4, batch_size=4)
@@ -760,83 +771,123 @@ class TestCheckpoint:
         policy = train(cfg, pool)
         path = str(tmp_path / "ckpt.npz")
         save_checkpoint(path, policy, cfg)
-        loaded, meta = load_checkpoint(path)
-        assert np.array_equal(loaded.net.w1, policy.net.w1)
-        assert np.array_equal(loaded.embed.w_feat, policy.embed.w_feat)
-        assert loaded.net.step == policy.net.step
-        assert meta["d_emb"] == cfg.d_emb
+        loaded, loaded_cfg = load_checkpoint(path)
+        for name in QNetwork.PARAM_NAMES:
+            assert np.array_equal(getattr(loaded.net, name),
+                                  getattr(policy.net, name))
+        for name in ("w_feat", "w_agg", "w_edge"):
+            assert np.array_equal(getattr(loaded.embed, name),
+                                  getattr(policy.embed, name))
+        assert loaded_cfg == cfg
+        assert loaded.t_emb == cfg.t_emb
         # inference agrees after reload
         inst = pool.test[0]
         assert select_seed_set(loaded, inst, 6.0).nodes \
             == select_seed_set(policy, inst, 6.0).nodes
 
-    def test_dimension_mismatch_rejected(self, tmp_path):
+    def test_holds_only_what_inference_reads(self, tmp_path):
         cfg = toy_config(episodes=2)
-        pool = InstancePool(train=(toy_instance("a"),),
-                            test=(), seed=0)
-        policy = train(cfg, pool)
-        path = str(tmp_path / "ckpt.npz")
-        save_checkpoint(path, policy, cfg)
-        with pytest.raises(CheckpointError):
-            load_checkpoint(path, expect_d_emb=64)
-
-    @pytest.mark.parametrize("name", ["b1", "w2", "b2", "adam_m_w1",
-                                      "adam_v_b2", "embed_w_agg"])
-    def test_wrong_parameter_shape_rejected(self, tmp_path, name):
-        cfg = toy_config(episodes=2)
-        policy = train(cfg, InstancePool(train=(toy_instance("a"),),
-                                         test=(), seed=0))
-        path = str(tmp_path / "ckpt.npz")
-        save_checkpoint(path, policy, cfg)
+        path, _ = saved_checkpoint(tmp_path, cfg)
         with np.load(path) as data:
-            arrays = dict(data)
-        arrays[name] = np.zeros(3)
-        np.savez(path, **arrays)
+            assert sorted(data.files) == [
+                "b1", "b2", "embed_w_agg", "embed_w_edge", "embed_w_feat",
+                "meta", "w1", "w2"]
+            meta = json.loads(bytes(data["meta"]).decode())
+        assert meta == {"version": 2,
+                        "config": json.loads(json.dumps(asdict(cfg)))}
+
+    def test_dimension_mismatch_rejected(self, tmp_path):
+        # a policy whose embedding is not the config's is not saved, and a
+        # config whose d_emb the arrays do not have is not loaded
+        cfg = toy_config(episodes=2)
+        path, policy = saved_checkpoint(tmp_path, cfg)
+        for other in (toy_config(d_emb=D_EMB + 1), toy_config(t_emb=3)):
+            with pytest.raises(ValueError, match="d_emb or t_emb"):
+                save_checkpoint(str(tmp_path / "other.npz"), policy, other)
+        assert not (tmp_path / "other.npz").exists()
+        rewrite_checkpoint(path, meta={"config": {"d_emb": D_EMB + 1}})
+        with pytest.raises(CheckpointError, match="embed_w_feat|w1"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("name", ["b1", "w2", "b2", "embed_w_agg"])
+    def test_wrong_parameter_shape_rejected(self, tmp_path, name):
+        path, _ = saved_checkpoint(tmp_path)
+        rewrite_checkpoint(path, **{name: np.zeros(3)})
         with pytest.raises(CheckpointError, match=name):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("name", ["w1", "w2", "embed_w_feat",
-                                      "adam_v_b1"])
+    @pytest.mark.parametrize("w1", [
+        np.zeros(D_EMB + 3), np.float64(0.0), np.zeros((16, D_EMB + 2)),
+        np.zeros((16, D_EMB + 4)), np.zeros((0, D_EMB + 3))],
+        ids=["1-d", "0-d", "narrow", "wide", "no-rows"])
+    def test_wrong_w1_shape_rejected(self, tmp_path, w1):
+        # w1 sets the hidden width, so it must be a 2-D array of at least
+        # one row, as wide as the config's d_emb + 3; an empty w1 comes with
+        # b1 and w2 to match, so only the row count is wrong
+        path, _ = saved_checkpoint(tmp_path)
+        width = w1.shape[0] if w1.ndim == 2 else 16
+        rewrite_checkpoint(path, w1=w1, b1=np.zeros(width), w2=np.zeros(width))
+        with pytest.raises(CheckpointError, match="w1"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("name", ["w1", "b1", "w2", "embed_w_feat"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, "x"])
     def test_non_finite_or_non_float_parameter_rejected(self, tmp_path,
                                                         name, bad):
-        cfg = toy_config(episodes=2)
-        policy = train(cfg, InstancePool(train=(toy_instance("a"),),
-                                         test=(), seed=0))
-        path = str(tmp_path / "ckpt.npz")
-        save_checkpoint(path, policy, cfg)
+        path, _ = saved_checkpoint(tmp_path)
         with np.load(path) as data:
-            arrays = dict(data)
-        arrays[name] = arrays[name].astype(type(bad))
-        arrays[name].flat[0] = bad
-        np.savez(path, **arrays)
+            array = data[name].astype(type(bad))
+        array.flat[0] = bad
+        rewrite_checkpoint(path, **{name: array})
         with pytest.raises(CheckpointError, match=name):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("change", [
-        [1, 2], "meta", {"t_emb": 0}, {"t_emb": "x"}, {"t_emb": 2.0},
-        {"hidden": 0}, {"hidden": -16}, {"d_emb": True}, {"d_emb": None},
-        {"in_dim": "11"}, {"config": 7},
-    ], ids=["list", "string", "t_emb-0", "t_emb-x", "t_emb-float", "hidden-0",
-            "hidden-negative", "d_emb-bool", "d_emb-null", "in_dim-string",
-            "config-number"])
+        [1, 2], "meta", {"config": {"t_emb": 0}}, {"config": {"t_emb": "x"}},
+        {"config": {"t_emb": 2.0}}, {"config": {"d_emb": True}},
+        {"config": {"d_emb": None}}, {"config": {"d_emb": DROP}},
+        {"config": {"t_emb": DROP}}, {"config": {"budget": -1.0}},
+        {"config": {"budget": "x"}}, {"config": {"seed": None}},
+        {"config": {"episodes": 2.5}}, {"config": {"hidden": 16}},
+        {"config": 7}, {"config": DROP}, {"version": DROP},
+        {"hidden": 0}, {"hidden": -16}, {"in_dim": "11"}, {"d_emb": D_EMB},
+    ], ids=["list", "string", "t_emb-0", "t_emb-x", "t_emb-float",
+            "d_emb-bool", "d_emb-null", "d_emb-missing", "t_emb-missing",
+            "budget-negative", "budget-string", "seed-null", "episodes-float",
+            "config-extra-field", "config-number", "config-missing",
+            "version-missing", "hidden-0", "hidden-negative", "in_dim-string",
+            "d_emb-beside-config"])
     def test_malformed_metadata_rejected(self, tmp_path, change):
-        # metadata that is not a JSON object, or a dimension that is not an
-        # integer >= 1, is a CheckpointError, never an AttributeError or a
-        # policy that fails later
-        cfg = toy_config(episodes=2)
-        policy = train(cfg, InstancePool(train=(toy_instance("a"),),
-                                         test=(), seed=0))
-        path = str(tmp_path / "ckpt.npz")
-        save_checkpoint(path, policy, cfg)
-        with np.load(path) as data:
-            arrays = dict(data)
-        meta = json.loads(bytes(arrays["meta"]).decode())
-        meta = {**meta, **change} if isinstance(change, dict) else change
-        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(),
-                                       dtype=np.uint8)
-        np.savez(path, **arrays)
+        # metadata that is not a JSON object of this version and a config
+        # alone, or a config that is not exactly TrainConfig's fields, each a
+        # JSON number of its type that TrainConfig takes, is a
+        # CheckpointError, never an AttributeError or a policy or report that
+        # fails later; a dimension beside the config is rejected even when
+        # it agrees with the arrays
+        path, _ = saved_checkpoint(tmp_path)
+        rewrite_checkpoint(path, meta=change)
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def test_integer_for_a_float_setting_loads(self, tmp_path):
+        # JSON writes a float setting made from an int as an integer
+        path, _ = saved_checkpoint(tmp_path)
+        rewrite_checkpoint(path, meta={"config": {"budget": 6}})
+        _, loaded_cfg = load_checkpoint(path)
+        assert loaded_cfg == toy_config(episodes=2)
+
+    def test_version_1_file_names_its_version(self, tmp_path):
+        # the version-1 layout: top-level dimensions next to the config, and
+        # Adam's moments and step count next to the weights
+        path, policy = saved_checkpoint(tmp_path)
+        net = policy.net
+        adam = {f"adam_{mv}_{p}": np.zeros_like(getattr(net, p))
+                for p in net.PARAM_NAMES for mv in "mv"}
+        rewrite_checkpoint(path, meta={"version": 1, "in_dim": net.in_dim,
+                                       "hidden": net.hidden_dim,
+                                       "d_emb": D_EMB, "t_emb": 2},
+                           step=np.array([net.step]), **adam)
+        with pytest.raises(CheckpointError, match="version 1 .*re-train"):
             load_checkpoint(path)
 
     def test_garbage_rejected(self, tmp_path):
@@ -844,3 +895,9 @@ class TestCheckpoint:
         path.write_bytes(b"not a checkpoint")
         with pytest.raises(CheckpointError):
             load_checkpoint(str(path))
+
+    def test_missing_array_rejected(self, tmp_path):
+        path, _ = saved_checkpoint(tmp_path)
+        rewrite_checkpoint(path, embed_w_edge=None)
+        with pytest.raises(CheckpointError, match="embed_w_edge"):
+            load_checkpoint(path)
