@@ -8,8 +8,6 @@ take whatever still fits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -22,15 +20,9 @@ TOL = 1e-8
 MAX_ITER = 200
 
 
-@dataclass(frozen=True)
-class ScoreTable:
-    scores: np.ndarray
-    order: np.ndarray  # node ids by descending score, ties by ascending id
-
-    @classmethod
-    def from_scores(cls, scores: np.ndarray) -> "ScoreTable":
-        order = np.lexsort((np.arange(len(scores)), -scores))
-        return cls(scores=scores, order=order)
+def _ranking(scores: np.ndarray) -> np.ndarray:
+    """Indices of `scores` by descending score, ties to the lowest index."""
+    return np.lexsort((np.arange(len(scores)), -scores))
 
 
 def _greedy_fill(order, cost: np.ndarray, budget: float) -> list[int]:
@@ -51,11 +43,11 @@ def random_seeds(g: Graph, attrs: NodeAttrs, budget: float,
 
 
 def high_degree_seeds(g: Graph, attrs: NodeAttrs, budget: float) -> SeedSet:
-    table = ScoreTable.from_scores(g.out_degree().astype(float))
-    return SeedSet.build(_greedy_fill(table.order, attrs.cost, budget), attrs)
+    return SeedSet.build(
+        _greedy_fill(_ranking(g.out_degree()), attrs.cost, budget), attrs)
 
 
-def pagerank(g: Graph) -> ScoreTable:
+def pagerank(g: Graph) -> np.ndarray:
     """Power iteration with uniform teleport; dangling mass spread uniformly."""
     n = g.n
     outdeg = g.out_degree().astype(float)
@@ -72,14 +64,15 @@ def pagerank(g: Graph) -> ScoreTable:
             rank = nxt
             break
         rank = nxt
-    return ScoreTable.from_scores(rank)
+    return rank
 
 
 def pagerank_seeds(g: Graph, attrs: NodeAttrs, budget: float,
-                   table: ScoreTable | None = None) -> SeedSet:
-    if table is None:  # the caller may pass pagerank(g), computed once
-        table = pagerank(g)
-    return SeedSet.build(_greedy_fill(table.order, attrs.cost, budget), attrs)
+                   scores: np.ndarray | None = None) -> SeedSet:
+    if scores is None:  # the caller may pass pagerank(g), computed once
+        scores = pagerank(g)
+    return SeedSet.build(_greedy_fill(_ranking(scores), attrs.cost, budget),
+                         attrs)
 
 
 def _parity_fill(scores: np.ndarray, g: Graph, attrs: NodeAttrs,
@@ -89,10 +82,9 @@ def _parity_fill(scores: np.ndarray, g: Graph, attrs: NodeAttrs,
     nodes are skipped within each community's ranking."""
     n = g.n
     pop = np.array([len(m) for m in parts.members], dtype=float) / n
-    rankings = []
-    for members in parts.members:
-        order = np.lexsort((members, -scores[members]))
-        rankings.append(list(members[order]))
+    # members are ascending, so ties still go to the lowest node id
+    rankings = [list(members[_ranking(scores[members])])
+                for members in parts.members]
     pointers = [0] * parts.count
     counts = np.zeros(parts.count)
     chosen: list[int] = []
@@ -135,7 +127,8 @@ def parity_seeds(g: Graph, attrs: NodeAttrs, parts: CommunityPartition,
 
 
 def fair_pagerank_seeds(g: Graph, attrs: NodeAttrs, parts: CommunityPartition,
-                        budget: float, table: ScoreTable | None = None) -> SeedSet:
-    if table is None:  # the caller may pass pagerank(g), computed once
-        table = pagerank(g)
-    return _parity_fill(table.scores, g, attrs, parts, budget)
+                        budget: float, scores: np.ndarray | None = None
+                        ) -> SeedSet:
+    if scores is None:  # the caller may pass pagerank(g), computed once
+        scores = pagerank(g)
+    return _parity_fill(scores, g, attrs, parts, budget)

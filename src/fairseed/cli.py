@@ -304,16 +304,16 @@ def _cmd_sample(args) -> int:
     names = []
     for inst in pool.train + pool.test:
         base = os.path.join(args.out, inst.id)
-        src, dst, p = inst.graph.arc_arrays()
+        # Python floats: their repr reads back bit for bit
+        src, dst, p = (a.tolist() for a in inst.graph.arc_arrays())
         with open(base + ".edges", "w") as fh:
             fh.write("# u v p (arcs; undirected edges stored both ways)\n")
-            for u, v, pr in zip(src, dst, p):
-                fh.write(f"{u} {v} {pr!r}\n")
+            fh.writelines(f"{u} {v} {pr!r}\n" for u, v, pr in zip(src, dst, p))
+        cost, benefit = inst.attrs.cost.tolist(), inst.attrs.benefit.tolist()
         with open(base + ".attrs.csv", "w") as fh:
             fh.write("node_id,cost,benefit,community\n")
-            for v in range(inst.graph.n):
-                fh.write(f"{v},{inst.attrs.cost[v]!r},{inst.attrs.benefit[v]!r},"
-                         f"{inst.attrs.community[v]}\n")
+            fh.writelines(f"{v},{cost[v]!r},{benefit[v]!r},{label}\n"
+                          for v, label in enumerate(inst.attrs.community))
         names.append(inst.id)
     with open(os.path.join(args.out, "pool.json"), "w") as fh:
         json.dump({"seed": pool.seed, "train": names[: len(pool.train)],

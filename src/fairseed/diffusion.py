@@ -4,15 +4,16 @@ Under IC each arc is tried at most once, so a rollout is one draw of live
 arcs followed by reachability from the seeds (the live-edge equivalence of
 Kempe, Kleinberg and Tardos, 2003). Every rollout draws one uniform per arc,
 in CSR order, and arc a is live when its uniform is below probs[a].
-live_arcs draws m rollouts on the block layout of `seeding`, makes that
+live_arcs draws m rollouts from the Philox lanes of one seed, makes that
 compare on one byte digit per trial, reading more bits only on a tie, and
 packs the result 64 rollouts to a uint64 word, m * E / 8 bytes that every
 seed set evaluated under common random numbers can share; its docstring
-gives the compare, its probability ceil(p * 2**61) / 2**61 against the
-exact oracles' p, the chunk size and the packing. `_reach` pushes a cascade
-through those words for 64 rollouts at once, with bitwise AND and OR;
-rollout_masks unpacks its result node-major, one (n, R) bool block per
-chunk, and yields each block's (R, n) transposed view.
+gives the stream layout, the compare and its probability
+ceil(p * 2**61) / 2**61 against the exact oracles' p, the chunks and the
+packing. `_reach` pushes a cascade through those words for 64 rollouts at
+once, with bitwise AND and OR; rollout_masks unpacks its result
+node-major, one (n, R) bool block per chunk, and yields each block's
+(R, n) transposed view.
 estimate_spread_and_benefit, like metrics.evaluate_seed_set, sums each
 rollout on the node-major block and averages the sums. Training instead
 grows one rollout's reached mask a seed at a time: live_arc_lists turns the
@@ -160,16 +161,22 @@ def simulate_ic(arcs: tuple[list, list], reached: np.ndarray,
 def live_arcs(g: Graph, m: int, seed: int) -> LiveArcs:
     """Live arcs of rollouts 0..m-1, packed 64 rollouts per uint64 word.
 
-    Each (rollout, arc) trial reads one byte digit d of the streams keyed
-    by `seed`, at the place `seeding` gives it, and compares the uniform
-    U = (d + u') / 256, where u' is uniform on [0, 1) and read only on a
-    tie, with p = g.probs[a] digit by digit (Knuth and Yao, 1976). With F = min(floor(256 p), 255) and f = 256 p - F, both exact,
-    d < F makes the arc live and d > F dead. A tie, d == F, one trial in
-    256, is settled by the next raw word x of counter lane 1, live when
+    Rollouts go in blocks of 64 on the Philox lanes keyed by `seed`
+    (seeding.RolloutStreams), each read from its start; byte k of a lane is
+    byte k % 8, little-endian, of its raw word k // 8. On a graph with E
+    arcs, block b is bytes [64*E*b, 64*E*(b+1)) of lane 0 as an arc-major
+    (E, 64) array: byte 64*E*b + 64*a + j is arc a's digit d in rollout
+    64*b + j. The trial compares U = (d + u') / 256, where u' is uniform on
+    [0, 1) and read only on a tie, with p = g.probs[a] digit by digit
+    (Knuth and Yao, 1976). With F = min(floor(256 p), 255) and
+    f = 256 p - F, both exact, d < F makes the arc live and d > F dead. A
+    tie, d == F, one trial in 256, reads a raw word x of lane 1, the k-th
+    tie in lane-0 byte order taking word k, and is live when
     x >> 11 < ceil(f * 2**53). So the arc is live when U < p for the 61-bit
     uniform U, with probability ceil(p * 2**61) / 2**61, which is p itself
     for p = 0, p = 1 and every multiple of 2**-61 (the exact oracle uses p).
-    Rollout i's bits do not depend on the chunking or on m.
+    Rollout i's bits depend on its place alone, not on the chunking or m;
+    each call opens its own lanes, so any thread gives the same words.
 
     A chunk is whole 64-rollout blocks, as many as keep its digit bytes, its
     bool block and its tie mask (three bytes per trial) within
@@ -191,8 +198,8 @@ def live_arcs(g: Graph, m: int, seed: int) -> LiveArcs:
         raise ValueError(f"arc {a} ({src[a]} -> {dst[a]}) has probability "
                          f"{probs[a]!r}, outside [0, 1]")
     # both lanes are read in order from their start, chunk after chunk
-    digits = RolloutStreams(seed).at(0).bit_generator
-    tie_words = RolloutStreams(seed).at(0, lane=1).bit_generator
+    streams = RolloutStreams(seed)
+    digits, tie_words = streams.at(), streams.at(lane=1)
     arcs, words = g.num_arcs, -(-m // WORD_BITS)
     step = min(words, max(1, CHUNK_ENTRIES // (3 * WORD_BITS * max(arcs, 1))))
     scaled = probs * 256.0

@@ -50,6 +50,8 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.m < 1:
             raise ValueError("m must be >= 1")
         if not self.algorithms:

@@ -63,6 +63,8 @@ class TrainConfig:
             raise ValueError("fairness_weight must be nonnegative and finite")
         if self.episodes < 1 or self.d_emb < 1 or self.t_emb < 1:
             raise ValueError("episodes, d_emb, and t_emb must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -271,7 +271,7 @@ def test_criterion_7_baseline_exactness():
     # PageRank on a 3-cycle is uniform
     cycle = graph_from_edges(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)],
                              directed=True)
-    pr = pagerank(cycle).scores
+    pr = pagerank(cycle)
     assert np.all(np.abs(pr - 1.0 / 3.0) <= 1e-9)
 
     # Parity on an equal-cost 20:80 ring with room for 10 seeds picks 2/8

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fairseed.baselines import (ScoreTable, fair_pagerank_seeds,
+from fairseed.baselines import (_ranking, fair_pagerank_seeds,
                                 high_degree_seeds, pagerank, pagerank_seeds,
                                 parity_seeds, random_seeds)
 from fairseed.embedding import init_embedding_params
@@ -62,15 +62,14 @@ class TestPageRank:
     def test_three_cycle_uniform(self):
         g = graph_from_edges(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)],
                              directed=True)
-        table = pagerank(g)
-        assert np.allclose(table.scores, 1.0 / 3.0, atol=1e-9)
+        assert np.allclose(pagerank(g), 1.0 / 3.0, atol=1e-9)
 
     def test_scores_sum_to_one(self, rng):
         edges = [(int(rng.integers(20)), int(rng.integers(20)), 0.5)
                  for _ in range(40)]
         edges = [(u, v, p) for u, v, p in edges if u != v]
         g = graph_from_edges(20, edges, directed=True)
-        assert pagerank(g).scores.sum() == pytest.approx(1.0, abs=1e-9)
+        assert pagerank(g).sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_two_node_closed_form(self):
         # u -> v with dangling v; solve the 2x2 stationary system directly
@@ -81,13 +80,18 @@ class TestPageRank:
         system = np.eye(2) - d * a
         expected = np.linalg.solve(system, np.full(2, (1 - d) / 2))
         expected /= expected.sum()
-        got = pagerank(g).scores
+        got = pagerank(g)
         assert np.allclose(got, expected, atol=1e-8)
         assert got[1] > got[0]
 
     def test_order_ties_by_id(self):
-        table = ScoreTable.from_scores(np.array([0.3, 0.4, 0.3]))
-        assert list(table.order) == [1, 0, 2]
+        assert list(_ranking(np.array([0.3, 0.4, 0.3]))) == [1, 0, 2]
+        # pagerank_seeds fills down the same ranking: the top node, then the
+        # lower id of the tied pair once only one of them still fits
+        attrs = make_attrs(3, cost=[1.0, 2.0, 1.0])
+        s = pagerank_seeds(star(2), attrs, 3.0,
+                           scores=np.array([0.3, 0.4, 0.3]))
+        assert s.nodes == (0, 1)
 
 
 class TestPageRankSeeds:
@@ -187,7 +191,7 @@ class TestFairPageRank:
         edges = [(0, 1, 0.5), (0, 2, 0.5),
                  (3, 4, 0.5), (3, 5, 0.5), (4, 5, 0.5)]
         inst = make_instance("t", 6, edges, cost=[1] * 6, labels=[0, 0, 0, 1, 1, 1])
-        scores = pagerank(inst.graph).scores
+        scores = pagerank(inst.graph)
         s = fair_pagerank_seeds(inst.graph, inst.attrs, inst.parts, budget=3.0)
         first_pick = s.nodes
         # the top-scoring node of each community must be present

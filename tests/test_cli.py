@@ -9,8 +9,8 @@ import scipy
 import fairseed
 from fairseed import cli
 from fairseed.cli import EXIT_CHECKPOINT, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from fairseed.experiment import ExperimentConfig
-from fairseed.graph import InstancePool
+from fairseed.experiment import ExperimentConfig, build_pool
+from fairseed.graph import InstancePool, graph_from_edges, load_node_attributes
 from fairseed.seeding import derive_seed
 from fairseed.trainer import load_checkpoint
 
@@ -475,6 +475,33 @@ class TestSampleCommand:
         assert any(f.endswith(".edges") for f in files)
         assert any(f.endswith(".attrs.csv") for f in files)
 
+    def test_pool_reads_back_bit_for_bit(self, dataset, tmp_path):
+        out = tmp_path / "pool"
+        code = main(["sample", "--dataset", dataset, *DATA_FLAGS,
+                     "--seed", "3", "--out", str(out)])
+        assert code == EXIT_OK
+        pool = build_pool(ExperimentConfig(
+            dataset=dataset, n_train=1, n_test=1, nodes_per_instance=12,
+            cost_range=(1.0, 5.0), seed=3))
+        listed = json.loads((out / "pool.json").read_text())
+        assert listed["train"] + listed["test"] == \
+            [inst.id for inst in pool.train + pool.test]
+        for inst in pool.train + pool.test:
+            base = str(out / inst.id)
+            edges = [(int(u), int(v), float(p)) for u, v, p in
+                     (line.split() for line in read_lines(base + ".edges")
+                      if not line.startswith("#"))]
+            g = graph_from_edges(inst.graph.n, edges, directed=True)
+            for name in ("indptr", "indices", "probs"):
+                want, got = getattr(inst.graph, name), getattr(g, name)
+                assert got.dtype == want.dtype, name
+                assert got.tobytes() == want.tobytes(), name
+            attrs, _ = load_node_attributes(base + ".attrs.csv", g)
+            for name in ("cost", "benefit", "community"):
+                want, got = getattr(inst.attrs, name), getattr(attrs, name)
+                assert got.dtype == want.dtype, name
+                assert got.tobytes() == want.tobytes(), name
+
 
 class TestConfigFile:
     def test_flags_override_config(self, dataset, tmp_path):
@@ -583,6 +610,16 @@ class TestConfigFlags:
         want = self.defaults(dataset)
         want["seed"] = want["train"]["seed"] = 4
         assert recorded_config("--seed", "4") == want
+
+    @pytest.mark.parametrize("command", ["train", "eval", "sample"])
+    def test_negative_seed_is_usage_error_naming_it(self, dataset, tmp_path,
+                                                    capsys, command):
+        out = ["--checkpoint-out", str(tmp_path / "p.npz")] \
+            if command == "train" else ["--out", str(tmp_path / "out")]
+        code = main([command, "--dataset", dataset, "--seed", "-1", *out])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err == "usage error: seed must be >= 0\n"
 
     @pytest.mark.parametrize("flag,value,path,parsed", CONFIG_FLAGS,
                              ids=[row[0] for row in CONFIG_FLAGS])

@@ -94,24 +94,29 @@ class TestComputeEmbeddings:
 
     def test_cost_scales_linearly_in_edges(self, rng):
         # doubling |E| should roughly double the per-iteration cost; just
-        # check it does not blow up super-linearly; the best of a few repeats
-        # keeps a stall on a shared machine out of either sample
-        def timed(n_edges):
+        # check it does not blow up super-linearly; the two sizes' repeats
+        # alternate, so load on a shared machine slows both alike, and the
+        # best of a few repeats keeps a stall out of either
+        def inputs(n_edges):
             edges = [(int(rng.integers(400)), int(rng.integers(400)), 0.5)
                      for _ in range(n_edges)]
             g = graph_from_edges(400, edges, directed=True)
             attrs = make_attrs(400, cost=rng.uniform(1, 9, 400),
                                benefit=rng.uniform(1, 9, 400))
-            params = init_embedding_params(64, seed=0)
-            best = float("inf")
-            for _ in range(5):
-                t0 = time.perf_counter()
-                for _ in range(5):
-                    compute_embeddings(g, attrs, params, 3)
-                best = min(best, time.perf_counter() - t0)
-            return best
+            return g, attrs
 
-        t1, t2 = timed(2000), timed(4000)
+        def timed(g, attrs):
+            t0 = time.perf_counter()
+            for _ in range(5):
+                compute_embeddings(g, attrs, params, 3)
+            return time.perf_counter() - t0
+
+        params = init_embedding_params(64, seed=0)
+        small, large = inputs(2000), inputs(4000)
+        t1 = t2 = float("inf")
+        for _ in range(5):
+            t1 = min(t1, timed(*small))
+            t2 = min(t2, timed(*large))
         assert t2 < 8 * max(t1, 1e-4)
 
     def test_t_emb_validated(self):

@@ -173,6 +173,8 @@ class TestRunExperiment:
             small_config(m=0)
         with pytest.raises(ValueError):
             small_config(budgets=(float("nan"),))
+        with pytest.raises(ValueError, match="seed"):
+            small_config(seed=-1)
 
     @pytest.mark.parametrize("kw", [
         dict(budgets=(500.0, 500.0)), dict(budgets=(3.0, 6.0, 6.0)),

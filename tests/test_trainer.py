@@ -135,6 +135,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             toy_config(**kw)
 
+    def test_negative_seed_names_it(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            toy_config(seed=-1)
+
     def test_defaults_valid(self):
         toy_config()
 
