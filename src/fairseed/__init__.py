@@ -23,8 +23,8 @@ from .graph import (CommunityPartition, Graph, Instance, InstancePool,
 from .metrics import (FairnessConfig, MetricReport, community_ratios,
                       evaluate_seed_set, shaped_return)
 from .qnet import (QNetwork, QTable, adam_step, best_feasible,
-                   best_feasible_rows, encode_states, hidden_table,
-                   q_loss_and_grad)
+                   best_feasible_rows, hidden_table, q_loss_and_grad,
+                   state_rows)
 from .trainer import (CheckpointError, TrainConfig, TrainedPolicy,
                       Transition, epsilon_greedy_select, load_checkpoint,
                       run_episode, save_checkpoint, select_seed_set, train)

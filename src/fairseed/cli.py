@@ -147,8 +147,9 @@ def build_parser() -> _Parser:
 
 
 def _load_config_tokens(argv: list[str]) -> list[str]:
-    """Expand --config FILE or --config=FILE into flag tokens placed before
-    the explicit ones."""
+    """Expand the first --config FILE or --config=FILE into flag tokens
+    placed before the explicit ones; any other config flag is left for
+    `main` to reject."""
     for i, token in enumerate(argv):
         flag, eq, path = token.partition("=")
         if flag == "--config":
@@ -332,6 +333,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         argv = _load_config_tokens(argv)
         args = parser.parse_args(argv)
+        if "config" in vars(args):  # a second, nested or abbreviated one
+            raise UsageError(f"config {args.config} is not read: give one "
+                             "--config, in full, on the command line")
         return COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -1,37 +1,42 @@
 """Value network: a 2-layer ReLU regressor over candidate-state encodings,
 with analytic gradients and a self-contained Adam optimizer.
 
-The state is the candidate's embedding plus three scale-free scalars
-(candidate cost / budget, remaining budget / budget, seeds picked / max
-feasible seeds), 67 entries at the default embedding width of 64.
+The state of candidate v at a step with k seeds picked and R of the budget
+B left is one row of in_dim = d + 3 entries (67 at the default embedding
+width of 64): the design row [h_v, c_v/B], fixed per instance and budget,
+then R/B and k/k_max (`state_rows`). k_max is budget // c_min, raised where
+that floor undercounts the seeds an episode can pick (`_max_seeds`), so
+both step scalars lie in [0, 1] at every step and stored next state.
 
-The first layer is linear in the state, so with the (n, hidden) table
-T = [h, c/B] W1[:, :d+1]^T + b1, fixed per instance and budget, and the
-step's shift s = (R/B) W1[:, d+1] + (k/k_max) W1[:, d+2],
+A `QTable` owns everything a score depends on: the network, the design, B,
+k_max and, since the first layer is linear in the state, the (n, hidden)
+table T = [h, c/B] W1[:, :d+1]^T + b1. With the step's shift
+s = (R/B) W1[:, d+1] + (k/k_max) W1[:, d+2],
 
     Q_v = relu(T[v] + s) . w2 + b2 = P_v(s) + s . w2 + b2,
     P_v(s) = sum_j w2_j max(T[v, j], -s_j).
 
 Validity: while R/B and k/k_max lie in [0, 1] (the box), each term of P_v
-is monotone in s_j over a known interval, so `hidden_table` bounds P_v
-from above and below at every such step (a `QTable`). `best_feasible`
-scores only the feasible nodes whose upper bound reaches the largest
-feasible lower bound, less a margin that covers the rounding of every sum,
-so a node left out scores below a scored one in any summation order. It
-scores the whole table instead when the bounds leave more than n/4 nodes
-able to win, or the step lies outside the box.
+is monotone in s_j over a known interval, so the table also bounds P_v
+from above and below at every such step. `best_feasible` scores only the
+feasible nodes whose upper bound reaches the largest feasible lower bound,
+less a margin that covers the rounding of every sum, so a node left out
+scores below a scored one in any summation order. It scores the whole
+table instead when the bounds leave more than n/4 nodes able to win, or
+the step lies outside the box.
 
 One candidate: the feasible node of the largest lower bound always passes
 that test, so when it is the only one left it is the first maximum of any
 whole-table scoring, and `best_feasible` returns it unscored.
 `best_feasible_rows`, which must return values, always scores. The skipped
-score is finite, as `_scores` would check: `hidden_table` rejects a table
-whose entries or bounds are not finite, or whose bound on the size of
-every score in the box is not (see there).
+score is finite, as `_scores` would check: a fill rejects a table whose
+entries or bounds are not finite, or whose bound on the size of every
+score in the box is not (see `_current`).
 
-A table scores for the network as it stood when the table was built, so
-after an `adam_step` it is rebuilt in place (`hidden_table(..., out=table)`)
-before it scores again.
+T and its bounds hold for the network as it stood at their fill
+(`QTable.step`). Each scorer first refills them in place once `adam_step`
+has moved the network on, so a table lives as long as its instance and
+budget; the design, and so `state_rows`, does not depend on the network.
 """
 
 from __future__ import annotations
@@ -39,8 +44,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .graph import NodeAttrs
 
 HIDDEN_DIM = 128
 ADAM_BETA1 = 0.9
@@ -80,33 +83,50 @@ class QNetwork:
         )
 
 
-def encode_states(candidates: np.ndarray, h: np.ndarray, seed_count,
-                  remaining_budget, attrs: NodeAttrs, budget: float,
-                  k_max: int) -> np.ndarray:
-    """One state row per candidate, from the (n, d) embeddings `h`;
-    `seed_count` and `remaining_budget` are scalars or per-row arrays."""
-    d = h.shape[1]
-    out = np.empty((len(candidates), d + 3))
-    out[:, :d] = h[candidates]
-    out[:, d] = attrs.cost[candidates] / budget
-    out[:, d + 1] = remaining_budget / budget
-    out[:, d + 2] = seed_count / k_max
-    return out
-
-
 @dataclass(eq=False)
 class QTable:
-    """`hidden_table`'s result: the table T and, per node, the bounds on P_v
-    that hold at every step whose R/B and k/k_max lie in [0, 1]. The arrays
-    are the table's storage, which `hidden_table(..., out=table)` refills
-    in place."""
+    """`hidden_table`'s result: the network it scores for, the state's
+    fixed parts, and T with each node's bounds on P_v at every step in the
+    box; `_current` refills the arrays in place."""
 
+    net: QNetwork
     design: np.ndarray  # (n, d + 1) [h, c/B], fixed per instance and budget
+    budget: float       # B
+    k_max: int          # `_max_seeds` of the costs at B
     hidden: np.ndarray  # (n, hidden) T
     upper: np.ndarray   # (n,) P_v at the corner c_up
     lower: np.ndarray   # (n,) P_v at the corner c_lo
     margin: float = 0.0  # covers the rounding of every P_v and Q sum
     prunes: bool = False  # at most n/4 nodes can still win the max
+    step: int = -1      # `net.step` at the last fill; -1 before the first
+
+
+def _max_seeds(cost: np.ndarray, budget: float) -> int:
+    """k_max of the state encoding: at least 1 and budget // c_min, and no
+    fewer than the seeds an episode can pick at `budget`, so k/k_max <= 1
+    at every step and every stored next state.
+
+    The floor alone can undercount, as an episode takes each cost off the
+    remaining budget in floating point: at cost 0.6 and budget 16.2 it
+    gives 26 while 27 seeds fit. Rounding is monotone, so after j picks,
+    each costing at least c_min, the remaining budget is at most R_j, the
+    budget less c_min j times in floating point, and pick j + 1 needs
+    R_j >= c_min. np.cumsum replays those subtractions in order, for the
+    n + 1 states an episode of n distinct picks can pass, so tiny costs
+    cannot make it run long; a floor of n or more needs no replay. A budget
+    so large against c_min that their ratio overflows is a ValueError.
+    """
+    c_min = float(cost.min())
+    if not np.isfinite(budget / c_min):
+        raise ValueError(f"budget {budget} over the cheapest node cost "
+                         f"{c_min} is not finite")
+    floor = max(1, int(budget // c_min))
+    if floor >= len(cost):
+        return floor
+    replay = np.cumsum(np.concatenate(([float(budget)],
+                                       np.full(len(cost), -c_min))))
+    short = replay < c_min
+    return max(floor, int(np.argmax(short)) if short.any() else len(cost))
 
 
 def _few(count: int, n: int) -> bool:
@@ -115,21 +135,28 @@ def _few(count: int, n: int) -> bool:
 
 
 def hidden_table(net: QNetwork, h: np.ndarray, cost: np.ndarray,
-                 budget: float, out: QTable | None = None) -> QTable:
-    """The table T above with its bounds, for `net` as it stands and the
-    (n, d) embeddings `h`. `out`, a table that an earlier call built from
-    the same h, cost and budget, is rebuilt in place and returned;
-    otherwise the table is new. Raises ValueError when a table entry or
-    bound, or the bound on the size of the scores in the box, is not
-    finite."""
-    d = h.shape[1]
-    if out is None:
-        n = len(cost)
-        out = QTable(design=np.column_stack((h, cost / budget)),
-                     hidden=np.empty((n, net.hidden_dim)), upper=np.empty(n),
-                     lower=np.empty(n))
-    hidden, upper, lower = out.hidden, out.upper, out.lower
-    np.matmul(out.design, net.w1[:, : d + 1].T, out=hidden)
+                 budget: float) -> QTable:
+    """The table of `net` for the (n, d) embeddings `h` and node costs at
+    `budget`, filled for `net` as it stands. Raises ValueError as
+    `_max_seeds` or a fill (`_current`) does."""
+    n = len(cost)
+    return _current(QTable(
+        net=net, design=np.column_stack((h, cost / budget)), budget=budget,
+        k_max=_max_seeds(cost, budget), hidden=np.empty((n, net.hidden_dim)),
+        upper=np.empty(n), lower=np.empty(n)))
+
+
+def _current(table: QTable) -> QTable:
+    """`table`, first refilled in place when its network has moved since
+    the last fill: T and its bounds, margin and pruning flag. Raises
+    ValueError when a table entry or bound, or the bound on the size of
+    the scores in the box, is not finite."""
+    net = table.net
+    if table.step == net.step:
+        return table
+    hidden, upper, lower = table.hidden, table.upper, table.lower
+    d = table.design.shape[1] - 1
+    np.matmul(table.design, net.w1[:, : d + 1].T, out=hidden)
     hidden += net.b1  # in place: a second (n, hidden) array costs page faults
     u, v = net.w1[:, d + 1], net.w1[:, d + 2]
     lo = np.minimum(u, 0.0) + np.minimum(v, 0.0)
@@ -137,11 +164,11 @@ def hidden_table(net: QNetwork, h: np.ndarray, cost: np.ndarray,
     falling = net.w2 > 0.0  # terms that fall as s_j rises
     up_at, low_at = -np.where(falling, lo, hi), -np.where(falling, hi, lo)
     # by blocks of 128 KB: a full-size temporary costs page faults, as above
-    step = max(1, 2**14 // net.hidden_dim)
-    for i in range(0, len(hidden), step):
-        rows = hidden[i:i + step]
-        upper[i:i + step] = np.maximum(rows, up_at) @ net.w2
-        lower[i:i + step] = np.maximum(rows, low_at) @ net.w2
+    block = max(1, 2**14 // net.hidden_dim)
+    for i in range(0, len(hidden), block):
+        rows = hidden[i:i + block]
+        upper[i:i + block] = np.maximum(rows, up_at) @ net.w2
+        lower[i:i + block] = np.maximum(rows, low_at) @ net.w2
     # Each term w2_j max(T[v, j], -s_j) of a bound, of a score or of s . w2
     # is at most |w2_j| max(max |T|, -lo_j, hi_j) in size on the box, so
     # `scale` bounds the size of every sum here, and a sum of h terms is off
@@ -159,10 +186,26 @@ def hidden_table(net: QNetwork, h: np.ndarray, cost: np.ndarray,
     if not (np.isfinite(2.0 * scale) and np.isfinite(upper).all()
             and np.isfinite(lower).all()):
         raise ValueError("hidden table or its bounds are not finite")
-    out.margin = margin
-    out.prunes = _few(np.count_nonzero(upper >= lower.max() - margin),
-                      len(hidden))
-    return out
+    table.margin = margin
+    table.prunes = _few(np.count_nonzero(upper >= lower.max() - margin),
+                        len(hidden))
+    table.step = net.step
+    return table
+
+
+def _scalars(table: QTable, seed_count, remaining):
+    """R/B and k/k_max at `remaining` left, `seed_count` picked."""
+    return remaining / table.budget, seed_count / table.k_max
+
+
+def state_rows(table: QTable, nodes: np.ndarray, seed_count,
+               remaining) -> np.ndarray:
+    """The network's input rows of `nodes`: [design, R/B, k/k_max], with
+    `seed_count` and `remaining` scalars or one per row. Needs no fill."""
+    rows = np.empty((len(nodes), table.design.shape[1] + 2))
+    rows[:, :-2] = table.design[nodes]
+    rows[:, -2], rows[:, -1] = _scalars(table, seed_count, remaining)
+    return rows
 
 
 def _in_box(a, b):
@@ -209,25 +252,24 @@ def _candidates(table: QTable, ids: np.ndarray, a, b
     return ids, False
 
 
-def _first_max(net: QNetwork, table: QTable, ids: np.ndarray, gathered: bool,
+def _first_max(table: QTable, ids: np.ndarray, gathered: bool,
                a, b) -> tuple[int, float]:
     """(node id, Q-value) of the first maximum of Q over the nodes `ids` of
     `_candidates`; raises ValueError when a score is not finite."""
     rows = table.hidden[ids] if gathered else table.hidden
-    q = _scores(net, rows, _shift(net, a, b))
+    q = _scores(table.net, rows, _shift(table.net, a, b))
     if not gathered:
         q = q[ids]
     i = int(np.argmax(q))  # first max: the lowest node id
     return int(ids[i]), float(q[i])
 
 
-def best_feasible(net: QNetwork, table: QTable, feasible: np.ndarray,
-                  seed_count: int, remaining_budget: float, budget: float,
-                  k_max: int) -> int | None:
+def best_feasible(table: QTable, feasible: np.ndarray, seed_count: int,
+                  remaining: float) -> int | None:
     """The node id of the first maximum of Q over the nodes of the (n,) bool
-    mask `feasible` at this step (`seed_count` seeds picked,
-    `remaining_budget` left), or None when the mask is all False. `table`
-    is `net`'s current `hidden_table`. Scores only the nodes that can still
+    mask `feasible` at this step (`seed_count` seeds picked, `remaining`
+    budget left), or None when the mask is all False. Refills `table`
+    first when its network has moved. Scores only the nodes that can still
     win when the bounds allow, none when that leaves one (see above), the
     whole table otherwise; raises ValueError when a score is not finite.
     Ties go to the lowest node id among bit-equal scores; BLAS rounds a row
@@ -236,21 +278,22 @@ def best_feasible(net: QNetwork, table: QTable, feasible: np.ndarray,
     ids = np.flatnonzero(feasible)
     if len(ids) == 0:
         return None
-    a, b = remaining_budget / budget, seed_count / k_max
+    _current(table)
+    a, b = _scalars(table, seed_count, remaining)
     ids, gathered = _candidates(table, ids, a, b)
     if gathered and len(ids) == 1:
         return int(ids[0])
-    return _first_max(net, table, ids, gathered, a, b)[0]
+    return _first_max(table, ids, gathered, a, b)[0]
 
 
-def best_feasible_rows(net: QNetwork, table: QTable, feasible: np.ndarray,
-                       seed_count: np.ndarray, remaining_budget: np.ndarray,
-                       budget: float, k_max: int
+def best_feasible_rows(table: QTable, feasible: np.ndarray,
+                       seed_count: np.ndarray, remaining: np.ndarray
                        ) -> tuple[np.ndarray, np.ndarray]:
     """The first maximum of Q, as `best_feasible` picks it, and its value
     for each row of the (k, n) bool mask `feasible`, at the step of
-    `seed_count[r]` seeds picked and `remaining_budget[r]` left: the (k,)
-    node ids and Q-values, -1 and 0.0 on a row with no feasible node.
+    `seed_count[r]` seeds picked and `remaining[r]` left: the (k,) node ids
+    and Q-values, -1 and 0.0 on a row with no feasible node. Refills
+    `table` first when its network has moved.
 
     The rows that the pruning rule lets score only their candidates are
     scored in one product over the sorted union of their candidates, each
@@ -261,7 +304,8 @@ def best_feasible_rows(net: QNetwork, table: QTable, feasible: np.ndarray,
     """
     k, n = feasible.shape
     ids, values = np.full(k, -1), np.zeros(k)
-    a, b = remaining_budget / budget, seed_count / k_max
+    net = _current(table).net
+    a, b = _scalars(table, seed_count, remaining)
     batched = np.zeros(k, dtype=bool)
     if table.prunes:
         lower = np.where(feasible, table.lower, -np.inf)
@@ -282,7 +326,7 @@ def best_feasible_rows(net: QNetwork, table: QTable, feasible: np.ndarray,
     for r in np.flatnonzero(~batched & feasible.any(axis=1)):
         cands, gathered = _candidates(table, np.flatnonzero(feasible[r]),
                                       a[r], b[r])
-        ids[r], values[r] = _first_max(net, table, cands, gathered, a[r], b[r])
+        ids[r], values[r] = _first_max(table, cands, gathered, a[r], b[r])
     return ids, values
 
 

@@ -16,7 +16,7 @@ from .embedding import (EmbeddingParams, compute_embeddings,
 from .graph import Instance, InstancePool
 from .metrics import shaped_return
 from .qnet import QNetwork, QTable, adam_step, best_feasible, \
-    best_feasible_rows, encode_states, hidden_table, q_loss_and_grad
+    best_feasible_rows, hidden_table, q_loss_and_grad, state_rows
 from .seeding import derive_seed
 
 CHECKPOINT_VERSION = 2
@@ -94,68 +94,37 @@ class TrainedPolicy:
                                   self.t_emb)
 
 
-def epsilon_greedy_select(net: QNetwork, table: QTable, feasible: np.ndarray,
+def epsilon_greedy_select(table: QTable, feasible: np.ndarray,
                           seed_count: int, epsilon: float, remaining: float,
-                          budget: float, k_max: int,
                           rng: np.random.Generator | None) -> int | None:
     """Pick a node of the (n,) bool mask `feasible` (unselected, affordable),
-    or None when it is all False; `seed_count` seeds are selected so far.
+    or None when it is all False; `seed_count` seeds are selected so far
+    and `remaining` of `table.budget` is left.
 
     With probability epsilon a uniform random feasible node, otherwise the
     Q-argmax over the feasible nodes (ties to the lowest node id, among
-    bit-equal scores: see `best_feasible`). `table`
-    is `net`'s current `hidden_table` for this instance and budget. `rng`
-    is read only when epsilon > 0, and may be None at epsilon 0.
+    bit-equal scores: see `best_feasible`). `rng` is read only when
+    epsilon > 0, and may be None at epsilon 0.
     """
     if not feasible.any():
         return None
     if epsilon > 0.0 and rng.random() < epsilon:
         ids = np.flatnonzero(feasible)
         return int(ids[rng.integers(len(ids))])
-    return best_feasible(net, table, feasible, seed_count, remaining, budget,
-                         k_max)
+    return best_feasible(table, feasible, seed_count, remaining)
 
 
-def _max_seeds(cost: np.ndarray, budget: float) -> int:
-    """k_max of the state encoding: at least 1 and budget // c_min, and no
-    fewer than the seeds `_steps` can pick at `budget`, so k/k_max <= 1 at
-    every step and every stored next state.
-
-    The floor alone can undercount, as `_steps` takes each cost off the
-    remaining budget in floating point: at cost 0.6 and budget 16.2 it
-    gives 26 while 27 seeds fit. Rounding is monotone, so after j picks,
-    each costing at least c_min, the remaining budget is at most R_j, the
-    budget less c_min j times in floating point, and pick j + 1 needs
-    R_j >= c_min. np.cumsum replays those subtractions in order, for the
-    n + 1 states an episode of n distinct picks can pass, so tiny costs
-    cannot make it run long; a floor of n or more needs no replay. A budget
-    so large against c_min that their ratio overflows is a ValueError.
-    """
-    c_min = float(cost.min())
-    if not np.isfinite(budget / c_min):
-        raise ValueError(f"budget {budget} over the cheapest node cost "
-                         f"{c_min} is not finite")
-    floor = max(1, int(budget // c_min))
-    if floor >= len(cost):
-        return floor
-    replay = np.cumsum(np.concatenate(([float(budget)],
-                                       np.full(len(cost), -c_min))))
-    short = replay < c_min
-    return max(floor, int(np.argmax(short)) if short.any() else len(cost))
-
-
-def _steps(net: QNetwork, table: QTable, cost: np.ndarray, budget: float,
-           epsilon: float, rng: np.random.Generator | None):
+def _steps(table: QTable, cost: np.ndarray, epsilon: float,
+           rng: np.random.Generator | None):
     """Yield (action, remaining budget after it) while a candidate fits."""
-    k_max = _max_seeds(cost, budget)
     # the remaining budget only falls, so the mask of feasible candidates
     # (unselected and affordable) only loses nodes; once it is empty,
     # epsilon_greedy_select returns None without reading `rng`
-    feasible = cost <= budget
-    remaining, seed_count = budget, 0
+    remaining, seed_count = table.budget, 0
+    feasible = cost <= remaining
     while True:
-        action = epsilon_greedy_select(net, table, feasible, seed_count,
-                                       epsilon, remaining, budget, k_max, rng)
+        action = epsilon_greedy_select(table, feasible, seed_count, epsilon,
+                                       remaining, rng)
         if action is None:
             return
         remaining -= float(cost[action])
@@ -165,20 +134,19 @@ def _steps(net: QNetwork, table: QTable, cost: np.ndarray, budget: float,
         yield action, remaining
 
 
-def run_episode(net: QNetwork, instance: Instance, table: QTable,
-                config: TrainConfig, epsilon: float,
-                rng: np.random.Generator) -> list[Transition]:
+def run_episode(table: QTable, instance: Instance, config: TrainConfig,
+                epsilon: float, rng: np.random.Generator) -> list[Transition]:
     """One seed-construction episode; returns the emitted transitions.
 
-    `table` is `net`'s current `hidden_table` for the instance at
-    `config.budget`. The episode runs on one live-arc realization, drawn
-    from `rng` before the first step and turned into live-arc lists once.
-    Each step extends the reached mask from the new seed only, by a search
-    over those lists that stops at nodes already reached, and adds the
-    benefit of the nodes it newly reached to running totals, overall and by
-    community (`instance.parts`). Its reward is the increase of the shaped
-    return of those totals, so an episode's rewards sum to its final seed
-    set's shaped return under that realization.
+    `table` is the instance's `hidden_table` at `config.budget`. The
+    episode runs on one live-arc realization, drawn from `rng` before the
+    first step and turned into live-arc lists once. Each step extends the
+    reached mask from the new seed only, by a search over those lists that
+    stops at nodes already reached, and adds the benefit of the nodes it
+    newly reached to running totals, overall and by community
+    (`instance.parts`). Its reward is the increase of the shaped return of
+    those totals, so an episode's rewards sum to its final seed set's
+    shaped return under that realization.
     """
     g, attrs, parts = instance.graph, instance.attrs, instance.parts
     arcs = live_arc_lists(g, rng.random(g.num_arcs) < g.probs)
@@ -192,8 +160,7 @@ def run_episode(net: QNetwork, instance: Instance, table: QTable,
     spent = 0.0
     r_prev = 0.0
     transitions: list[Transition] = []
-    for action, remaining in _steps(net, table, attrs.cost, config.budget,
-                                    epsilon, rng):
+    for action, remaining in _steps(table, attrs.cost, epsilon, rng):
         assert remaining >= 0.0, "budget overdraw"
         before = tuple(selected)
         selected.append(action)
@@ -214,33 +181,30 @@ def run_episode(net: QNetwork, instance: Instance, table: QTable,
     return transitions
 
 
-def _bellman_targets(net: QNetwork, batch: list[Transition],
-                     instances: dict[str, Instance],
-                     embeddings: dict[str, np.ndarray], table_of,
-                     config: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
+def _bellman_targets(batch: list[Transition], instances: dict[str, Instance],
+                     tables: dict[str, QTable], config: TrainConfig
+                     ) -> tuple[np.ndarray, np.ndarray]:
     """Encode batch states and compute one-step bootstrapped targets.
 
-    `table_of(instance_id)` is `net`'s current `hidden_table` for it. The
-    next-state max ranges over the nodes that fit the stored remaining
-    budget, less `seeds_before` and the action; a row with none left
-    scores 0.0, as a terminal state. Each instance's next states are
-    scored in one `best_feasible_rows` call. At discount 0 the targets are
-    the rewards, and no table is built or scored. Rows keep the batch
-    order.
+    `tables[instance_id]` is the instance's `hidden_table` at
+    `config.budget`, which gives the state rows and scores for its network
+    as it stands. The next-state max ranges over the nodes that fit the
+    stored remaining budget, less `seeds_before` and the action; a row with
+    none left scores 0.0, as a terminal state. Each instance's next states
+    are scored in one `best_feasible_rows` call. At discount 0 the targets
+    are the rewards, and no table is refilled or scored. Rows keep the
+    batch order.
     """
-    states = np.empty((len(batch), net.in_dim))
+    states = np.empty((len(batch), tables[batch[0].instance_id].net.in_dim))
     targets = np.array([t.reward for t in batch])
     for inst_id in sorted({t.instance_id for t in batch}):
-        inst, h = instances[inst_id], embeddings[inst_id]
-        cost = inst.attrs.cost
-        k_max = _max_seeds(cost, config.budget)
+        table, cost = tables[inst_id], instances[inst_id].attrs.cost
         rows = [i for i, t in enumerate(batch) if t.instance_id == inst_id]
         actions = np.array([batch[i].action for i in rows])
         counts = np.array([len(batch[i].seeds_before) for i in rows])
         remaining = np.array([batch[i].budget_after for i in rows])
-        states[rows] = encode_states(actions, h, counts,
-                                     remaining + cost[actions], inst.attrs,
-                                     config.budget, k_max)
+        states[rows] = state_rows(table, actions, counts,
+                                  remaining + cost[actions])
         if config.discount == 0.0:
             continue
         # a next state holds the seeds before and the action
@@ -249,8 +213,7 @@ def _bellman_targets(net: QNetwork, batch: list[Transition],
                                            batch[i].action)]
         feasible = cost <= remaining[:, None]
         feasible[np.repeat(np.arange(len(rows)), after), held] = False
-        _, best = best_feasible_rows(net, table_of(inst_id), feasible, after,
-                                     remaining, config.budget, k_max)
+        _, best = best_feasible_rows(table, feasible, after, remaining)
         targets[rows] += config.discount * best
     return states, targets
 
@@ -279,43 +242,31 @@ def train(config: TrainConfig, pool: InstancePool,
     instances = {inst.id: inst for inst in pool.train}
     seeds = stage_seeds(config.seed)
     embed = init_embedding_params(config.d_emb, seeds["embed"])
-    # embedding params are fixed; cache per-instance embeddings
-    embeddings = {inst.id: compute_embeddings(inst.graph, inst.attrs, embed,
-                                              config.t_emb) for inst in pool.train}
     net = QNetwork.init(config.d_emb + 3, seeds["qnet"])
+    # the embedding params are fixed, so each instance keeps one table for
+    # the whole run, which refills itself once an update has moved `net`
+    tables = {inst.id: hidden_table(net, compute_embeddings(
+        inst.graph, inst.attrs, embed, config.t_emb), inst.attrs.cost,
+        config.budget) for inst in pool.train}
     # FIFO replay: TrainConfig keeps batch_size within the capacity
     buffer: deque[Transition] = deque(maxlen=config.replay_capacity)
     rng = np.random.default_rng(seeds["loop"])
     train_ids = sorted(instances)
-    # each instance's table storage lives for the whole run; after an
-    # update, a table is rebuilt in place when it is next used
-    tables: dict[str, QTable] = {}
-    current: set[str] = set()  # the ids whose table fits `net` as it stands
-
-    def table_of(i: str) -> QTable:
-        if i not in current:
-            tables[i] = hidden_table(net, embeddings[i],
-                                     instances[i].attrs.cost, config.budget,
-                                     out=tables.get(i))
-            current.add(i)
-        return tables[i]
-
     for episode in range(1, config.episodes + 1):
         epsilon = max(config.epsilon_start * config.epsilon_decay ** episode,
                       config.epsilon_min)
         inst = instances[train_ids[rng.integers(len(train_ids))]]
-        transitions = run_episode(net, inst, table_of(inst.id), config,
-                                  epsilon, rng)
+        transitions = run_episode(tables[inst.id], inst, config, epsilon,
+                                  rng)
         buffer.extend(transitions)
         loss = None
         if episode % config.update_period == 0 and len(buffer) >= config.batch_size:
             batch = [buffer[i] for i in
                      rng.integers(len(buffer), size=config.batch_size)]
-            states, targets = _bellman_targets(net, batch, instances, embeddings,
-                                               table_of, config)
+            states, targets = _bellman_targets(batch, instances, tables,
+                                               config)
             loss, grads = q_loss_and_grad(net, states, targets)
             adam_step(net, grads, config.learning_rate)
-            current.clear()
         if progress is not None:
             progress({
                 "episode": episode,
@@ -333,8 +284,7 @@ def select_seed_set(policy: TrainedPolicy, instance: Instance, budget: float,
     when given, is `policy.embeddings_for(instance)`, computed by the caller."""
     h = policy.embeddings_for(instance) if h is None else h
     cost = instance.attrs.cost
-    steps = _steps(policy.net, hidden_table(policy.net, h, cost, budget), cost,
-                   budget, 0.0, None)
+    steps = _steps(hidden_table(policy.net, h, cost, budget), cost, 0.0, None)
     return SeedSet.build([action for action, _ in steps], instance.attrs)
 
 

@@ -97,19 +97,38 @@ def bfs_reach(n, src, dst, live_row, seeds) -> np.ndarray:
     return mask
 
 
+def encode_states(candidates: np.ndarray, h: np.ndarray, seed_count,
+                  remaining_budget, attrs: NodeAttrs, budget: float,
+                  k_max: int) -> np.ndarray:
+    """Reference encoder: one state row per candidate, from the (n, d)
+    embeddings `h`, [h_v, c_v/B, R/B, k/k_max]; `seed_count` and
+    `remaining_budget` are scalars or per-row arrays."""
+    d = h.shape[1]
+    out = np.empty((len(candidates), d + 3))
+    out[:, :d] = h[candidates]
+    out[:, d] = attrs.cost[candidates] / budget
+    out[:, d + 1] = remaining_budget / budget
+    out[:, d + 2] = seed_count / k_max
+    return out
+
+
 def q_forward_batch(net, states: np.ndarray) -> np.ndarray:
     """Reference scorer: the value network on whole encode_states rows,
     relu(states W1^T + b1) . w2 + b2."""
     return np.maximum(states @ net.w1.T + net.b1, 0.0) @ net.w2 + net.b2[0]
 
 
-def q_forward_table(net, table, seed_count, remaining_budget, budget, k_max):
+def q_forward_table(table, seed_count, remaining_budget):
     """Reference table scorer: every node's Q-value at this step from the
-    whole hidden table, max(T[v], -s) . w2 + s . w2 + b2 for the step's shift
-    s = (R/B) W1[:, d+1] + (k/k_max) W1[:, d+2]."""
+    whole hidden table of `table.net`, max(T[v], -s) . w2 + s . w2 + b2 for
+    the step's shift s = (R/B) W1[:, d+1] + (k/k_max) W1[:, d+2], with the
+    table's B and k_max, once the table is filled for the net as it
+    stands."""
+    net = table.net
+    assert table.step == net.step, "the table is not filled for its net"
     d = net.in_dim - 3
-    shift = (remaining_budget / budget) * net.w1[:, d + 1] \
-        + (seed_count / k_max) * net.w1[:, d + 2]
+    shift = (remaining_budget / table.budget) * net.w1[:, d + 1] \
+        + (seed_count / table.k_max) * net.w1[:, d + 2]
     return np.maximum(table.hidden, -shift) @ net.w2 + (shift @ net.w2
                                                         + net.b2[0])
 
@@ -136,9 +155,9 @@ def replay_record(monkeypatch):
         run.extend(ts)
         return ts
 
-    def recorded_targets(net, batch, *rest):
+    def recorded_targets(batch, *rest):
         batches.append((batch, len(run)))
-        return targets(net, batch, *rest)
+        return targets(batch, *rest)
 
     monkeypatch.setattr(trainer, "run_episode", recorded_episode)
     monkeypatch.setattr(trainer, "_bellman_targets", recorded_targets)

@@ -170,8 +170,7 @@ def test_criterion_4_budget_safety():
             cfg = TrainConfig(budget=budget, d_emb=d_emb, t_emb=t_emb)
             table = hidden_table(policy.net, policy.embeddings_for(inst),
                                  attrs.cost, budget)
-            ts = run_episode(policy.net, inst, table, cfg, float(rng.random()),
-                             rng)
+            ts = run_episode(table, inst, cfg, float(rng.random()), rng)
             assert all(t.budget_after >= 0.0 for t in ts)
             episodes_checked += 1
         elif algo == "random":

@@ -543,6 +543,31 @@ class TestConfigFile:
                      "--checkpoint-out", str(tmp_path / "p.npz")])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("where", ["command-line", "config-file",
+                                       "abbreviated"])
+    def test_second_config_is_usage_error_naming_it(self, dataset, tmp_path,
+                                                    capsys, where):
+        # only one config file is read, so another one, whose bad setting
+        # would otherwise go unread, stops the run before training
+        first, second = tmp_path / "a.cfg", tmp_path / "b.cfg"
+        first.write_text(
+            "dataset = {}\nepisodes = 2\nbatch-size = 4\nd-emb = 8\n"
+            "t-emb = 2\nn-train = 1\nn-test = 1\nnodes-per-instance = 10\n"
+            "budget = 6\ncost-range = 1,5\n".format(dataset))
+        second.write_text("episodes = not_a_number\n")
+        ckpt = tmp_path / "p.npz"
+        argv = ["train", "--config", str(first), "--checkpoint-out", str(ckpt)]
+        if where == "config-file":
+            with open(first, "a") as fh:
+                fh.write(f"config = {second}\n")
+        else:
+            flag = "--config" if where == "command-line" else "--conf"
+            argv += [flag, str(second)]
+        capsys.readouterr()
+        assert main(argv) == EXIT_USAGE
+        assert str(second) in capsys.readouterr().err
+        assert not ckpt.exists()
+
 
 # flag, value, path of the field it sets in asdict(ExperimentConfig), and
 # the parsed value

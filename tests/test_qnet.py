@@ -7,11 +7,12 @@ from fractions import Fraction
 from unittest import mock
 
 from fairseed.qnet import (QNetwork, adam_step, best_feasible,
-                           best_feasible_rows, encode_states, hidden_table,
-                           q_loss_and_grad)
+                           best_feasible_rows, hidden_table, q_loss_and_grad,
+                           state_rows)
 from fairseed.trainer import epsilon_greedy_select
 
-from conftest import make_attrs, q_forward_batch, q_forward_table
+from conftest import (encode_states, make_attrs, q_forward_batch,
+                      q_forward_table)
 
 IN_DIM = 67
 
@@ -25,14 +26,20 @@ def random_states(rng, k, in_dim=IN_DIM):
     return rng.normal(size=(k, in_dim))
 
 
-def best_valued(net, table, mask, seed_count, remaining, budget, k_max):
+def best_valued(table, mask, seed_count, remaining):
     """The valued path at one step: the (node id, Q-value) that
     best_feasible_rows gives a one-row stack, or None for an empty mask."""
-    ids, values = best_feasible_rows(net, table, mask[None],
+    ids, values = best_feasible_rows(table, mask[None],
                                      np.array([seed_count]),
-                                     np.array([float(remaining)]), budget,
-                                     k_max)
+                                     np.array([float(remaining)]))
     return None if ids[0] < 0 else (int(ids[0]), float(values[0]))
+
+
+def state_table(h, cost, budget):
+    """hidden_table of a fresh network for the embeddings `h` and `cost` at
+    `budget`."""
+    return hidden_table(QNetwork.init(h.shape[1] + 3, seed=0), h,
+                        np.asarray(cost, dtype=float), budget)
 
 
 def numeric_grads(net, states, targets, eps=1e-5):
@@ -57,44 +64,49 @@ def numeric_grads(net, states, targets, eps=1e-5):
 
 
 class TestEncodeState:
+    """state_rows: a table's design row with the step's R/B and k/k_max."""
+
     def test_fresh_episode_tail(self):
         h = tiny_embeddings()
-        attrs = make_attrs(5, cost=[10, 20, 30, 40, 50])
-        [s] = encode_states(np.array([1]), h, seed_count=0,
-                            remaining_budget=100.0, attrs=attrs, budget=100.0,
-                            k_max=10)
+        table = state_table(h, [10, 20, 30, 40, 50], 100.0)
+        assert table.k_max == 10
+        [s] = state_rows(table, np.array([1]), seed_count=0, remaining=100.0)
         assert len(s) == 67
         assert np.allclose(s[-3:], [0.2, 1.0, 0.0])
         assert np.array_equal(s[:64], h[1])
 
     def test_exhausted_budget_tail(self):
         h = tiny_embeddings()
-        attrs = make_attrs(5, cost=np.full(5, 10.0))
-        [s] = encode_states(np.array([0]), h, seed_count=5,
-                            remaining_budget=0.0, attrs=attrs, budget=100.0,
-                            k_max=10)
+        table = state_table(h, np.full(5, 10.0), 100.0)
+        assert table.k_max == 10
+        [s] = state_rows(table, np.array([0]), seed_count=5, remaining=0.0)
         assert s[-2] == 0.0
         assert s[-1] == 0.5
 
     def test_batch_matches_single(self):
         h = tiny_embeddings()
-        attrs = make_attrs(5, cost=[1, 2, 3, 4, 5])
+        table = state_table(h, [1, 2, 3, 4, 5], 100.0)
         cands = np.array([0, 2, 4])
-        batch = encode_states(cands, h, 1, 50.0, attrs, 100.0, 20)
+        batch = state_rows(table, cands, 1, 50.0)
         for row, c in zip(batch, cands):
-            [single] = encode_states(np.array([c]), h, 1, 50.0, attrs, 100.0, 20)
+            [single] = state_rows(table, np.array([c]), 1, 50.0)
             assert np.array_equal(row, single)
 
     def test_per_row_counts_and_budgets(self):
+        # each row is also the reference encoder's at the table's budget
+        # and k_max, bit for bit
         h = tiny_embeddings()
         attrs = make_attrs(5, cost=[1, 2, 3, 4, 5])
+        table = state_table(h, attrs.cost, 100.0)
         cands = np.array([4, 0, 2])
         counts = np.array([0, 3, 7])
         remaining = np.array([90.0, 40.0, 5.0])
-        batch = encode_states(cands, h, counts, remaining, attrs, 100.0, 20)
+        batch = state_rows(table, cands, counts, remaining)
+        want = encode_states(cands, h, counts, remaining, attrs, 100.0,
+                             table.k_max)
+        assert batch.tobytes() == want.tobytes()
         for row, c, k, r in zip(batch, cands, counts, remaining):
-            [single] = encode_states(np.array([c]), h, int(k), float(r), attrs,
-                                     100.0, 20)
+            [single] = state_rows(table, np.array([c]), int(k), float(r))
             assert np.array_equal(row, single)
 
 
@@ -132,10 +144,10 @@ class TestHiddenTable:
     """The table scorer against the full-state reference path."""
 
     @staticmethod
-    def reference(net, h, attrs, cands, seed_count, remaining, budget, k_max):
-        states = encode_states(cands, h, seed_count, remaining, attrs, budget,
-                               k_max)
-        return q_forward_batch(net, states)
+    def reference(table, h, attrs, cands, seed_count, remaining):
+        states = encode_states(cands, h, seed_count, remaining, attrs,
+                               table.budget, table.k_max)
+        return q_forward_batch(table.net, states)
 
     def test_matches_full_forward(self, rng):
         for trial in range(20):
@@ -145,36 +157,32 @@ class TestHiddenTable:
             h = rng.normal(size=(n, d))
             attrs = make_attrs(n, cost=rng.uniform(1, 100, n))
             budget = float(rng.uniform(10, 1000))
-            k_max = int(rng.integers(1, 50))
             table = hidden_table(net, h, attrs.cost, budget)
             for _ in range(5):
                 cands = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)),
                                            replace=False))
-                seed_count = int(rng.integers(0, k_max + 1))
+                seed_count = int(rng.integers(0, table.k_max + 1))
                 remaining = float(rng.uniform(0, budget))
-                got = q_forward_table(net, table, seed_count, remaining,
-                                      budget, k_max)[cands]
-                want = self.reference(net, h, attrs, cands, seed_count,
-                                      remaining, budget, k_max)
+                got = q_forward_table(table, seed_count, remaining)[cands]
+                want = self.reference(table, h, attrs, cands, seed_count,
+                                      remaining)
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
                 assert cands[np.argmax(got)] == cands[np.argmax(want)]
                 mask = np.zeros(n, dtype=bool)
                 mask[cands] = True
-                pick = best_feasible(net, table, mask, seed_count, remaining,
-                                     budget, k_max)
+                pick = best_feasible(table, mask, seed_count, remaining)
                 assert pick == cands[np.argmax(want)]
-                valued, value = best_valued(net, table, mask, seed_count,
-                                            remaining, budget, k_max)
+                valued, value = best_valued(table, mask, seed_count,
+                                            remaining)
                 assert valued == pick
                 assert value == pytest.approx(want.max(), rel=0, abs=1e-12)
 
     @settings(deadline=None, max_examples=80)
     @given(st.integers(1, 40), st.integers(1, 16), st.integers(1, 64),
-           st.floats(1.0, 1000.0), st.integers(1, 50), st.floats(0.0, 1.0),
-           st.floats(0.0, 1.0), st.booleans(), st.integers(0, 2**32 - 1),
-           st.data())
-    def test_whole_table_and_masked_argmax(self, n, d, hidden, budget, k_max,
-                                           spent, picked, flat, seed, data):
+           st.floats(1.0, 1000.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+           st.booleans(), st.integers(0, 2**32 - 1), st.data())
+    def test_whole_table_and_masked_argmax(self, n, d, hidden, budget, spent,
+                                           picked, flat, seed, data):
         # every node's table score equals the reference on its state row,
         # and the greedy pick is the first maximum over the feasible nodes
         rng = np.random.default_rng(seed)
@@ -183,31 +191,31 @@ class TestHiddenTable:
             net.w2[:] = 0.0  # every score ties
         h = rng.normal(size=(n, d))
         attrs = make_attrs(n, cost=rng.uniform(1, 100, n))
-        seed_count, remaining = int(picked * k_max), (1.0 - spent) * budget
         table = hidden_table(net, h, attrs.cost, budget)
-        q = q_forward_table(net, table, seed_count, remaining, budget, k_max)
-        want = self.reference(net, h, attrs, np.arange(n), seed_count,
-                              remaining, budget, k_max)
+        seed_count = int(picked * table.k_max)
+        remaining = (1.0 - spent) * budget
+        q = q_forward_table(table, seed_count, remaining)
+        want = self.reference(table, h, attrs, np.arange(n), seed_count,
+                              remaining)
         assert q.shape == (n,)
         np.testing.assert_allclose(q, want, rtol=0, atol=1e-12)
         for mask in (np.zeros(n, dtype=bool), np.ones(n, dtype=bool),
                      np.array(data.draw(st.lists(st.booleans(), min_size=n,
                                                  max_size=n)))):
-            pick = epsilon_greedy_select(net, table, mask, seed_count, 0.0,
-                                         remaining, budget, k_max, None)
+            pick = epsilon_greedy_select(table, mask, seed_count, 0.0,
+                                         remaining, None)
             ids = np.flatnonzero(mask)
             if len(ids) == 0:
                 assert pick is None
-                assert best_feasible(net, table, mask, seed_count, remaining,
-                                     budget, k_max) is None
+                assert best_feasible(table, mask, seed_count,
+                                     remaining) is None
             else:
                 assert pick == ids[np.argmax(q[ids])]
                 assert q[pick] == q[ids].max()
                 assert not (q[ids[ids < pick]] == q[pick]).any()
-                assert best_feasible(net, table, mask, seed_count, remaining,
-                                     budget, k_max) == pick
-                _, value = best_valued(net, table, mask, seed_count,
-                                       remaining, budget, k_max)
+                assert best_feasible(table, mask, seed_count,
+                                     remaining) == pick
+                _, value = best_valued(table, mask, seed_count, remaining)
                 # pruned steps sum the candidate rows apart from the table
                 assert value == pytest.approx(q[pick], rel=0, abs=1e-12)
 
@@ -223,22 +231,25 @@ class TestHiddenTable:
             h[1] - h.mean(axis=0))
         table = hidden_table(net, h, attrs.cost, 100.0)
         cands = np.array([0, 1, 2, 3, 4])
-        got = q_forward_table(net, table, 2, 60.0, 100.0, 10)
-        want = self.reference(net, h, attrs, cands, 2, 60.0, 100.0, 10)
+        got = q_forward_table(table, 2, 60.0)
+        want = self.reference(table, h, attrs, cands, 2, 60.0)
         assert got[1] == got[3] == got.max()
         assert int(np.argmax(got)) == int(np.argmax(want)) == 1
 
 
-def table_net(rows, u, v, w2, b2):
+def table_net(rows, u, v, w2, b2, k_max=1):
     """A network whose hidden table is `rows` (n, H), built on the rows
     themselves as embeddings (W1 = [I, 0, u, v], b1 = 0), and that table.
-    The unit budget and costs leave R/B = remaining and the cost column out."""
+    The unit budget leaves R/B = remaining, and the costs 1/k_max give the
+    table that k_max; W1 leaves their column out."""
     n, width = rows.shape
     net = QNetwork(w1=np.column_stack((np.eye(width), np.zeros(width), u, v)),
                    b1=np.zeros(width), w2=np.asarray(w2, dtype=float),
                    b2=np.array([b2], dtype=float))
     h = np.asarray(rows, dtype=float)
-    return net, hidden_table(net, h, np.ones(n), 1.0)
+    table = hidden_table(net, h, np.full(n, 1.0 / k_max), 1.0)
+    assert table.k_max == k_max
+    return net, table
 
 
 def exact_p(w2, row, shift) -> Fraction:
@@ -276,10 +287,10 @@ class TestBestFeasible:
               "positive": np.abs(draw(width, 16)),
               "negative": -np.abs(draw(width, 16))}[w2_kind]
         w2[rng.random(width) < 0.2] = 0.0
-        net, table = table_net(rows, u, v, w2, float(draw(1, 16)[0]))
+        k_max = 4
+        net, table = table_net(rows, u, v, w2, float(draw(1, 16)[0]), k_max)
         tol = 1e-9 * (1.0 + abs(net.b2[0]) + np.abs(w2) @ (
             np.abs(rows).max(axis=0) + 32.0 * (np.abs(u) + np.abs(v))))
-        k_max = 4
         steps, masks = [], []
         for _ in range(data.draw(st.integers(1, 6))):
             # R/B and k/k_max on [0, 1] (corners included) and far outside it
@@ -296,13 +307,12 @@ class TestBestFeasible:
         order = rng.permutation(len(masks))  # all-False rows anywhere
         steps, masks = [steps[i] for i in order], np.array(masks)[order]
         got_ids, got_values = best_feasible_rows(
-            net, table, masks, np.array([k for k, _ in steps]),
-            np.array([r for _, r in steps]), 1.0, k_max)
+            table, masks, np.array([k for k, _ in steps]),
+            np.array([r for _, r in steps]))
         for (seed_count, remaining), mask, got_id, got_value in zip(
                 steps, masks, got_ids, got_values):
-            q = q_forward_table(net, table, seed_count, remaining, 1.0, k_max)
-            got = best_feasible(net, table, mask, seed_count, remaining, 1.0,
-                                k_max)
+            q = q_forward_table(table, seed_count, remaining)
+            got = best_feasible(table, mask, seed_count, remaining)
             ids = np.flatnonzero(mask)
             if len(ids) == 0:
                 assert got is None
@@ -330,7 +340,7 @@ class TestBestFeasible:
         rows = rng.normal(size=(n, width)) * scale
         u, v = (rng.normal(size=width) * spread * scale for _ in range(2))
         w2 = rng.normal(size=width)
-        net, table = table_net(rows, u, v, w2, float(rng.normal()))
+        net, table = table_net(rows, u, v, w2, float(rng.normal()), k_max=4)
         lo = np.minimum(u, 0.0) + np.minimum(v, 0.0)
         hi = np.maximum(u, 0.0) + np.maximum(v, 0.0)
         c_up, c_lo = np.where(w2 > 0, lo, hi), np.where(w2 > 0, hi, lo)
@@ -348,8 +358,8 @@ class TestBestFeasible:
             for node in range(n):
                 assert lower[node] <= exact_p(w2, rows[node], shift) \
                     <= upper[node]
-            pick, value = best_valued(net, table, np.ones(n, dtype=bool),
-                                      seed_count, remaining, 1.0, 4)
+            pick, value = best_valued(table, np.ones(n, dtype=bool),
+                                      seed_count, remaining)
             constant = Fraction(float(net.b2[0])) + sum(
                 (Fraction(float(s)) * Fraction(float(w))
                  for s, w in zip(shift, w2)), Fraction(0))
@@ -366,22 +376,20 @@ class TestBestFeasible:
         # P_v = max(T_v, -s) with s in [-2, 0] on the box: node 11 (T = 6)
         # is the only candidate, so it is picked unscored, but at s = -10
         # every node scores 10
-        net, table = table_net(np.arange(-5.0, 7.0)[:, None], [-1.0], [-1.0],
-                               [1.0], 0.0)
+        _, table = table_net(np.arange(-5.0, 7.0)[:, None], [-1.0], [-1.0],
+                             [1.0], 0.0)
         assert table.prunes
         mask = np.ones(12, dtype=bool)
         with mock.patch.object(qnet, "_scores", wraps=qnet._scores) as scored:
-            got = best_feasible(net, table, mask, seed_count, remaining, 1.0,
-                                1)
+            got = best_feasible(table, mask, seed_count, remaining)
         assert scored.called == ((seed_count, remaining) != (1, 1.0))
-        q = q_forward_table(net, table, seed_count, remaining, 1.0, 1)
+        q = q_forward_table(table, seed_count, remaining)
         assert (got, q.max()) == want and got == int(np.argmax(q))
-        assert best_valued(net, table, mask, seed_count, remaining, 1.0,
-                           1) == want
+        assert best_valued(table, mask, seed_count, remaining) == want
         # in a batch beside an in-box step, the box is checked row by row
         ids, values = best_feasible_rows(
-            net, table, np.stack((mask, mask)), np.array([1, seed_count]),
-            np.array([1.0, remaining]), 1.0, 1)
+            table, np.stack((mask, mask)), np.array([1, seed_count]),
+            np.array([1.0, remaining]))
         assert list(zip(ids.tolist(), values.tolist())) == [(11, 4.0), want]
 
     @settings(deadline=None, max_examples=200)
@@ -412,10 +420,10 @@ class TestBestFeasible:
         if kind == "dominant":
             rows[rng.integers(n)] = 64.0 * np.sign(w2)
         u, v = draw(width, 16) * spread, draw(width, 16) * spread
-        net, table = table_net(rows, u, v, w2, float(draw(1, 16)[0]))
+        k_max = 4
+        net, table = table_net(rows, u, v, w2, float(draw(1, 16)[0]), k_max)
         tol = 1e-9 * (1.0 + abs(net.b2[0]) + np.abs(w2) @ (
             np.abs(rows).max(axis=0) + 32.0 * (np.abs(u) + np.abs(v))))
-        k_max = 4
         for _ in range(data.draw(st.integers(1, 6))):
             # R/B and k/k_max on [0, 1] (corners included) and outside it
             remaining = data.draw(st.one_of(st.integers(0, 4),
@@ -425,13 +433,12 @@ class TestBestFeasible:
             seed_count = data.draw(st.one_of(st.integers(0, 4),
                                              st.integers(0, 64)))
             in_box = 0.0 <= remaining <= 1.0 and seed_count <= k_max
-            q = q_forward_table(net, table, seed_count, remaining, 1.0, k_max)
+            q = q_forward_table(table, seed_count, remaining)
             for mask in (np.zeros(n, dtype=bool), np.ones(n, dtype=bool),
                          rng.random(n) < data.draw(st.floats(0.0, 1.0))):
                 with mock.patch.object(qnet, "_scores",
                                        wraps=qnet._scores) as scored:
-                    pick = best_feasible(net, table, mask, seed_count,
-                                         remaining, 1.0, k_max)
+                    pick = best_feasible(table, mask, seed_count, remaining)
                 ids = np.flatnonzero(mask)
                 if len(ids) == 0:
                     assert pick is None and not scored.called
@@ -470,14 +477,13 @@ class TestBestFeasible:
     def test_non_finite_score_raises(self):
         # an infinite R/B makes the shift, and so every score, non-finite;
         # a masked argmax would have picked a NaN row
-        net, table = table_net(np.eye(3), np.ones(3), np.zeros(3), np.ones(3),
-                               0.0)
+        _, table = table_net(np.eye(3), np.ones(3), np.zeros(3), np.ones(3),
+                             0.0)
         mask = np.ones(3, dtype=bool)
         with pytest.raises(ValueError, match="not finite"):
-            best_feasible(net, table, mask, 0, np.inf, 1.0, 1)
+            best_feasible(table, mask, 0, np.inf)
         with pytest.raises(ValueError, match="not finite"):
-            epsilon_greedy_select(net, table, mask, 0, 0.0, np.inf, 1.0, 1,
-                                  None)
+            epsilon_greedy_select(table, mask, 0, 0.0, np.inf, None)
 
 
 class TestLossAndGrad:

@@ -14,16 +14,17 @@ from fairseed.graph import InstancePool
 from fairseed.metrics import FairnessConfig, evaluate_seed_set
 from fairseed import trainer
 from fairseed import qnet
-from fairseed.qnet import QNetwork, adam_step, encode_states, hidden_table
+from fairseed.qnet import (QNetwork, adam_step, best_feasible,
+                           best_feasible_rows, hidden_table)
 from fairseed.trainer import (CheckpointError, TrainConfig, TrainedPolicy,
                               Transition, _bellman_targets,
                               epsilon_greedy_select, load_checkpoint,
                               save_checkpoint, select_seed_set, train)
 
-from conftest import (DROP, bfs_reach, feasible_candidates, fresh_rollout,
-                      make_instance, mask_shaped_return, outside_replay,
-                      q_forward_batch, q_forward_table, random_tiny_instance,
-                      replay_record, rewrite_checkpoint)
+from conftest import (DROP, bfs_reach, encode_states, feasible_candidates,
+                      fresh_rollout, make_instance, mask_shaped_return,
+                      outside_replay, q_forward_batch, q_forward_table,
+                      random_tiny_instance, replay_record, rewrite_checkpoint)
 
 D_EMB = 8
 
@@ -53,7 +54,7 @@ def toy_policy(instance, config, seed=0):
 def run_episode(net, instance, h, config, epsilon, rng):
     """trainer.run_episode on a table built from `net` as it stands."""
     table = hidden_table(net, h, instance.attrs.cost, config.budget)
-    return trainer.run_episode(net, instance, table, config, epsilon, rng)
+    return trainer.run_episode(table, instance, config, epsilon, rng)
 
 
 def feasible_mask(selected, cost, remaining):
@@ -62,10 +63,11 @@ def feasible_mask(selected, cost, remaining):
     return mask
 
 
-def reference_targets(net, batch, insts, embeddings, table_of, cfg):
-    """_bellman_targets, on the same arguments, from whole encode_states
-    rows, one transition at a time: the next state holds `seeds_before` and the action, and one with
-    no budget left, or no node that fits, adds nothing to the reward."""
+def reference_targets(net, batch, insts, embeddings, cfg):
+    """_bellman_targets of `batch`, for `net` and the instances' embeddings,
+    from whole encode_states rows, one transition at a time: the next state
+    holds `seeds_before` and the action, and one with no budget left, or no
+    node that fits, adds nothing to the reward."""
     states, targets = [], []
     for t in batch:
         inst, h = insts[t.instance_id], embeddings[t.instance_id]
@@ -151,12 +153,11 @@ class TestEpsilonGreedy:
         table = hidden_table(policy.net, h, inst.attrs.cost, 100.0)
         cost = inst.attrs.cost
         got = epsilon_greedy_select(
-            policy.net, table, feasible_mask(set(range(6)), cost, 100.0),
-            6, 0.5, 100.0, 100.0, 10, rng)
+            table, feasible_mask(set(range(6)), cost, 100.0), 6, 0.5, 100.0,
+            rng)
         assert got is None
         got = epsilon_greedy_select(
-            policy.net, table, feasible_mask(set(), cost, 0.5), 0, 0.5,
-            0.5, 100.0, 10, rng)
+            table, feasible_mask(set(), cost, 0.5), 0, 0.5, 0.5, rng)
         assert got is None  # cheapest node costs 1
 
     def test_zero_net_tie_breaks_to_lowest_id(self, rng):
@@ -167,8 +168,8 @@ class TestEpsilonGreedy:
             getattr(policy.net, name)[:] = 0.0
         table = hidden_table(policy.net, h, inst.attrs.cost, 10.0)
         got = epsilon_greedy_select(
-            policy.net, table, feasible_mask(set(), inst.attrs.cost, 10.0),
-            0, 0.0, 10.0, 10.0, 10, rng)
+            table, feasible_mask(set(), inst.attrs.cost, 10.0), 0, 0.0, 10.0,
+            rng)
         assert got == 0
 
     def test_selected_skipped(self, rng):
@@ -179,8 +180,8 @@ class TestEpsilonGreedy:
             getattr(policy.net, name)[:] = 0.0
         table = hidden_table(policy.net, h, inst.attrs.cost, 10.0)
         got = epsilon_greedy_select(
-            policy.net, table, feasible_mask({0, 1}, inst.attrs.cost, 10.0),
-            2, 0.0, 10.0, 10.0, 10, rng)
+            table, feasible_mask({0, 1}, inst.attrs.cost, 10.0), 2, 0.0, 10.0,
+            rng)
         assert got == 2
 
     def test_epsilon_one_uniform(self, rng):
@@ -190,8 +191,7 @@ class TestEpsilonGreedy:
         table = hidden_table(policy.net, h, inst.attrs.cost, 100.0)
         feasible = feasible_mask(set(), inst.attrs.cost, 100.0)
         draws = [
-            epsilon_greedy_select(policy.net, table, feasible, 0, 1.0, 100.0,
-                                  100.0, 10, rng)
+            epsilon_greedy_select(table, feasible, 0, 1.0, 100.0, rng)
             for _ in range(10_000)
         ]
         counts = np.bincount(draws, minlength=6)
@@ -215,17 +215,15 @@ class TestKeptFeasibleMask:
         policy, h = toy_policy(inst, toy_config(budget=budget))
         chosen, offered = [], []
 
-        def spy(net, table, feasible, seed_count, eps, remaining, *rest):
+        def spy(table, feasible, seed_count, eps, remaining, rng):
             offered.append((np.flatnonzero(feasible), seed_count, remaining,
                             list(chosen)))
-            return select(net, table, feasible, seed_count, eps, remaining,
-                          *rest)
+            return select(table, feasible, seed_count, eps, remaining, rng)
 
         select = trainer.epsilon_greedy_select
         table = hidden_table(policy.net, h, cost, budget)
         with mock.patch.object(trainer, "epsilon_greedy_select", spy):
-            for action, _ in trainer._steps(policy.net, table, cost, budget,
-                                            epsilon,
+            for action, _ in trainer._steps(table, cost, epsilon,
                                             np.random.default_rng(seed)):
                 chosen.append(action)
         assert offered
@@ -399,7 +397,7 @@ class TestTrain:
 class TestTableLifetime:
     """Q-values scored from hidden-layer tables, and the tables' bounds,
     equal the full-state reference on the network as it stands right after
-    a parameter update."""
+    a parameter update, with no table rebuilt by its caller."""
 
     @staticmethod
     def update(net, rng):
@@ -417,25 +415,25 @@ class TestTableLifetime:
         scored = []
         original = trainer.best_feasible
 
-        def checked(net_, table, feasible, seed_count, remaining, budget,
-                    k_max):
-            got = original(net_, table, feasible, seed_count, remaining,
-                           budget, k_max)
+        def checked(table, feasible, seed_count, remaining):
+            got = original(table, feasible, seed_count, remaining)
             states = encode_states(np.arange(inst.graph.n), h, seed_count,
-                                   remaining, inst.attrs, budget, k_max)
+                                   remaining, inst.attrs, table.budget,
+                                   table.k_max)
             want = q_forward_batch(net, states)
             shift = states[0, -2:] @ net.w1[:, -2:].T
-            scored.append((q_forward_table(net_, table, seed_count, remaining,
-                                           budget, k_max), want, got,
-                           feasible.copy(), want - shift @ net.w2 - net.b2[0],
-                           table))
+            scored.append((q_forward_table(table, seed_count, remaining), want,
+                           got, feasible.copy(),
+                           want - shift @ net.w2 - net.b2[0], table))
             return got
 
         monkeypatch.setattr(trainer, "best_feasible", checked)
-        run_episode(net, inst, h, cfg, 0.0, rng)
+        # one table for both episodes: it refills itself after the update
+        table = hidden_table(net, h, inst.attrs.cost, cfg.budget)
+        trainer.run_episode(table, inst, cfg, 0.0, rng)
         first = len(scored)
         self.update(net, rng)
-        run_episode(net, inst, h, cfg, 0.0, rng)
+        trainer.run_episode(table, inst, cfg, 0.0, rng)
         assert 0 < first < len(scored)
         for got, want, pick, feasible, p, table in scored[first:]:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -462,16 +460,13 @@ class TestTableLifetime:
         batch = [t for _ in range(4) for k in ("a", "b")
                  for t in run_episode(net, insts[k], embeddings[k], cfg, 0.7,
                                       rng)]
-
-        def table_of(k):
-            return hidden_table(net, embeddings[k], insts[k].attrs.cost,
-                                cfg.budget)
-
-        args = (batch, insts, embeddings, table_of, cfg)
-        _, before = _bellman_targets(net, *args)
+        tables = {k: hidden_table(net, embeddings[k], insts[k].attrs.cost,
+                                  cfg.budget) for k in insts}
+        _, before = _bellman_targets(batch, insts, tables, cfg)
         self.update(net, rng)
-        states, targets = _bellman_targets(net, *args)
-        want_states, want_targets = reference_targets(net, *args)
+        states, targets = _bellman_targets(batch, insts, tables, cfg)
+        want_states, want_targets = reference_targets(net, batch, insts,
+                                                      embeddings, cfg)
         assert np.array_equal(states, want_states)
         np.testing.assert_allclose(targets, want_targets, rtol=0, atol=1e-12)
         assert np.abs(targets - before).max() > 1e-6
@@ -481,11 +476,10 @@ class TestTableLifetime:
         reference's."""
         insts = {"a": toy_instance("a")}
         policy, h = toy_policy(insts["a"], cfg)
-        args = (batch, insts, {"a": h},
-                lambda k: hidden_table(policy.net, h, insts[k].attrs.cost,
-                                       cfg.budget), cfg)
-        return (_bellman_targets(policy.net, *args),
-                reference_targets(policy.net, *args))
+        tables = {"a": hidden_table(policy.net, h, insts["a"].attrs.cost,
+                                    cfg.budget)}
+        return (_bellman_targets(batch, insts, tables, cfg),
+                reference_targets(policy.net, batch, insts, {"a": h}, cfg))
 
     def test_first_step_batch(self, rng):
         # every seeds_before is empty: each next state holds the action alone
@@ -520,76 +514,87 @@ class TestTableLifetime:
                    for i, t in enumerate(batch) if i not in done)
 
     def test_discount_zero_targets_are_the_rewards(self, rng, monkeypatch):
-        # no bootstrap at discount 0: no next-state table, mask or score
+        # no bootstrap at discount 0: the states come from the table's
+        # design, which does not depend on the network, so a table left
+        # stale by an update is neither refilled nor scored
         insts = {"a": toy_instance("a")}
         cfg = toy_config(budget=8.0, discount=0.0)
         policy, h = toy_policy(insts["a"], cfg)
-        net, embeddings = policy.net, {"a": h}
+        net = policy.net
         batch = [t for _ in range(4)
                  for t in run_episode(net, insts["a"], h, cfg, 0.7, rng)]
         assert any(t.budget_after > 0.0 for t in batch)
-        want_states, _ = _bellman_targets(
-            net, batch, insts, embeddings,
-            lambda k: hidden_table(net, h, insts[k].attrs.cost, cfg.budget),
-            toy_config(budget=8.0))
+        tables = {"a": hidden_table(net, h, insts["a"].attrs.cost,
+                                    cfg.budget)}
+        want_states, _ = _bellman_targets(batch, insts, tables,
+                                          toy_config(budget=8.0))
+        self.update(net, rng)
+        hidden = tables["a"].hidden.copy()
         calls = []
-        monkeypatch.setattr(trainer, "best_feasible",
+        monkeypatch.setattr(qnet, "_current",
+                            lambda table: calls.append("refill"))
+        monkeypatch.setattr(trainer, "best_feasible_rows",
                             lambda *args: calls.append("score"))
-        states, targets = _bellman_targets(net, batch, insts, embeddings,
-                                           lambda k: calls.append("table"),
-                                           cfg)
+        states, targets = _bellman_targets(batch, insts, tables, cfg)
         assert calls == []
+        assert tables["a"].step == 0 != net.step
+        assert np.array_equal(tables["a"].hidden, hidden)
         assert np.array_equal(targets, [t.reward for t in batch])
         assert np.array_equal(states, want_states)
 
     def test_train_scores_from_current_tables(self, monkeypatch):
-        # every table that scores an episode step or a Bellman target is
-        # hidden_table of the network as it stands, bit for bit; none
-        # outlives an update, and each instance's table is built at most
-        # once per update. Each instance keeps one table, rebuilt in place:
-        # its storage is the same object at every update.
+        # every table that scores an episode step or a Bellman target is,
+        # as it scores, hidden_table of the network as it stands, bit for
+        # bit. Each training instance keeps one table for the whole run,
+        # built once and refilled in place, in the same arrays, at most once
+        # per update.
         pool = InstancePool(train=(toy_instance("a"),
                                    toy_instance("b", cost=[1, 2, 2, 3, 1, 4])),
                             test=(toy_instance("c"),), seed=0)
         cfg = toy_config(budget=8.0, episodes=14, batch_size=4,
                          epsilon_start=0.3, epsilon_min=0.1)
         update = [0]
-        built = {}       # id(table) -> (table, h, cost, budget, update)
-        builds = []      # (update, id(cost)) per hidden_table call
-        storage = {}     # id(cost) -> the arrays of its first table
+        built = {}       # id(table) -> (table, h, cost, budget)
+        storage = {}     # id(table) -> the arrays it was built with
+        refills = []     # (update, id(table)) per refill of a built table
         scored = {"episode": 0, "target": 0}
         phase = ["episode"]
-        nets = []
 
-        def counting_table(net, h, cost, budget, out=None):
-            nets.append(net)
-            assert out is None or built[id(out)][2] is cost
-            table = qnet.hidden_table(net, h, cost, budget, out=out)
-            built[id(table)] = (table, h, cost, budget, update[0])
-            builds.append((update[0], id(cost)))
-            arrays = (table.design, table.hidden, table.upper, table.lower)
-            first = storage.setdefault(id(cost), arrays)
-            assert all(a is b for a, b in zip(arrays, first))
+        def counting_table(net, h, cost, budget):
+            table = qnet.hidden_table(net, h, cost, budget)
+            built[id(table)] = (table, h, cost, budget)
+            storage[id(table)] = (table.design, table.hidden, table.upper,
+                                  table.lower)
             return table
 
-        def check_current(net, table, where):
+        current = qnet._current
+
+        def counting_refill(table):
+            if id(table) in built and table.step != table.net.step:
+                refills.append((update[0], id(table)))
+            return current(table)
+
+        def check_current(table, where):
             assert phase[0] == where
-            kept, h, cost, budget, made = built[id(table)]
-            assert kept is table and made == update[0]
-            fresh = qnet.hidden_table(net, h, cost, budget)
-            assert np.array_equal(table.hidden, fresh.hidden)
-            assert np.array_equal(table.upper, fresh.upper)
-            assert np.array_equal(table.lower, fresh.lower)
-            assert (table.margin, table.prunes) == (fresh.margin, fresh.prunes)
+            kept, h, cost, budget = built[id(table)]
+            assert kept is table and table.step == update[0]
+            fresh = qnet.hidden_table(table.net, h, cost, budget)
+            for name in ("design", "hidden", "upper", "lower"):
+                assert np.array_equal(getattr(table, name),
+                                      getattr(fresh, name))
+            assert (table.margin, table.prunes, table.k_max) \
+                == (fresh.margin, fresh.prunes, fresh.k_max)
             scored[where] += 1
 
-        def checked_score(net, table, *rest):
-            check_current(net, table, "episode")
-            return qnet.best_feasible(net, table, *rest)
+        def checked_score(table, *rest):
+            got = qnet.best_feasible(table, *rest)
+            check_current(table, "episode")
+            return got
 
-        def checked_rows(net, table, *rest):
-            check_current(net, table, "target")
-            return qnet.best_feasible_rows(net, table, *rest)
+        def checked_rows(table, *rest):
+            got = qnet.best_feasible_rows(table, *rest)
+            check_current(table, "target")
+            return got
 
         def counted_step(*args):
             update[0] += 1
@@ -603,6 +608,7 @@ class TestTableLifetime:
                 phase[0] = "episode"
 
         monkeypatch.setattr(trainer, "hidden_table", counting_table)
+        monkeypatch.setattr(qnet, "_current", counting_refill)
         monkeypatch.setattr(trainer, "best_feasible", checked_score)
         monkeypatch.setattr(trainer, "best_feasible_rows", checked_rows)
         monkeypatch.setattr(trainer, "adam_step", counted_step)
@@ -610,17 +616,23 @@ class TestTableLifetime:
         policy = train(cfg, pool)
         assert update[0] >= 5
         assert scored["episode"] > 0 and scored["target"] > 0
-        assert len(builds) == len(set(builds))
-        assert all(net is nets[0] for net in nets)
-        # tables rebuilt after updates, in place
-        assert len(builds) > len(storage) == 2
+        # one table per training instance, for the one network
+        assert len(built) == 2
+        assert all(t.net is policy.net for t, *_ in built.values())
+        # refilled after updates, in place, at most once per update
+        assert len(refills) >= update[0] - 1
+        assert len(refills) == len(set(refills))
+        for key, (table, *_) in built.items():
+            assert all(a is b for a, b in zip(
+                (table.design, table.hidden, table.upper, table.lower),
+                storage[key]))
         # selection builds a standalone table: no array of it is shared
         # with a table of training
         training = [a for arrays in storage.values() for a in arrays]
         selected = []
 
-        def standalone(*args, **kw):
-            selected.append(qnet.hidden_table(*args, **kw))
+        def standalone(*args):
+            selected.append(qnet.hidden_table(*args))
             return selected[-1]
 
         monkeypatch.setattr(trainer, "best_feasible", qnet.best_feasible)
@@ -633,32 +645,47 @@ class TestTableLifetime:
                 assert not any(np.shares_memory(a, b) for b in training)
 
     def test_rebuilt_in_place_equals_a_fresh_table(self, rng):
-        # a table rebuilt in place after an update equals a standalone
-        # hidden_table of the updated network bit for bit, in the same arrays
+        # after an update, a table that its caller does not rebuild refills
+        # itself in place as it next scores: its picks and values are those
+        # of a fresh hidden_table of the updated network bit for bit, and so
+        # are its arrays, which stay the arrays it was built with
         inst = toy_instance()
         cfg = toy_config(budget=8.0)
         policy, h = toy_policy(inst, cfg)
-        net = policy.net
-        table = hidden_table(net, h, inst.attrs.cost, cfg.budget)
+        net, cost = policy.net, inst.attrs.cost
+        table = hidden_table(net, h, cost, cfg.budget)
         arrays = (table.design, table.hidden, table.upper, table.lower)
         before = table.hidden.copy()
+        steps = [(set(), 8.0), ({2}, 7.0), ({0, 2}, 5.0), ({0, 2, 4}, 3.0)]
+        masks = np.array([feasible_mask(chosen, cost, left)
+                          for chosen, left in steps])
+        counts = np.array([len(chosen) for chosen, _ in steps])
+        left = np.array([r for _, r in steps])
         for _ in range(3):
             self.update(net, rng)
-            again = hidden_table(net, h, inst.attrs.cost, cfg.budget,
-                                 out=table)
-            fresh = hidden_table(net, h, inst.attrs.cost, cfg.budget)
-            assert again is table
+            assert table.step != net.step
+            fresh = hidden_table(net, h, cost, cfg.budget)
+            for mask, k, r in zip(masks, counts, left):
+                assert best_feasible(table, mask, k, r) \
+                    == best_feasible(fresh, mask, k, r)
+            got = best_feasible_rows(table, masks, counts, left)
+            want = best_feasible_rows(fresh, masks, counts, left)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+            assert table.step == net.step
             assert all(a is b for a, b in zip(
                 (table.design, table.hidden, table.upper, table.lower),
                 arrays))
             for name in ("design", "hidden", "upper", "lower"):
-                assert np.array_equal(getattr(table, name),
-                                      getattr(fresh, name))
-            assert (table.margin, table.prunes) == (fresh.margin, fresh.prunes)
+                assert getattr(table, name).tobytes() \
+                    == getattr(fresh, name).tobytes()
+            assert (table.margin, table.prunes, table.k_max) \
+                == (fresh.margin, fresh.prunes, fresh.k_max)
         assert not np.array_equal(table.hidden, before)
 
 
 class TestMaxSeeds:
+    """qnet._max_seeds, which gives every QTable its k_max."""
+
     def test_k_over_k_max_stays_in_the_box(self, rng, monkeypatch):
         # 40 nodes of cost 0.6 at budget 16.2: 16.2 // 0.6 gives 26, but
         # taking 0.6 off the remaining budget in floating point leaves room
@@ -668,33 +695,36 @@ class TestMaxSeeds:
                              cost=np.full(40, 0.6))
         budget = 16.2
         assert int(budget // 0.6) == 26
-        assert trainer._max_seeds(inst.attrs.cost, budget) == 27
+        assert qnet._max_seeds(inst.attrs.cost, budget) == 27
         ratios = []  # k/k_max of every scored step and next state
 
-        def score(net, table, feasible, seed_count, remaining, budget_,
-                  k_max):
-            ratios.append(seed_count / k_max)
-            return qnet.best_feasible(net, table, feasible, seed_count,
-                                      remaining, budget_, k_max)
+        def score(table, feasible, seed_count, remaining):
+            ratios.append(seed_count / table.k_max)
+            return qnet.best_feasible(table, feasible, seed_count, remaining)
 
-        def score_rows(net, table, feasible, seed_count, remaining, budget_,
-                       k_max):
-            ratios.extend(seed_count / k_max)
-            return qnet.best_feasible_rows(net, table, feasible, seed_count,
-                                           remaining, budget_, k_max)
+        def score_rows(table, feasible, seed_count, remaining):
+            ratios.extend(seed_count / table.k_max)
+            return qnet.best_feasible_rows(table, feasible, seed_count,
+                                           remaining)
 
         monkeypatch.setattr(trainer, "best_feasible", score)
         monkeypatch.setattr(trainer, "best_feasible_rows", score_rows)
         cfg = toy_config(budget=budget)
         policy, h = toy_policy(inst, cfg)
-        episode = run_episode(policy.net, inst, h, cfg, 0.0, rng)
+        table = hidden_table(policy.net, h, inst.attrs.cost, budget)
+        assert table.k_max == 27
+        episode = trainer.run_episode(table, inst, cfg, 0.0, rng)
         assert len(episode) == 27 and episode[-1].budget_after > 0.0
-        _bellman_targets(policy.net, episode, {inst.id: inst}, {inst.id: h},
-                         lambda _: hidden_table(policy.net, h, inst.attrs.cost,
-                                                budget), cfg)
+        _bellman_targets(episode, {inst.id: inst}, {inst.id: table}, cfg)
         assert ratios[-1] == 1.0  # the last next state holds all 27 seeds
         assert len(select_seed_set(policy, inst, budget, h)) == 27
         assert len(ratios) == 27 + 27 + 27 and max(ratios) == 1.0
+
+    @staticmethod
+    def table(cost, budget):
+        """hidden_table of a small network for `cost` at `budget`."""
+        return hidden_table(QNetwork.init(4, seed=0, hidden=2),
+                            np.zeros((len(cost), 1)), cost, budget)
 
     @pytest.mark.parametrize("cost,budget,want", [
         ([2, 3, 1, 4, 2, 3], 6.0, 6),    # the toy instance: the floor
@@ -704,12 +734,17 @@ class TestMaxSeeds:
     ])
     def test_floor_kept_where_it_does_not_undercount(self, cost, budget,
                                                      want):
-        assert trainer._max_seeds(np.array(cost, dtype=float), budget) == want
+        cost = np.array(cost, dtype=float)
+        assert qnet._max_seeds(cost, budget) == want
+        assert self.table(cost, budget).k_max == want
 
     def test_budget_over_cost_overflow_rejected(self):
         # 1e300 / 1e-300 overflows to inf, which has no integer floor
+        cost = np.array([1e-300, 2e-300])
         with pytest.raises(ValueError, match="not finite"):
-            trainer._max_seeds(np.array([1e-300, 2e-300]), 1e300)
+            qnet._max_seeds(cost, 1e300)
+        with pytest.raises(ValueError, match="budget .* is not finite"):
+            self.table(cost, 1e300)
 
 
 class TestInference:
