@@ -102,8 +102,13 @@ class CommunityPartition:
         count = int(labels.max()) + 1 if len(labels) else 0
         members = tuple(np.flatnonzero(labels == i) for i in range(count))
         totals = np.array([benefit[m].sum() for m in members])
-        if np.any(totals <= 0.0):
-            raise ValueError("every community needs positive total benefit")
+        for c, (m, total) in enumerate(zip(members, totals)):
+            if not len(m):
+                raise ValueError(f"community {c} has no members: labels "
+                                 f"must cover 0..{count - 1} without a gap")
+            if total <= 0.0:
+                raise ValueError(f"community {c} needs positive total "
+                                 f"benefit, has {total}")
         weights = np.zeros((len(labels), count))
         weights[np.arange(len(labels)), labels] = benefit
         return cls(count=count, members=members, total_benefit=totals, weights=weights)

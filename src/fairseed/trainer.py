@@ -67,17 +67,30 @@ class TrainConfig:
             raise ValueError("seed must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transition:
-    """One episode step. Its next state holds `seeds_before` and `action`,
-    with `budget_after` left; with positive costs, a next state with no
-    budget left has no feasible node, and so is terminal."""
+    """Step `step` (from 0) of an episode on instance `instance_id`.
+
+    `actions` is the whole episode's action tuple, one object that all of
+    the episode's transitions share, so a transition's size does not grow
+    with its episode. Its state holds `seeds_before`, the actions before
+    this step; its next state holds those and `action`, with `budget_after`
+    left. With positive costs, a next state with no budget left has no
+    feasible node, and so is terminal."""
 
     instance_id: str
-    seeds_before: tuple[int, ...]
-    action: int
+    actions: tuple[int, ...]
+    step: int
     reward: float
     budget_after: float  # remaining budget once the action's cost is paid
+
+    @property
+    def action(self) -> int:
+        return self.actions[self.step]
+
+    @property
+    def seeds_before(self) -> tuple[int, ...]:
+        return self.actions[:self.step]
 
 
 @dataclass
@@ -136,7 +149,9 @@ def _steps(table: QTable, cost: np.ndarray, epsilon: float,
 
 def run_episode(table: QTable, instance: Instance, config: TrainConfig,
                 epsilon: float, rng: np.random.Generator) -> list[Transition]:
-    """One seed-construction episode; returns the emitted transitions.
+    """One seed-construction episode; returns its transitions, one per
+    step. They are built once the episode ends and share one `actions`
+    tuple, the episode's seeds in order, each with its own `step` index.
 
     `table` is the instance's `hidden_table` at `config.budget`. The
     episode runs on one live-arc realization, drawn from `rng` before the
@@ -159,10 +174,9 @@ def run_episode(table: QTable, instance: Instance, config: TrainConfig,
     selected: list[int] = []
     spent = 0.0
     r_prev = 0.0
-    transitions: list[Transition] = []
+    outcomes: list[tuple[float, float]] = []  # (reward, budget_after)
     for action, remaining in _steps(table, attrs.cost, epsilon, rng):
         assert remaining >= 0.0, "budget overdraw"
-        before = tuple(selected)
         selected.append(action)
         spent += float(attrs.cost[action])
         for v in simulate_ic(arcs, reached, (action,)):
@@ -170,15 +184,11 @@ def run_episode(table: QTable, instance: Instance, config: TrainConfig,
             community_earned[community[v]] += benefit[v]
         r_total = shaped_return(earned, community_earned, parts, spent,
                                 config.fairness_weight)
-        transitions.append(Transition(
-            instance_id=instance.id,
-            seeds_before=before,
-            action=action,
-            reward=r_total - r_prev,
-            budget_after=remaining,
-        ))
+        outcomes.append((r_total - r_prev, remaining))
         r_prev = r_total
-    return transitions
+    actions = tuple(selected)
+    return [Transition(instance.id, actions, step, reward, remaining)
+            for step, (reward, remaining) in enumerate(outcomes)]
 
 
 def _bellman_targets(batch: list[Transition], instances: dict[str, Instance],
@@ -189,11 +199,12 @@ def _bellman_targets(batch: list[Transition], instances: dict[str, Instance],
     `tables[instance_id]` is the instance's `hidden_table` at
     `config.budget`, which gives the state rows and scores for its network
     as it stands. The next-state max ranges over the nodes that fit the
-    stored remaining budget, less `seeds_before` and the action; a row with
-    none left scores 0.0, as a terminal state. Each instance's next states
-    are scored in one `best_feasible_rows` call. At discount 0 the targets
-    are the rewards, and no table is refilled or scored. Rows keep the
-    batch order.
+    stored remaining budget, less the first `step + 1` entries of `actions`
+    (the seeds before and the action); a row with none left scores 0.0, as
+    a terminal state. A state's seed count is its transition's `step`.
+    Each instance's next states are scored in one `best_feasible_rows`
+    call. At discount 0 the targets are the rewards, and no table is
+    refilled or scored. Rows keep the batch order.
     """
     states = np.empty((len(batch), tables[batch[0].instance_id].net.in_dim))
     targets = np.array([t.reward for t in batch])
@@ -201,7 +212,7 @@ def _bellman_targets(batch: list[Transition], instances: dict[str, Instance],
         table, cost = tables[inst_id], instances[inst_id].attrs.cost
         rows = [i for i, t in enumerate(batch) if t.instance_id == inst_id]
         actions = np.array([batch[i].action for i in rows])
-        counts = np.array([len(batch[i].seeds_before) for i in rows])
+        counts = np.array([batch[i].step for i in rows])
         remaining = np.array([batch[i].budget_after for i in rows])
         states[rows] = state_rows(table, actions, counts,
                                   remaining + cost[actions])
@@ -209,8 +220,8 @@ def _bellman_targets(batch: list[Transition], instances: dict[str, Instance],
             continue
         # a next state holds the seeds before and the action
         after = counts + 1
-        held = [v for i in rows for v in (*batch[i].seeds_before,
-                                           batch[i].action)]
+        held = [v for i in rows
+                for v in batch[i].actions[:batch[i].step + 1]]
         feasible = cost <= remaining[:, None]
         feasible[np.repeat(np.arange(len(rows)), after), held] = False
         _, best = best_feasible_rows(table, feasible, after, remaining)

@@ -364,6 +364,15 @@ class TestAttributeCsv:
         with pytest.raises(AttributeFileError, match="finite"):
             load_node_attributes(path, g)
 
+    def test_label_gap_names_the_empty_community(self, tmp_path):
+        # labels {0, 2} leave community 1 with no members
+        g = graph_from_edges(2, [(0, 1)], directed=False)
+        path = write(tmp_path, "node_id,cost,benefit,community\n"
+                               "0,1,1,0\n1,1,1,2\n", name="attrs.csv")
+        with pytest.raises(AttributeFileError,
+                           match=r"attrs\.csv: community 1 has no members"):
+            load_node_attributes(path, g)
+
 
 @pytest.mark.parametrize("field", ["cost", "benefit"])
 @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
@@ -376,7 +385,8 @@ def test_attrs_reject_non_positive_or_non_finite(field, bad):
 
 
 def test_partition_requires_positive_benefit():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match="community 1 needs positive total benefit"):
         CommunityPartition.from_labels(np.array([0, 1]), np.array([1.0, 0.0]))
 
 

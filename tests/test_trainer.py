@@ -325,6 +325,22 @@ class TestRunEpisode:
                 assert np.isfinite(t.reward)
             assert total <= cfg.budget
 
+    def test_transitions_share_the_episode_actions(self, rng):
+        # one episode's transitions hold one actions tuple, each with its
+        # own step, so a transition's size does not grow with its episode
+        inst = toy_instance()
+        cfg = toy_config(budget=8.0)
+        policy, h = toy_policy(inst, cfg)
+        ts = run_episode(policy.net, inst, h, cfg, 0.7, rng)
+        assert len(ts) > 1
+        actions = ts[0].actions
+        assert all(t.actions is actions for t in ts)
+        assert [t.step for t in ts] == list(range(len(ts)))
+        for t in ts:
+            assert t.seeds_before == actions[:t.step]
+            assert t.action == actions[t.step]
+            assert not hasattr(t, "__dict__")
+
 
 class TestTrain:
     def pool(self):
@@ -501,9 +517,9 @@ class TestTableLifetime:
         # next state of action 3, so its target is its reward, exactly,
         # in a batch of mixed seed counts and in a batch of its own
         cfg = toy_config(budget=8.0)
-        batch = [Transition("a", (), 2, 3.0, 7.0),
-                 Transition("a", (0, 4), 3, -2.25, 0.0),
-                 Transition("a", (2,), 0, 1.5, 5.0)][rows]
+        batch = [Transition("a", (2,), 0, 3.0, 7.0),
+                 Transition("a", (0, 4, 3), 2, -2.25, 0.0),
+                 Transition("a", (2, 0), 1, 1.5, 5.0)][rows]
         (states, targets), (want_states, want_targets) = \
             self.targets_and_reference(batch, cfg)
         assert np.array_equal(states, want_states)
