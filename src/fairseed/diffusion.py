@@ -176,7 +176,7 @@ def live_arcs(g: Graph, m: int, seed: int) -> LiveArcs:
     uniform U, with probability ceil(p * 2**61) / 2**61, which is p itself
     for p = 0, p = 1 and every multiple of 2**-61 (the exact oracle uses p).
     Rollout i's bits depend on its place alone, not on the chunking or m;
-    each call opens its own lanes, so any thread gives the same words.
+    each call opens its own lanes and shares no generator state.
 
     A chunk is whole 64-rollout blocks, as many as keep its digit bytes, its
     bool block and its tie mask (three bytes per trial) within

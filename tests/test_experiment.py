@@ -1,7 +1,6 @@
 import csv
 import os
 import threading
-import time
 import weakref
 from pathlib import Path
 
@@ -197,49 +196,40 @@ def two_test_pool():
     return InstancePool(train=pool.train, test=(b, c), seed=0)
 
 
-def run_bounded(*args, **kwargs):
-    """run_experiment on a helper thread that must end within a minute;
-    returns the exception it raised, or None. The thread count after it
-    must be the count before it: the call leaves no worker running."""
-    outcome = {}
-
-    def target():
-        try:
-            outcome["rows"] = run_experiment(*args, **kwargs)
-        except Exception as exc:
-            outcome["error"] = exc
-
-    before = threading.active_count()
-    helper = threading.Thread(target=target)
-    helper.start()
-    helper.join(timeout=60)
-    assert not helper.is_alive(), "run_experiment hangs"
-    assert threading.active_count() == before
-    return outcome.get("error")
-
-
-class TestDrawPipeline:
-    """Each evaluation draw is made on a worker thread while the previous
+class TestInlineDraws:
+    """Each evaluation draw is made on the calling thread just before its
     (instance, budget) is selected and evaluated."""
 
-    def test_each_stream_drawn_once_and_two_alive_at_most(self, monkeypatch):
+    def test_each_stream_drawn_once_and_alone(self, monkeypatch):
         cfg = small_config(budgets=(2.0, 4.0, 6.0))
         pool = two_test_pool()
         calls, alive = [], []
 
         def recorded(g, m, seed):
-            # the draw in flight and the one the caller reads, no more
-            assert sum(ref() is not None for ref in alive) <= 1
+            # the previous pair's draw was freed before this one is made
+            assert all(ref() is None for ref in alive)
             calls.append((g, m, seed))
             live = live_arcs(g, m, seed)
             alive.append(weakref.ref(live))
             return live
 
         monkeypatch.setattr(experiment, "live_arcs", recorded)
-        assert run_bounded(cfg, pool=pool) is None
+        run_experiment(cfg, pool=pool)
         assert calls == [(inst.graph, cfg.m, eval_seed(cfg, inst, b))
                          for inst in pool.test for b in cfg.budgets]
         assert [ref() for ref in alive] == [None] * len(calls)
+
+    def test_starts_no_thread(self, monkeypatch):
+        before = threading.active_count()
+        during = []
+
+        def counted(g, m, seed):
+            during.append(threading.active_count())
+            return live_arcs(g, m, seed)
+
+        monkeypatch.setattr(experiment, "live_arcs", counted)
+        run_experiment(small_config(), pool=two_test_pool())
+        assert during and set(during) == {before}
 
     def test_error_in_a_draw_propagates(self, monkeypatch):
         draws = []
@@ -251,23 +241,9 @@ class TestDrawPipeline:
             return live_arcs(g, m, seed)
 
         monkeypatch.setattr(experiment, "live_arcs", failing)
-        error = run_bounded(small_config(), pool=two_test_pool())
-        assert isinstance(error, RuntimeError) and str(error) == "draw failed"
+        with pytest.raises(RuntimeError, match="^draw failed$"):
+            run_experiment(small_config(), pool=two_test_pool())
         assert len(draws) == 2  # no draw is made after the failed one
-
-    def test_error_while_selecting_propagates(self, monkeypatch):
-        def slow(g, m, seed):
-            time.sleep(0.05)  # the next draw is still in flight
-            return live_arcs(g, m, seed)
-
-        def failing(*args):
-            raise RuntimeError("selection failed")
-
-        monkeypatch.setattr(experiment, "live_arcs", slow)
-        monkeypatch.setattr(experiment, "_select", failing)
-        error = run_bounded(small_config(), pool=two_test_pool())
-        assert isinstance(error, RuntimeError) \
-            and str(error) == "selection failed"
 
 
 class TestEmitReport:
