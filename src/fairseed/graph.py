@@ -100,12 +100,16 @@ class CommunityPartition:
         if len(labels) and labels.min() < 0:
             raise ValueError("community labels must be nonnegative")
         count = int(labels.max()) + 1 if len(labels) else 0
+        # the first label missing from the sorted distinct labels is where
+        # they part from 0, 1, ...; no array is sized by the largest label
+        present = np.unique(labels)
+        gap = np.flatnonzero(present != np.arange(len(present)))
+        if len(gap):
+            raise ValueError(f"community {gap[0]} has no members: labels "
+                             f"must cover 0..{count - 1} without a gap")
         members = tuple(np.flatnonzero(labels == i) for i in range(count))
         totals = np.array([benefit[m].sum() for m in members])
-        for c, (m, total) in enumerate(zip(members, totals)):
-            if not len(m):
-                raise ValueError(f"community {c} has no members: labels "
-                                 f"must cover 0..{count - 1} without a gap")
+        for c, total in enumerate(totals):
             if total <= 0.0:
                 raise ValueError(f"community {c} needs positive total "
                                  f"benefit, has {total}")
@@ -195,37 +199,57 @@ def graph_from_edges(n: int, edges, directed: bool) -> Graph:
 
 
 def load_edge_list(path: str, directed: bool) -> Graph:
-    """Parse a SNAP-style edge list: "u v" per line, '#' comments skipped.
+    """Parse a SNAP-style edge list: "u v" or "u v p" per line, '#'
+    comments skipped.
 
-    Node ids are remapped to dense 0..n-1 (ascending original id);
-    self-loops and duplicate edges are dropped. Edge probabilities are
-    initialized to 1.0 pending assign_edge_probabilities.
+    Node ids are 64-bit integers, remapped to dense 0..n-1 (ascending
+    original id); self-loops and duplicate edges are dropped. p defaults to
+    1.0 and must lie in (0, 1]; an arc given two probabilities, in either
+    direction when undirected, is an error. Commands overwrite p with
+    assign_edge_probabilities.
     """
-    pairs = []
+    first = {}  # arc (u < v when undirected) -> (p, line first giving it)
     try:
         with open(path) as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
-                fields = line.split()
-                if len(fields) != 2:
-                    raise EdgeListError(
-                        f"{path}:{lineno}: expected two node ids, got {line!r}")
+                fields, at = line.split(), f"{path}:{lineno}"
+                if len(fields) not in (2, 3):
+                    raise EdgeListError(f"{at}: expected 'u v' or 'u v p', "
+                                        f"got {line!r}")
                 try:
-                    pairs.append((int(fields[0]), int(fields[1])))
+                    u, v = int(fields[0]), int(fields[1])
                 except ValueError:
                     raise EdgeListError(
-                        f"{path}:{lineno}: non-integer node id in {line!r}") from None
+                        f"{at}: non-integer node id in {line!r}") from None
+                if not -2**63 <= min(u, v) <= max(u, v) < 2**63:
+                    raise EdgeListError(f"{at}: node id outside the 64-bit "
+                                        f"range in {line!r}")
+                try:
+                    p = float(fields[2]) if len(fields) == 3 else 1.0
+                except ValueError:
+                    p = np.nan
+                if not 0.0 < p <= 1.0:  # NaN fails too
+                    raise EdgeListError(
+                        f"{at}: probability not in (0, 1] in {line!r}")
+                arc = (u, v) if directed else (min(u, v), max(u, v))
+                p_first, line_first = first.setdefault(arc, (p, lineno))
+                if p != p_first:
+                    raise EdgeListError(f"{at}: arc given probability {p!r} "
+                                        f"and {p_first!r} (line "
+                                        f"{line_first})")
     except OSError as exc:
         raise EdgeListError(f"cannot read {path}: {exc}") from exc
-    if not pairs:
+    if not first:
         raise EdgeListError(f"{path}: empty graph")
     # a node seen only in a self-loop still counts as a node
-    original, dense = np.unique(np.array(pairs, dtype=np.int64).ravel(),
+    original, dense = np.unique(np.array(list(first), dtype=np.int64).ravel(),
                                 return_inverse=True)
     return _graph_from_arcs(len(original), dense[0::2], dense[1::2],
-                            np.ones(len(pairs)), directed, original)
+                            np.array([p for p, _ in first.values()]),
+                            directed, original)
 
 
 def assign_edge_probabilities(g: Graph, model: ProbabilityModel, seed: int) -> Graph:
@@ -388,8 +412,8 @@ def load_node_attributes(path: str, g: Graph) -> tuple[NodeAttrs, CommunityParti
                     node = remap[int(row[0])]
                     cost[node] = float(row[1])
                     benefit[node] = float(row[2])
-                    labels[node] = int(row[3])
-                except (KeyError, ValueError):
+                    labels[node] = int(row[3])  # OverflowError past int64
+                except (KeyError, ValueError, OverflowError):
                     raise AttributeFileError(
                         f"{path}:{lineno}: bad row {row!r}") from None
                 if seen[node]:

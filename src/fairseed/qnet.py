@@ -8,9 +8,9 @@ then R/B and k/k_max (`state_rows`). k_max is budget // c_min, raised where
 that floor undercounts the seeds an episode can pick (`_max_seeds`), so
 both step scalars lie in [0, 1] at every step and stored next state.
 
-A `QTable` owns everything a score depends on: the network, the design, B,
-k_max and, since the first layer is linear in the state, the (n, hidden)
-table T = [h, c/B] W1[:, :d+1]^T + b1. With the step's shift
+A `QTable` owns everything a step depends on: the network, the design,
+costs, B, k_max and, since the first layer is linear in the state, the
+(n, hidden) table T = [h, c/B] W1[:, :d+1]^T + b1. With the step's shift
 s = (R/B) W1[:, d+1] + (k/k_max) W1[:, d+2],
 
     Q_v = relu(T[v] + s) . w2 + b2 = P_v(s) + s . w2 + b2,
@@ -91,6 +91,7 @@ class QTable:
 
     net: QNetwork
     design: np.ndarray  # (n, d + 1) [h, c/B], fixed per instance and budget
+    cost: np.ndarray    # (n,) c, which decides which nodes fit a budget
     budget: float       # B
     k_max: int          # `_max_seeds` of the costs at B
     hidden: np.ndarray  # (n, hidden) T
@@ -136,12 +137,12 @@ def _few(count: int, n: int) -> bool:
 
 def hidden_table(net: QNetwork, h: np.ndarray, cost: np.ndarray,
                  budget: float) -> QTable:
-    """The table of `net` for the (n, d) embeddings `h` and node costs at
-    `budget`, filled for `net` as it stands. Raises ValueError as
+    """The table of `net` for the (n, d) embeddings `h` and the (n,) node
+    costs at `budget`, filled for `net` as it stands. Raises ValueError as
     `_max_seeds` or a fill (`_current`) does."""
-    n = len(cost)
+    n, design = len(cost), np.column_stack((h, cost / budget))
     return _current(QTable(
-        net=net, design=np.column_stack((h, cost / budget)), budget=budget,
+        net=net, design=design, cost=cost, budget=budget,
         k_max=_max_seeds(cost, budget), hidden=np.empty((n, net.hidden_dim)),
         upper=np.empty(n), lower=np.empty(n)))
 

@@ -106,6 +106,12 @@ class TrainedPolicy:
         return compute_embeddings(instance.graph, instance.attrs, self.embed,
                                   self.t_emb)
 
+    def table(self, instance: Instance, budget: float,
+              h: np.ndarray | None = None) -> QTable:
+        """`hidden_table` of `instance` at `budget`, from embeddings `h`."""
+        h = self.embeddings_for(instance) if h is None else h
+        return hidden_table(self.net, h, instance.attrs.cost, budget)
+
 
 def epsilon_greedy_select(table: QTable, feasible: np.ndarray,
                           seed_count: int, epsilon: float, remaining: float,
@@ -127,13 +133,12 @@ def epsilon_greedy_select(table: QTable, feasible: np.ndarray,
     return best_feasible(table, feasible, seed_count, remaining)
 
 
-def _steps(table: QTable, cost: np.ndarray, epsilon: float,
-           rng: np.random.Generator | None):
+def _steps(table: QTable, epsilon: float, rng: np.random.Generator | None):
     """Yield (action, remaining budget after it) while a candidate fits."""
     # the remaining budget only falls, so the mask of feasible candidates
     # (unselected and affordable) only loses nodes; once it is empty,
     # epsilon_greedy_select returns None without reading `rng`
-    remaining, seed_count = table.budget, 0
+    cost, remaining, seed_count = table.cost, table.budget, 0
     feasible = cost <= remaining
     while True:
         action = epsilon_greedy_select(table, feasible, seed_count, epsilon,
@@ -153,7 +158,7 @@ def run_episode(table: QTable, instance: Instance, config: TrainConfig,
     step. They are built once the episode ends and share one `actions`
     tuple, the episode's seeds in order, each with its own `step` index.
 
-    `table` is the instance's `hidden_table` at `config.budget`. The
+    `table` is the instance's `TrainedPolicy.table` at `config.budget`. The
     episode runs on one live-arc realization, drawn from `rng` before the
     first step and turned into live-arc lists once. Each step extends the
     reached mask from the new seed only, by a search over those lists that
@@ -175,7 +180,7 @@ def run_episode(table: QTable, instance: Instance, config: TrainConfig,
     spent = 0.0
     r_prev = 0.0
     outcomes: list[tuple[float, float]] = []  # (reward, budget_after)
-    for action, remaining in _steps(table, attrs.cost, epsilon, rng):
+    for action, remaining in _steps(table, epsilon, rng):
         assert remaining >= 0.0, "budget overdraw"
         selected.append(action)
         spent += float(attrs.cost[action])
@@ -191,14 +196,13 @@ def run_episode(table: QTable, instance: Instance, config: TrainConfig,
             for step, (reward, remaining) in enumerate(outcomes)]
 
 
-def _bellman_targets(batch: list[Transition], instances: dict[str, Instance],
-                     tables: dict[str, QTable], config: TrainConfig
-                     ) -> tuple[np.ndarray, np.ndarray]:
+def _bellman_targets(batch: list[Transition], tables: dict[str, QTable],
+                     config: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
     """Encode batch states and compute one-step bootstrapped targets.
 
-    `tables[instance_id]` is the instance's `hidden_table` at
-    `config.budget`, which gives the state rows and scores for its network
-    as it stands. The next-state max ranges over the nodes that fit the
+    `tables[instance_id]` is the instance's `TrainedPolicy.table` at
+    `config.budget`: its costs, state rows and scores for its network as it
+    stands. The next-state max ranges over the nodes that fit the
     stored remaining budget, less the first `step + 1` entries of `actions`
     (the seeds before and the action); a row with none left scores 0.0, as
     a terminal state. A state's seed count is its transition's `step`.
@@ -209,20 +213,20 @@ def _bellman_targets(batch: list[Transition], instances: dict[str, Instance],
     states = np.empty((len(batch), tables[batch[0].instance_id].net.in_dim))
     targets = np.array([t.reward for t in batch])
     for inst_id in sorted({t.instance_id for t in batch}):
-        table, cost = tables[inst_id], instances[inst_id].attrs.cost
+        table = tables[inst_id]
         rows = [i for i, t in enumerate(batch) if t.instance_id == inst_id]
         actions = np.array([batch[i].action for i in rows])
         counts = np.array([batch[i].step for i in rows])
         remaining = np.array([batch[i].budget_after for i in rows])
         states[rows] = state_rows(table, actions, counts,
-                                  remaining + cost[actions])
+                                  remaining + table.cost[actions])
         if config.discount == 0.0:
             continue
         # a next state holds the seeds before and the action
         after = counts + 1
         held = [v for i in rows
                 for v in batch[i].actions[:batch[i].step + 1]]
-        feasible = cost <= remaining[:, None]
+        feasible = table.cost <= remaining[:, None]
         feasible[np.repeat(np.arange(len(rows)), after), held] = False
         _, best = best_feasible_rows(table, feasible, after, remaining)
         targets[rows] += config.discount * best
@@ -252,13 +256,13 @@ def train(config: TrainConfig, pool: InstancePool,
                          "of every training instance")
     instances = {inst.id: inst for inst in pool.train}
     seeds = stage_seeds(config.seed)
-    embed = init_embedding_params(config.d_emb, seeds["embed"])
-    net = QNetwork.init(config.d_emb + 3, seeds["qnet"])
+    policy = TrainedPolicy(QNetwork.init(config.d_emb + 3, seeds["qnet"]),
+                           init_embedding_params(config.d_emb, seeds["embed"]),
+                           config.t_emb)
     # the embedding params are fixed, so each instance keeps one table for
-    # the whole run, which refills itself once an update has moved `net`
-    tables = {inst.id: hidden_table(net, compute_embeddings(
-        inst.graph, inst.attrs, embed, config.t_emb), inst.attrs.cost,
-        config.budget) for inst in pool.train}
+    # the whole run, which refills itself once an update has moved the net
+    tables = {inst.id: policy.table(inst, config.budget)
+              for inst in pool.train}
     # FIFO replay: TrainConfig keeps batch_size within the capacity
     buffer: deque[Transition] = deque(maxlen=config.replay_capacity)
     rng = np.random.default_rng(seeds["loop"])
@@ -274,10 +278,9 @@ def train(config: TrainConfig, pool: InstancePool,
         if episode % config.update_period == 0 and len(buffer) >= config.batch_size:
             batch = [buffer[i] for i in
                      rng.integers(len(buffer), size=config.batch_size)]
-            states, targets = _bellman_targets(batch, instances, tables,
-                                               config)
-            loss, grads = q_loss_and_grad(net, states, targets)
-            adam_step(net, grads, config.learning_rate)
+            states, targets = _bellman_targets(batch, tables, config)
+            loss, grads = q_loss_and_grad(policy.net, states, targets)
+            adam_step(policy.net, grads, config.learning_rate)
         if progress is not None:
             progress({
                 "episode": episode,
@@ -286,16 +289,14 @@ def train(config: TrainConfig, pool: InstancePool,
                 "loss": loss,
                 "shaped_return": sum(t.reward for t in transitions),
             })
-    return TrainedPolicy(net=net, embed=embed, t_emb=config.t_emb)
+    return policy
 
 
 def select_seed_set(policy: TrainedPolicy, instance: Instance, budget: float,
                     h: np.ndarray | None = None) -> SeedSet:
     """Greedy (epsilon=0) budget-constrained selection; deterministic. `h`,
     when given, is `policy.embeddings_for(instance)`, computed by the caller."""
-    h = policy.embeddings_for(instance) if h is None else h
-    cost = instance.attrs.cost
-    steps = _steps(hidden_table(policy.net, h, cost, budget), cost, 0.0, None)
+    steps = _steps(policy.table(instance, budget, h), 0.0, None)
     return SeedSet.build([action for action, _ in steps], instance.attrs)
 
 

@@ -10,7 +10,8 @@ import fairseed
 from fairseed import cli
 from fairseed.cli import EXIT_CHECKPOINT, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from fairseed.experiment import ExperimentConfig, build_pool
-from fairseed.graph import InstancePool, graph_from_edges, load_node_attributes
+from fairseed.diffusion import SeedSet, exact_expected_profit
+from fairseed.graph import InstancePool, load_edge_list, load_node_attributes
 from fairseed.seeding import derive_seed
 from fairseed.trainer import load_checkpoint
 
@@ -458,6 +459,24 @@ class TestOracleCommand:
                      "--seeds", "0"])
         assert code == EXIT_DATA
 
+    def test_node_id_outside_int64_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "big.txt"
+        path.write_text("0 1\n99999999999999999999999 1\n")
+        code = main(["oracle", "--dataset", str(path), "--seeds", "0"])
+        assert code == EXIT_DATA
+        assert f"{path}:2: node id outside" in capsys.readouterr().err
+
+    def test_label_outside_int64_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "tiny.txt"
+        path.write_text("0 1\n")
+        attrs = tmp_path / "attrs.csv"
+        attrs.write_text("node_id,cost,benefit,community\n"
+                         "0,1,1,0\n1,1,1,99999999999999999999999\n")
+        code = main(["oracle", "--dataset", str(path), "--attrs", str(attrs),
+                     "--seeds", "0"])
+        assert code == EXIT_DATA
+        assert f"{attrs}:3: bad row" in capsys.readouterr().err
+
     def test_unknown_seed_node(self, tmp_path):
         path = tmp_path / "tiny.txt"
         path.write_text("0 1\n")
@@ -488,10 +507,7 @@ class TestSampleCommand:
             [inst.id for inst in pool.train + pool.test]
         for inst in pool.train + pool.test:
             base = str(out / inst.id)
-            edges = [(int(u), int(v), float(p)) for u, v, p in
-                     (line.split() for line in read_lines(base + ".edges")
-                      if not line.startswith("#"))]
-            g = graph_from_edges(inst.graph.n, edges, directed=True)
+            g = load_edge_list(base + ".edges", directed=True)
             for name in ("indptr", "indices", "probs"):
                 want, got = getattr(inst.graph, name), getattr(g, name)
                 assert got.dtype == want.dtype, name
@@ -501,6 +517,28 @@ class TestSampleCommand:
                 want, got = getattr(inst.attrs, name), getattr(attrs, name)
                 assert got.dtype == want.dtype, name
                 assert got.tobytes() == want.tobytes(), name
+
+
+    def test_oracle_reads_a_sampled_instance(self, dataset, tmp_path,
+                                             capsys):
+        # `sample` writes "u v p" arcs and an attribute CSV that read back
+        # as the instance in memory, so oracle prints its exact value
+        out = tmp_path / "pool"
+        flags = ["--n-train", "1", "--n-test", "1", "--nodes-per-instance",
+                 "3", "--seed", "5"]
+        assert main(["sample", "--dataset", dataset, *flags,
+                     "--out", str(out)]) == EXIT_OK
+        inst, = build_pool(ExperimentConfig(
+            dataset=dataset, n_train=1, n_test=1, nodes_per_instance=3,
+            seed=5)).test
+        base = str(out / inst.id)
+        capsys.readouterr()
+        code = main(["oracle", "--dataset", base + ".edges",
+                     "--attrs", base + ".attrs.csv", "--seeds", "0"])
+        assert code == EXIT_OK
+        want = exact_expected_profit(inst.graph, inst.attrs,
+                                     SeedSet.build([0], inst.attrs))
+        assert capsys.readouterr().out == f"exact expected profit: {want!r}\n"
 
 
 class TestConfigFile:

@@ -46,6 +46,50 @@ class TestLoadEdgeList:
         with pytest.raises(EdgeListError, match="non-integer"):
             load_edge_list(write(tmp_path, "a b\n"), directed=False)
 
+    def test_probabilities_read_and_default_to_one(self, tmp_path):
+        g = load_edge_list(write(tmp_path, "10 30 0.25\n30 20\n10 30 0.25\n"),
+                           directed=True)
+        src, dst, p = g.arc_arrays()
+        assert list(zip(src, dst, p)) == [(0, 2, 0.25), (2, 1, 1.0)]
+
+    def test_undirected_mirror_keeps_probability(self, tmp_path):
+        g = load_edge_list(write(tmp_path, "0 1 0.5\n1 0 0.5\n1 2 0.1\n"),
+                           directed=False)
+        assert g.probs.tolist() == [0.5, 0.5, 0.1, 0.1]
+
+    @pytest.mark.parametrize("p", ["nan", "0", "-0.5", "1.5", "inf", "x"])
+    def test_bad_probability_reports_line(self, tmp_path, p):
+        with pytest.raises(EdgeListError, match=r":2: probability not in"):
+            load_edge_list(write(tmp_path, f"0 1 0.5\n1 2 {p}\n"),
+                           directed=True)
+
+    @pytest.mark.parametrize("text,directed", [
+        ("0 1 0.5\n1 2\n0 1 0.25\n", True),
+        ("0 1\n0 1 0.5\n", True),
+        ("0 1 0.5\n2 1\n1 0 0.25\n", False),
+    ])
+    def test_arc_given_two_probabilities_reports_line(self, tmp_path, text,
+                                                      directed):
+        last = len(text.splitlines())
+        with pytest.raises(EdgeListError,
+                           match=f":{last}: arc given probability"):
+            load_edge_list(write(tmp_path, text), directed=directed)
+
+    def test_opposite_arcs_of_a_directed_graph_are_two_arcs(self, tmp_path):
+        g = load_edge_list(write(tmp_path, "0 1 0.5\n1 0 0.25\n"),
+                           directed=True)
+        assert g.probs.tolist() == [0.5, 0.25]
+
+    @pytest.mark.parametrize("ids", ["99999999999999999999999 1",
+                                     "0 -9223372036854775809",
+                                     "0 9223372036854775808"])
+    def test_node_id_outside_int64_reports_line(self, tmp_path, ids):
+        with pytest.raises(EdgeListError, match=":2: node id outside"):
+            load_edge_list(write(tmp_path, f"0 1\n{ids}\n"), directed=True)
+        g = load_edge_list(write(tmp_path, "0 9223372036854775807\n"),
+                           directed=True)
+        assert g.original_ids.tolist() == [0, 2**63 - 1]
+
     def test_empty_graph_rejected(self, tmp_path):
         with pytest.raises(EdgeListError, match="empty"):
             load_edge_list(write(tmp_path, "# nothing\n"), directed=False)
@@ -388,6 +432,17 @@ def test_partition_requires_positive_benefit():
     with pytest.raises(ValueError,
                        match="community 1 needs positive total benefit"):
         CommunityPartition.from_labels(np.array([0, 1]), np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("labels,missing", [([0, 2, 2], 1), ([1, 1], 0),
+                                            ([0, 1, 10**12], 2)])
+def test_partition_names_the_first_missing_label(labels, missing):
+    # the check makes no array sized by the largest label, so a stray
+    # label of 10**12 fails at once
+    with pytest.raises(ValueError,
+                       match=f"community {missing} has no members"):
+        CommunityPartition.from_labels(np.array(labels),
+                                       np.ones(len(labels)))
 
 
 def test_partition_rejects_negative_labels():

@@ -223,7 +223,7 @@ class TestKeptFeasibleMask:
         select = trainer.epsilon_greedy_select
         table = hidden_table(policy.net, h, cost, budget)
         with mock.patch.object(trainer, "epsilon_greedy_select", spy):
-            for action, _ in trainer._steps(table, cost, epsilon,
+            for action, _ in trainer._steps(table, epsilon,
                                             np.random.default_rng(seed)):
                 chosen.append(action)
         assert offered
@@ -478,9 +478,9 @@ class TestTableLifetime:
                                       rng)]
         tables = {k: hidden_table(net, embeddings[k], insts[k].attrs.cost,
                                   cfg.budget) for k in insts}
-        _, before = _bellman_targets(batch, insts, tables, cfg)
+        _, before = _bellman_targets(batch, tables, cfg)
         self.update(net, rng)
-        states, targets = _bellman_targets(batch, insts, tables, cfg)
+        states, targets = _bellman_targets(batch, tables, cfg)
         want_states, want_targets = reference_targets(net, batch, insts,
                                                       embeddings, cfg)
         assert np.array_equal(states, want_states)
@@ -494,7 +494,7 @@ class TestTableLifetime:
         policy, h = toy_policy(insts["a"], cfg)
         tables = {"a": hidden_table(policy.net, h, insts["a"].attrs.cost,
                                     cfg.budget)}
-        return (_bellman_targets(batch, insts, tables, cfg),
+        return (_bellman_targets(batch, tables, cfg),
                 reference_targets(policy.net, batch, insts, {"a": h}, cfg))
 
     def test_first_step_batch(self, rng):
@@ -542,7 +542,7 @@ class TestTableLifetime:
         assert any(t.budget_after > 0.0 for t in batch)
         tables = {"a": hidden_table(net, h, insts["a"].attrs.cost,
                                     cfg.budget)}
-        want_states, _ = _bellman_targets(batch, insts, tables,
+        want_states, _ = _bellman_targets(batch, tables,
                                           toy_config(budget=8.0))
         self.update(net, rng)
         hidden = tables["a"].hidden.copy()
@@ -551,7 +551,7 @@ class TestTableLifetime:
                             lambda table: calls.append("refill"))
         monkeypatch.setattr(trainer, "best_feasible_rows",
                             lambda *args: calls.append("score"))
-        states, targets = _bellman_targets(batch, insts, tables, cfg)
+        states, targets = _bellman_targets(batch, tables, cfg)
         assert calls == []
         assert tables["a"].step == 0 != net.step
         assert np.array_equal(tables["a"].hidden, hidden)
@@ -660,6 +660,33 @@ class TestTableLifetime:
             for a in (table.design, table.hidden, table.upper, table.lower):
                 assert not any(np.shares_memory(a, b) for b in training)
 
+    def test_train_keeps_the_tables_of_the_policy_it_returns(self,
+                                                             monkeypatch):
+        # every table that scores a training episode is the returned
+        # policy's own table of its instance: the same network, and the
+        # design, costs, budget and k_max of `policy.table` at the budget
+        pool = InstancePool(train=(toy_instance("a"),
+                                   toy_instance("b", cost=[1, 2, 2, 3, 1, 4])),
+                            test=(toy_instance("c"),), seed=0)
+        cfg = toy_config(budget=8.0, episodes=12, batch_size=4)
+        kept = {}  # id(table) -> (table, instance)
+        original = trainer.run_episode
+
+        def recording(table, instance, *rest):
+            kept[id(table)] = (table, instance)
+            return original(table, instance, *rest)
+
+        monkeypatch.setattr(trainer, "run_episode", recording)
+        policy = train(cfg, pool)
+        assert sorted(inst.id for _, inst in kept.values()) == ["a", "b"]
+        for table, inst in kept.values():
+            fresh = policy.table(inst, cfg.budget)
+            assert table.net is policy.net and fresh.net is policy.net
+            for name in ("design", "cost"):
+                assert np.array_equal(getattr(table, name),
+                                      getattr(fresh, name))
+            assert (table.budget, table.k_max) == (fresh.budget, fresh.k_max)
+
     def test_rebuilt_in_place_equals_a_fresh_table(self, rng):
         # after an update, a table that its caller does not rebuild refills
         # itself in place as it next scores: its picks and values are those
@@ -731,7 +758,7 @@ class TestMaxSeeds:
         assert table.k_max == 27
         episode = trainer.run_episode(table, inst, cfg, 0.0, rng)
         assert len(episode) == 27 and episode[-1].budget_after > 0.0
-        _bellman_targets(episode, {inst.id: inst}, {inst.id: table}, cfg)
+        _bellman_targets(episode, {inst.id: table}, cfg)
         assert ratios[-1] == 1.0  # the last next state holds all 27 seeds
         assert len(select_seed_set(policy, inst, budget, h)) == 27
         assert len(ratios) == 27 + 27 + 27 and max(ratios) == 1.0
