@@ -2,8 +2,15 @@
 the parity variants that keep seed-set community proportions close to the
 population's.
 
-All selectors fill the budget greedily with skip: pass over a ranking and
-take whatever still fits.
+All five share one budget fill over groups of nodes: one group of every node
+for the first three, the communities for the parity variants. Each pick goes
+to the group whose next affordable node (by descending score, ties to the
+lowest id) leaves the L1 distance between the picks' group shares and the
+groups' shares of all nodes smallest; ties go to the higher score, then the
+lower node id. With k_i of T picks (this one included) from group G_i of n
+nodes, n*T times that distance is the integer sum_i |k_i*n - |G_i|*T|, so
+it is compared exactly. With one group the fill is a greedy pass down the
+ranking that takes whatever still fits.
 """
 
 from __future__ import annotations
@@ -25,26 +32,47 @@ def _ranking(scores: np.ndarray) -> np.ndarray:
     return np.lexsort((np.arange(len(scores)), -scores))
 
 
-def _greedy_fill(order, cost: np.ndarray, budget: float) -> list[int]:
-    chosen = []
+def _fill(scores: np.ndarray, groups, attrs: NodeAttrs,
+          budget: float) -> SeedSet:
+    """The module's budget fill; `groups` are disjoint ascending node-id
+    arrays that cover the graph."""
+    cost, score = attrs.cost.tolist(), scores.tolist()
+    sizes = [len(members) for members in groups]
+    n = sum(sizes)
+    # each group's ranking, best last; members are ascending, so ties still
+    # go to the lowest node id
+    queues = [members[_ranking(scores[members])][::-1].tolist()
+              for members in groups]
+    counts = [0] * len(groups)
+    chosen: list[int] = []
     remaining = budget
-    for v in order:
-        if cost[v] <= remaining:
-            chosen.append(int(v))
-            remaining -= cost[v]
-    return chosen
+    while True:
+        for queue in queues:
+            while queue and cost[queue[-1]] > remaining:
+                queue.pop()  # the budget only shrinks: dropped for good
+        gaps = [k * n - size * (len(chosen) + 1)
+                for k, size in zip(counts, sizes)]
+        l1 = sum(map(abs, gaps))
+        picks = [(l1 - abs(gaps[i]) + abs(gaps[i] + n), -score[q[-1]], q[-1], i)
+                 for i, q in enumerate(queues) if q]  # (n*T*L1, -score, id, i)
+        if not picks:
+            return SeedSet.build(chosen, attrs)
+        *_, v, i = min(picks)
+        chosen.append(queues[i].pop())
+        counts[i] += 1
+        remaining -= cost[v]
 
 
 def random_seeds(g: Graph, attrs: NodeAttrs, budget: float,
                  rng: np.random.Generator) -> SeedSet:
     """Uniformly shuffled order, greedy budget fill."""
-    return SeedSet.build(_greedy_fill(rng.permutation(g.n), attrs.cost, budget),
-                         attrs)
+    place = np.empty(g.n)
+    place[rng.permutation(g.n)] = np.arange(g.n)
+    return _fill(-place, [np.arange(g.n)], attrs, budget)
 
 
 def high_degree_seeds(g: Graph, attrs: NodeAttrs, budget: float) -> SeedSet:
-    return SeedSet.build(
-        _greedy_fill(_ranking(g.out_degree()), attrs.cost, budget), attrs)
+    return _fill(g.out_degree(), [np.arange(g.n)], attrs, budget)
 
 
 def pagerank(g: Graph) -> np.ndarray:
@@ -71,59 +99,12 @@ def pagerank_seeds(g: Graph, attrs: NodeAttrs, budget: float,
                    scores: np.ndarray | None = None) -> SeedSet:
     if scores is None:  # the caller may pass pagerank(g), computed once
         scores = pagerank(g)
-    return SeedSet.build(_greedy_fill(_ranking(scores), attrs.cost, budget),
-                         attrs)
-
-
-def _parity_fill(scores: np.ndarray, g: Graph, attrs: NodeAttrs,
-                 parts: CommunityPartition, budget: float) -> SeedSet:
-    """Interleave per-community rankings so seed-set community proportions
-    track population proportions (L1-closest after every pick); unaffordable
-    nodes are skipped within each community's ranking."""
-    n = g.n
-    pop = np.array([len(m) for m in parts.members], dtype=float) / n
-    # members are ascending, so ties still go to the lowest node id
-    rankings = [list(members[_ranking(scores[members])])
-                for members in parts.members]
-    pointers = [0] * parts.count
-    counts = np.zeros(parts.count)
-    chosen: list[int] = []
-    remaining = budget
-
-    def next_affordable(c: int) -> int | None:
-        # budget only shrinks, so skipped nodes stay skipped
-        while pointers[c] < len(rankings[c]):
-            v = rankings[c][pointers[c]]
-            if attrs.cost[v] <= remaining:
-                return int(v)
-            pointers[c] += 1
-        return None
-
-    while True:
-        best = None  # (l1, -score, node id, community)
-        for c in range(parts.count):
-            v = next_affordable(c)
-            if v is None:
-                continue
-            trial = counts.copy()
-            trial[c] += 1
-            l1 = np.abs(trial / trial.sum() - pop).sum()
-            key = (l1, -scores[v], v)
-            if best is None or key < best[0]:
-                best = (key, v, c)
-        if best is None:
-            break
-        _, v, c = best
-        chosen.append(v)
-        counts[c] += 1
-        remaining -= attrs.cost[v]
-        pointers[c] += 1
-    return SeedSet.build(chosen, attrs)
+    return _fill(scores, [np.arange(g.n)], attrs, budget)
 
 
 def parity_seeds(g: Graph, attrs: NodeAttrs, parts: CommunityPartition,
                  budget: float) -> SeedSet:
-    return _parity_fill(g.out_degree().astype(float), g, attrs, parts, budget)
+    return _fill(g.out_degree(), parts.members, attrs, budget)
 
 
 def fair_pagerank_seeds(g: Graph, attrs: NodeAttrs, parts: CommunityPartition,
@@ -131,4 +112,4 @@ def fair_pagerank_seeds(g: Graph, attrs: NodeAttrs, parts: CommunityPartition,
                         ) -> SeedSet:
     if scores is None:  # the caller may pass pagerank(g), computed once
         scores = pagerank(g)
-    return _parity_fill(scores, g, attrs, parts, budget)
+    return _fill(scores, parts.members, attrs, budget)

@@ -308,8 +308,11 @@ def _cmd_sample(args) -> int:
         # Python floats: their repr reads back bit for bit
         src, dst, p = (a.tolist() for a in inst.graph.arc_arrays())
         with open(base + ".edges", "w") as fh:
-            fh.write("# u v p (arcs; undirected edges stored both ways)\n")
+            fh.write("# u v p (arcs; undirected edges stored both ways); "
+                     "v v (a node with no arc, read back as a node)\n")
             fh.writelines(f"{u} {v} {pr!r}\n" for u, v, pr in zip(src, dst, p))
+            fh.writelines(f"{v} {v}\n" for v in
+                          sorted(set(range(inst.graph.n)) - {*src, *dst}))
         cost, benefit = inst.attrs.cost.tolist(), inst.attrs.benefit.tolist()
         with open(base + ".attrs.csv", "w") as fh:
             fh.write("node_id,cost,benefit,community\n")

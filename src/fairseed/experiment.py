@@ -76,7 +76,7 @@ class ExperimentResult:
     profit_std: float
     fairness_mean: float        # E[min_c ratio_c]
     min_community_ratio: float  # min_c E[ratio_c]; >= fairness_mean
-    tau_ok: bool
+    tau_ok: bool                # min_community_ratio >= the --tau threshold
     seed_size: int
     seed_cost: float
     seconds: float

@@ -203,7 +203,8 @@ def load_edge_list(path: str, directed: bool) -> Graph:
     comments skipped.
 
     Node ids are 64-bit integers, remapped to dense 0..n-1 (ascending
-    original id); self-loops and duplicate edges are dropped. p defaults to
+    original id); self-loops and duplicate edges are dropped, but a node
+    seen only in a self-loop ("v v") stays a node. p defaults to
     1.0 and must lie in (0, 1]; an arc given two probabilities, in either
     direction when undirected, is an error. Commands overwrite p with
     assign_edge_probabilities.

@@ -1,8 +1,10 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fairseed.baselines import (_ranking, fair_pagerank_seeds,
+from fairseed.baselines import (_fill, _ranking, fair_pagerank_seeds,
                                 high_degree_seeds, pagerank, pagerank_seeds,
                                 parity_seeds, random_seeds)
 from fairseed.embedding import init_embedding_params
@@ -156,6 +158,16 @@ class TestParity:
         minority_share = (inst.attrs.community[list(s.nodes)] == 0).mean()
         assert abs(minority_share - 0.25) <= 1.0 / len(s)
 
+    def test_exact_tie_goes_to_the_lower_id(self):
+        # communities {0} and {1..5} on a directed 6-cycle: equal costs and
+        # scores; the third pick ties exactly (6/18 either way), and the tie
+        # rule, not float rounding of the L1 distance, gives it to node 0
+        inst = make_instance("t", 6, [(i, (i + 1) % 6, 0.5) for i in range(6)],
+                             directed=True, labels=[0, 1, 1, 1, 1, 1])
+        for select in (parity_seeds, fair_pagerank_seeds):
+            s = select(inst.graph, inst.attrs, inst.parts, 3.0)
+            assert s.nodes == (0, 1, 2), select.__name__
+
     def test_budget_safety(self, rng):
         labels = [0] * 3 + [1] * 9
         inst = make_instance("t", 12, [(i, (i + 5) % 12, 0.5) for i in range(12)],
@@ -206,6 +218,61 @@ class TestFairPageRank:
         a = fair_pagerank_seeds(inst.graph, inst.attrs, inst.parts, 2.0)
         b = fair_pagerank_seeds(inst.graph, inst.attrs, inst.parts, 2.0)
         assert a.nodes == b.nodes
+
+
+def exact_fill(scores, labels, cost, budget):
+    """The fill's rule spelled out with exact fractions: each pick is the
+    affordable unpicked node after which the picks' group shares are
+    L1-closest to the groups' shares of all nodes, ties to the higher score,
+    then the lower id."""
+    n, groups = len(labels), sorted(set(labels))
+    chosen, remaining = [], budget
+    while True:
+        left = [v for v in range(n) if v not in chosen and cost[v] <= remaining]
+        if not left:
+            return tuple(sorted(chosen))
+
+        def distance(v):
+            picked = [labels[u] for u in chosen + [v]]
+            return sum(abs(Fraction(picked.count(c), len(picked))
+                           - Fraction(labels.count(c), n)) for c in groups)
+
+        v = min(left, key=lambda v: (distance(v), -scores[v], v))
+        chosen.append(v)
+        remaining -= cost[v]
+
+
+# few distinct costs and scores, so exact ties are common
+fill_case = st.integers(1, 14).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, 8), min_size=n, max_size=n),
+    st.lists(st.sampled_from([0.0, 1.0, 2.0]), min_size=n, max_size=n),
+    st.lists(st.sampled_from([1.0, 1.5, 3.0]), min_size=n, max_size=n),
+    st.floats(0.0, 3.0 * n)))
+
+
+class TestFill:
+    @settings(deadline=None, max_examples=300)
+    @given(fill_case)
+    def test_matches_exact_reference(self, case):
+        labels, scores, cost, budget = case
+        groups = [np.flatnonzero(np.array(labels) == c)
+                  for c in sorted(set(labels))]
+        s = _fill(np.array(scores), groups, make_attrs(len(cost), cost=cost),
+                  budget)
+        assert s.nodes == exact_fill(scores, labels, cost, budget)
+
+    @settings(deadline=None, max_examples=100)
+    @given(fill_case)
+    def test_one_group_is_a_greedy_pass(self, case):
+        _, scores, cost, budget = case
+        greedy, remaining = [], budget
+        for v in _ranking(np.array(scores)).tolist():
+            if cost[v] <= remaining:
+                greedy.append(v)
+                remaining -= cost[v]
+        s = _fill(np.array(scores), [np.arange(len(cost))],
+                  make_attrs(len(cost), cost=cost), budget)
+        assert s.nodes == tuple(sorted(greedy))
 
 
 class TestBudgetSafety:

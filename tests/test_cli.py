@@ -541,6 +541,32 @@ class TestSampleCommand:
         assert capsys.readouterr().out == f"exact expected profit: {want!r}\n"
 
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_oracle_reads_a_pool_with_arc_less_nodes(self, tmp_path, capsys,
+                                                     seed):
+        # ten 6-node out-stars: an 8-node sample often keeps a node with no
+        # arc inside the instance, which `sample` writes as a "v v" line
+        source = tmp_path / "stars.txt"
+        source.write_text("".join(f"{6 * s} {6 * s + j}\n" for s in range(10)
+                                  for j in range(1, 6)))
+        out = tmp_path / "pool"
+        flags = ["--directed", "--n-train", "1", "--n-test", "1",
+                 "--nodes-per-instance", "8", "--seed", str(seed)]
+        assert main(["sample", "--dataset", str(source), *flags,
+                     "--out", str(out)]) == EXIT_OK
+        inst, = build_pool(ExperimentConfig(
+            dataset=str(source), directed=True, n_train=1, n_test=1,
+            nodes_per_instance=8, seed=seed)).test
+        base = str(out / inst.id)
+        capsys.readouterr()
+        code = main(["oracle", "--directed", "--dataset", base + ".edges",
+                     "--attrs", base + ".attrs.csv", "--seeds", "0"])
+        assert code == EXIT_OK
+        want = exact_expected_profit(inst.graph, inst.attrs,
+                                     SeedSet.build([0], inst.attrs))
+        assert capsys.readouterr().out == f"exact expected profit: {want!r}\n"
+
+
 class TestConfigFile:
     def test_flags_override_config(self, dataset, tmp_path):
         cfg = tmp_path / "run.cfg"

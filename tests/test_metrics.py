@@ -136,7 +136,26 @@ class TestReport:
         assert rep.profit == pytest.approx(rep.benefit - rep.cost, abs=1e-12)
         assert rep.fairness == min(rep.community_ratios)
         assert all(0.0 <= r <= 1.0 for r in rep.community_ratios)
-        assert rep.tau_ok == (rep.fairness >= 0.4)
+        assert rep.tau_ok == (min(rep.community_ratios) >= 0.4)
+
+    def test_tau_bounds_each_community_not_the_rollout_minimum(self):
+        # two independent coin flips, one per community: each community
+        # realizes 1 or 0.01 of its benefit, so E[ratio_c] = 0.505 for both
+        # while E[min_c ratio_c] = 0.2575; tau 0.38 lies 16+ Monte Carlo
+        # standard errors from each, and the paper's per-community bound
+        # ("each community realizes at least a minimum fraction of its
+        # total benefit") holds
+        attrs = make_attrs(4, cost=[1, 1, 1, 1], benefit=[1, 99, 1, 99],
+                           labels=[0, 0, 1, 1])
+        parts = CommunityPartition.from_labels(attrs.community, attrs.benefit)
+        g = graph_from_edges(4, [(0, 1, 0.5), (2, 3, 0.5)], directed=True)
+        rep, _, _ = evaluate_seed_set(g, attrs, parts,
+                                      SeedSet.build([0, 2], attrs),
+                                      live_arcs(g, 4096, 0),
+                                      FairnessConfig(threshold=0.38))
+        assert rep.fairness == pytest.approx(0.2575, abs=0.03)
+        assert min(rep.community_ratios) == pytest.approx(0.505, abs=0.03)
+        assert rep.tau_ok
 
 
 class TestShapedReward:
